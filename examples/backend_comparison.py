@@ -5,8 +5,7 @@ Runs the same two seeded days (a cold day one, then a warm day two that
 sheds and carries forward) through each execution backend:
 
 * ``serial``  — everything inline in one process;
-* ``process`` — the distance-pair workload fans out over a real
-  multiprocessing pool;
+* ``process`` — whole partitions run on a real multiprocessing pool;
 * ``distsim`` — additionally simulates the paper's machine cluster, so the
   timing report includes virtual makespan and per-stage utilization.
 

@@ -129,9 +129,9 @@ def main() -> None:
     print(f"    still byte-identical; re-dispatched leases: "
           f"{telemetry['redispatch']}")
     print()
-    print("Every RNG seed rides on task identity (partition index, chunk")
-    print("index), never on worker identity - so placement, worker count,")
-    print("and mid-map failures can never change the day's output.")
+    print("Every RNG seed rides on task identity (the partition index),")
+    print("never on worker identity - so placement, worker count, and")
+    print("mid-map failures can never change the day's output.")
 
 
 if __name__ == "__main__":

@@ -91,9 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--backend", choices=BACKEND_KINDS,
                         default="distsim",
                         help="execution backend: 'serial' runs everything "
-                             "inline in one process, 'process' fans the "
-                             "distance workload out over a real process "
-                             "pool, 'distsim' (default) additionally "
+                             "inline in one process, 'process' runs whole "
+                             "partitions on a local process pool, "
+                             "'distsim' (default) additionally "
                              "simulates the paper's machine cluster for "
                              "makespan/utilization reports, 'cluster' "
                              "executes on real worker processes over TCP "
@@ -135,19 +135,18 @@ def build_parser() -> argparse.ArgumentParser:
                              "partition default for every backend and the "
                              "simulated pool size for --backend distsim")
     parser.add_argument("--workers", type=_nonnegative_int, default=0,
-                        help="worker-pool width, wired through the backend "
-                             "config to the partition-level map pool and "
-                             "the distance-engine fan-out "
-                             "(0 = auto-detect CPU count, 1 = serial; "
-                             "ignored by --backend serial)")
+                        help="width of the partition-level map pool "
+                             "(0 = auto-detect CPU count, 1 = inline; "
+                             "ignored by --backend serial and cluster)")
     parser.add_argument("--partition-parallel",
                         action=argparse.BooleanOptionalAction, default=True,
                         help="run the per-partition map (tokenize + DBSCAN) "
                              "on a persistent --workers-wide process pool "
                              "(default on; results are byte-identical "
                              "either way, and batches with a single "
-                             "partition or worker stay inline; ignored by "
-                             "--backend serial)")
+                             "partition or worker stay inline; with "
+                             "--no-partition-parallel the process and "
+                             "distsim backends run in one process)")
     parser.add_argument("--no-length-filter", action="store_true",
                         help="disable the length-gap distance prefilter")
     parser.add_argument("--no-bag-filter", action="store_true",
@@ -217,7 +216,6 @@ def _incremental_config(args: argparse.Namespace) -> IncrementalConfig:
 
 def _engine_config(args: argparse.Namespace) -> DistanceEngineConfig:
     return DistanceEngineConfig(
-        workers=args.workers,
         length_filter=not args.no_length_filter,
         bag_filter=not args.no_bag_filter,
         qgram_filter=not args.no_qgram_filter,
@@ -225,10 +223,9 @@ def _engine_config(args: argparse.Namespace) -> DistanceEngineConfig:
 
 
 def _backend_config(args: argparse.Namespace) -> BackendConfig:
-    # machines/workers flow through the backend config; the unset fields
-    # (seed) inherit the pipeline values via KizzleConfig.resolved_backend.
-    # The cluster-only fields are inert on other backends; spawn_workers is
-    # zeroed for them so its default never implies subprocesses elsewhere.
+    # machines/workers flow through the backend config.  The cluster-only
+    # fields are inert on other backends; spawn_workers is zeroed for them
+    # so its default never implies subprocesses elsewhere.
     return BackendConfig(kind=args.backend, machines=args.machines,
                          workers=args.workers,
                          partition_parallel=args.partition_parallel,

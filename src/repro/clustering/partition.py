@@ -181,6 +181,16 @@ class PartitionMapResult:
     worker_id: Optional[str] = None
 
 
+def chunk_seed(base_seed: int, chunk_index: int) -> int:
+    """The deterministic RNG seed of one unit of shipped work.
+
+    Derived from the base seed and the unit's position in the batch — not
+    from the worker's identity — so the stream of random numbers any task
+    sees is the same for every pool width and task placement.
+    """
+    return (base_seed * 1_000_003 + chunk_index) & 0x7FFFFFFF
+
+
 @dataclass
 class PartitionMapTask:
     """One whole per-partition map, shippable to a child process.
@@ -202,10 +212,9 @@ class PartitionMapTask:
     seed: int = 0
 
     def worker_engine(self) -> DistanceEngine:
-        """A fresh engine for this task: strictly in-process (a pool worker
-        is daemonic and must never fork its own pool) with a private cache
-        whose exact distances are exported back to the parent."""
-        return DistanceEngine(replace(self.engine_config, workers=1,
+        """A fresh engine for this task, with a private cache whose exact
+        distances are exported back to the parent."""
+        return DistanceEngine(replace(self.engine_config,
                                       shared_cache=False))
 
     def run(self, engine: Optional[DistanceEngine] = None,
@@ -218,8 +227,6 @@ class PartitionMapTask:
         next day.  Tokens are a pure function of content either way, so
         every combination of arguments produces byte-identical results.
         """
-        from repro.exec.process import chunk_seed
-
         random.seed(chunk_seed(self.seed, self.index))
         if engine is None:
             engine = self.worker_engine()
@@ -268,14 +275,13 @@ class DistributedClusterer:
     seed:
         Seed for the random partitioning.
     engine_config:
-        Distance-engine settings (worker count, prefilter toggles, cache
-        size).  One engine is shared across the map and reduce phases so
-        the reduce step reuses distances the map phase already computed.
+        Distance-engine settings (prefilter toggles, cache size).  One
+        engine is shared across the map and reduce phases so the reduce
+        step reuses distances the map phase already computed.
     backend:
         The :class:`~repro.exec.backend.ExecutionBackend` the map/reduce
-        structure and the engine fan-out run through.  Defaults to a
-        distsim backend over ``sim_cluster`` — the seed reproduction's
-        behaviour.
+        structure runs through.  Defaults to a distsim backend over
+        ``sim_cluster`` — the seed reproduction's behaviour.
     machines:
         Logical machine count governing the *default partition count*.
         Deliberately independent of the backend: partitioning shapes the
@@ -309,8 +315,7 @@ class DistributedClusterer:
         self.min_points = min_points
         if backend is None:
             backend = DistsimBackend.from_cluster(
-                sim_cluster or SimCluster(machine_count=machines or 50),
-                seed=seed)
+                sim_cluster or SimCluster(machine_count=machines or 50))
         self.backend = backend
         if machines is not None:
             self.machines = machines
@@ -326,9 +331,7 @@ class DistributedClusterer:
             else:
                 self.machines = 50
         self.seed = seed
-        self.engine = DistanceEngine(
-            backend.engine_config(engine_config or DistanceEngineConfig()),
-            executor=backend.pair_executor())
+        self.engine = DistanceEngine(engine_config)
 
     @property
     def sim_cluster(self) -> SimCluster:

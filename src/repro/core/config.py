@@ -94,11 +94,11 @@ class KizzleConfig:
     signature:
         Signature generation settings (window cap, minimum length).
     distance:
-        Distance-engine settings: process-pool width (``workers``; 0 means
-        auto-detect), the three prefilter toggles
+        Distance-engine settings: the three prefilter toggles
         (``length_filter`` / ``bag_filter`` / ``qgram_filter``) and the
-        bounded pair-cache size.  These only change cost, never clustering
-        results.
+        bounded pair-cache size, plus ``workers`` — the default
+        partition-pool width when ``backend.workers`` is unset (0 means
+        auto-detect).  These only change cost, never clustering results.
     reuse_existing_signatures:
         When true, a new signature is only generated for a malicious cluster
         if no already-deployed signature for the same kit matches the
@@ -108,9 +108,9 @@ class KizzleConfig:
         Day-over-day warm-path settings (shedding, carry-forward, fast
         scanning); disabled by default.  See :class:`IncrementalConfig`.
     backend:
-        Execution-backend selection (``serial`` / ``process`` / ``distsim``)
-        and its substrate knobs.  Unset fields inherit the pipeline-level
-        values (``machines``, ``distance.workers``, ``seed``) via
+        Execution-backend selection (``serial`` / ``process`` / ``distsim``
+        / ``cluster``) and its substrate knobs.  Unset fields inherit the
+        pipeline-level values (``machines``, ``distance.workers``) via
         :meth:`resolved_backend`.  Backends never change results — only
         where work runs and what the timing report looks like.
     """
@@ -142,5 +142,4 @@ class KizzleConfig:
     def resolved_backend(self) -> BackendConfig:
         """The backend configuration with inherited fields filled in."""
         return self.backend.resolved(machines=self.machines,
-                                     workers=self.distance.workers,
-                                     seed=self.seed)
+                                     workers=self.distance.workers)

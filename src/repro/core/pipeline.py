@@ -11,10 +11,10 @@ The loop is an explicit **stage graph** (:mod:`repro.core.stages`)::
     shed -> prepare -> cluster -> label -> compile -> finalize
 
 executed through a pluggable **execution backend** (:mod:`repro.exec`):
-serial inline, real process-pool fan-out, or the distsim cluster simulator
-(the default, reproducing the paper's 50-machine timing model).  Backends
-never change results — labels, signatures and FP/FN are byte-identical
-across all three (``tests/test_backends.py``).
+serial inline, a local process pool, the distsim cluster simulator (the
+default, reproducing the paper's 50-machine timing model), or real worker
+processes over TCP.  Backends never change results — labels, signatures and
+FP/FN are byte-identical across all four (``tests/test_backends.py``).
 
 Two execution modes share the graph *shape* and substitute stage
 implementations:

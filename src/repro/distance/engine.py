@@ -1,11 +1,11 @@
-"""Pruned, parallel distance engine for the clustering stack.
+"""Pruned distance engine for the clustering stack.
 
 The paper's daily loop is dominated by all-pairs token edit distance feeding
 DBSCAN.  This module centralizes that workload behind one object,
 :class:`DistanceEngine`, which layers cheap *exact* filters in front of the
-expensive kernel and fans large batches out through a pluggable *pair
-executor* (by default the process-pool executor from
-:mod:`repro.exec.process`; an execution backend may substitute its own):
+expensive kernel.  The engine itself is strictly in-process: parallelism
+lives one level up, where whole partitions ship to workers that each run
+their own engine (:mod:`repro.exec`).
 
 1. **identity** — equal token strings are distance 0 (duplicates are very
    common in a grayware stream);
@@ -36,7 +36,6 @@ benchmarks can attribute the speedup layer by layer, and
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -71,24 +70,15 @@ class DistanceEngineConfig:
         ``cache_size`` different from the default implies a private cache
         of that size (the shared cache's bound is never resized).
     workers:
-        Process-pool width for batched queries.  ``0`` (default) means
-        auto-detect (``os.cpu_count()``); ``1`` forces the serial path.
-    chunk_size:
-        Pairs per work unit shipped to a pool worker.
-    parallel_threshold:
-        Minimum number of undecided pairs before a pool is spun up; small
-        batches stay serial to avoid fork overhead.
+        Not read by the engine, which never forks.  It is the default
+        width of the *partition* pool: ``KizzleConfig.resolved_backend()``
+        uses it when ``BackendConfig.workers`` is unset (``0`` means
+        auto-detect, ``1`` keeps every partition inline).
     profile_cache_size:
         Maximum number of per-point feature profiles (token bag, q-gram
         counter, kernel bitmask) held by one engine; profiles are
         recomputable, so the table is simply reset when it fills (long-lived
         engines process months of daily batches).
-    seed:
-        Base seed for the deterministic per-chunk RNG re-seeding of pool
-        workers (see :func:`repro.exec.process.chunk_seed`).  Never changes
-        results today — the pair kernels use no randomness — but guarantees
-        that any worker-side randomness ever introduced stays byte-identical
-        across pool widths.
     """
 
     length_filter: bool = True
@@ -98,10 +88,7 @@ class DistanceEngineConfig:
     cache_size: int = 1 << 18
     shared_cache: bool = True
     workers: int = 0
-    chunk_size: int = 1024
-    parallel_threshold: int = 4096
     profile_cache_size: int = 4096
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.qgram_size < 2:
@@ -110,15 +97,8 @@ class DistanceEngineConfig:
             raise ValueError("cache_size must be non-negative")
         if self.workers < 0:
             raise ValueError("workers must be non-negative")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
         if self.profile_cache_size < 1:
             raise ValueError("profile_cache_size must be positive")
-
-    def effective_workers(self) -> int:
-        if self.workers == 0:
-            return multiprocessing.cpu_count()
-        return self.workers
 
 
 @dataclass
@@ -132,9 +112,6 @@ class EngineStats:
     bag_pruned: int = 0
     qgram_pruned: int = 0
     kernel_calls: int = 0
-    #: Pairs decided by the batch executor (pool workers) rather than
-    #: in-process — telemetry for the backend layer, not a pruning layer.
-    executor_pairs: int = 0
     #: Tokenizations resolved from / missed in a cluster worker's
     #: persistent prepared cache (warm-affinity telemetry; zero for
     #: purely local engines, which tokenize before the engine is involved).
@@ -335,21 +312,11 @@ def decide_profiles(profile_a: PointProfile, profile_b: PointProfile,
 # the engine
 # ----------------------------------------------------------------------
 class DistanceEngine:
-    """Batched, pruned, memoized distance queries over token strings.
-
-    ``executor`` optionally supplies the batch fan-out substrate (an object
-    with ``decide_chunks(points, chunks, epsilon, config)``, see
-    :mod:`repro.exec.process`).  Without one, large batches default to the
-    process-pool executor, preserving the engine's historical standalone
-    behaviour; an execution backend passes its own so the fan-out policy is
-    owned in one place.
-    """
+    """Batched, pruned, memoized distance queries over token strings."""
 
     def __init__(self, config: Optional[DistanceEngineConfig] = None,
-                 executor=None,
                  cache: Optional[PairDistanceCache] = None) -> None:
         self.config = config or DistanceEngineConfig()
-        self.executor = executor
         if cache is not None:
             # Caller-supplied store (e.g. a cluster worker's persistent
             # cache behind a DeltaCache view); overrides the shared/private
@@ -478,8 +445,7 @@ class DistanceEngine:
         """Adjacency lists of the epsilon-neighbourhood graph.
 
         Evaluates every unordered pair once (half the work of per-point
-        neighbour queries) and fans chunks out over a process pool when the
-        batch is large enough.  Returns ``(neighbours, comparisons)`` where
+        neighbour queries).  Returns ``(neighbours, comparisons)`` where
         ``neighbours[i]`` lists the indices within epsilon of point ``i`` in
         ascending order, excluding ``i`` itself.
         """
@@ -505,81 +471,13 @@ class DistanceEngine:
                           ) -> Iterable[Tuple[int, int, bool]]:
         """Decide every unordered pair, streaming the verdicts.
 
-        The serial path never materializes the pair list, so memory stays
-        O(points + results); only the pool path accumulates the (much
-        smaller) prefilter-surviving subset for chunking.
+        The pair list is never materialized, so memory stays
+        O(points + results).
         """
-        points = [tuple(point) for point in points]
         profiles = [self.profile(point) for point in points]
-        pairs = itertools.combinations(range(len(points)), 2)
-        count = len(points)
-        total_pairs = count * (count - 1) // 2
-        workers = self.config.effective_workers()
-        if workers <= 1 or total_pairs < self.config.parallel_threshold:
-            return self._decide_serial(profiles, pairs, epsilon)
-        executor = self.executor
-        if executor is None:
-            # Standalone engines keep their historical process fan-out; the
-            # import is lazy because repro.exec.process imports this module.
-            from repro.exec.process import ProcessPairExecutor
-            executor = self.executor = ProcessPairExecutor(
-                seed=self.config.seed)
-        return self._decide_with_executor(points, profiles, pairs, epsilon,
-                                          executor)
-
-    def _decide_serial(self, profiles: Sequence[PointProfile],
-                       pairs: Iterable[Tuple[int, int]], epsilon: float
-                       ) -> Iterable[Tuple[int, int, bool]]:
-        for i, j in pairs:
+        for i, j in itertools.combinations(range(len(profiles)), 2):
             profile_a, profile_b = profiles[i], profiles[j]
             threshold = int(epsilon * max(profile_a.length, profile_b.length))
             verdict, _ = decide_profiles(profile_a, profile_b, threshold,
                                           self.config, self.cache, self.stats)
             yield i, j, verdict
-
-    def _decide_with_executor(self, points: List[TokenString],
-                              profiles: Sequence[PointProfile],
-                              pairs: Iterable[Tuple[int, int]],
-                              epsilon: float, executor
-                              ) -> Iterable[Tuple[int, int, bool]]:
-        # Resolve the O(1) layers (identity, length, cache) in-process,
-        # streaming their verdicts; only pairs that might need counters or
-        # the kernel accumulate for the executor.
-        undecided: List[Tuple[int, int]] = []
-        for i, j in pairs:
-            profile_a, profile_b = profiles[i], profiles[j]
-            threshold = int(epsilon * max(profile_a.length, profile_b.length))
-            self.stats.pairs += 1
-            if profile_a.tokens == profile_b.tokens:
-                self.stats.identical += 1
-                yield i, j, True
-            elif self.config.length_filter and \
-                    abs(profile_a.length - profile_b.length) > threshold:
-                self.stats.length_pruned += 1
-                yield i, j, False
-            else:
-                cached = self.cache.get(profile_a.tokens, profile_b.tokens)
-                if cached is not None:
-                    self.stats.cache_hits += 1
-                    yield i, j, cached <= threshold
-                else:
-                    undecided.append((i, j))
-
-        if len(undecided) < 2 * self.config.chunk_size:
-            # Not enough left to amortize a fan-out; finish serially.  The
-            # triage loop above already counted these pairs.
-            self.stats.pairs -= len(undecided)
-            yield from self._decide_serial(profiles, undecided, epsilon)
-            return
-
-        chunk_size = self.config.chunk_size
-        chunks = [undecided[start:start + chunk_size]
-                  for start in range(0, len(undecided), chunk_size)]
-        for chunk_result, chunk_stats in executor.decide_chunks(
-                points, chunks, epsilon, self.config):
-            self.stats.add(EngineStats(**chunk_stats))
-            self.stats.executor_pairs += len(chunk_result)
-            for i, j, verdict, exact in chunk_result:
-                if exact is not None:
-                    self.cache.put(points[i], points[j], exact)
-                yield i, j, verdict

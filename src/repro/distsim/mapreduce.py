@@ -45,7 +45,7 @@ class MapReduceReport:
     #: of the virtual :attr:`total_time`.
     wall_stage_seconds: Dict[str, float] = field(default_factory=dict)
     #: Which execution backend produced this report (``serial`` /
-    #: ``process`` / ``distsim``).
+    #: ``process`` / ``distsim`` / ``cluster``).
     backend: str = "distsim"
     #: Mean machine utilization per extra charged stage, derived from the
     #: real scheduled tasks when the distsim backend simulates the stage.

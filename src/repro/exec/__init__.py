@@ -13,7 +13,7 @@ attribute access, so the configuration layer can import
 """
 
 from repro.exec.backend import BACKEND_KINDS, BackendConfig, \
-    ExecutionBackend, create_backend
+    ExecutionBackend, SerialBackend, create_backend
 
 __all__ = [
     "BACKEND_KINDS",
@@ -27,17 +27,12 @@ __all__ = [
     "ClusterCoordinator",
     "ClusterError",
     "spawn_local_worker",
-    "ProcessPairExecutor",
-    "SerialPairExecutor",
     "PartitionPoolExecutor",
 ]
 
 #: Lazily-resolved names -> defining submodule (PEP 562).
 _LAZY = {
-    "SerialBackend": "repro.exec.serial",
     "ProcessBackend": "repro.exec.process",
-    "ProcessPairExecutor": "repro.exec.process",
-    "SerialPairExecutor": "repro.exec.process",
     "DistsimBackend": "repro.exec.distsim",
     "PartitionPoolExecutor": "repro.exec.partition",
     "ClusterBackend": "repro.exec.cluster",

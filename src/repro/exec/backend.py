@@ -2,15 +2,16 @@
 
 The stage-graph pipeline (:mod:`repro.core.stages`) describes *what* the
 daily loop does; an :class:`ExecutionBackend` decides *where* the work runs.
-Three implementations share the interface:
+The unit of parallel work is always one whole partition map task
+(:class:`~repro.clustering.partition.PartitionMapTask`).  Four
+implementations share the interface:
 
-* :class:`~repro.exec.serial.SerialBackend` — everything inline in one
-  process, no simulation; the reference substrate every other backend must
-  match byte for byte.
-* :class:`~repro.exec.process.ProcessBackend` — the distance-pair fan-out
-  runs on a real :mod:`multiprocessing` pool (the machinery that used to be
-  private to :mod:`repro.distance.engine`), with deterministic per-chunk
-  RNG seeding so any worker count produces identical results.
+* :class:`SerialBackend` — everything inline in one process, no
+  simulation; the reference substrate every other backend must match byte
+  for byte.
+* :class:`~repro.exec.process.ProcessBackend` — partitions run on a
+  persistent :mod:`multiprocessing` pool, each task seeded from its
+  partition index so any worker count produces identical results.
 * :class:`~repro.exec.distsim.DistsimBackend` — drives the
   :mod:`repro.distsim` scheduler/map-reduce simulator, so makespan and
   utilization reports come from real scheduled stage tasks rather than
@@ -18,11 +19,11 @@ Three implementations share the interface:
   paper's 50-machine timing model, and it is what the seed reproduction
   always did).
 * :class:`~repro.exec.cluster.ClusterBackend` — true multi-machine
-  execution: a TCP coordinator leases whole partition map tasks and
-  pair-decision chunks to :mod:`repro.exec.worker` processes on this or
-  other hosts, with heartbeats, per-task deadlines and re-dispatch on
-  worker loss (``tests/test_cluster_faults.py`` proves byte-identity
-  under injected failures).
+  execution: a TCP coordinator leases whole partition map tasks to
+  :mod:`repro.exec.worker` processes on this or other hosts, with
+  heartbeats, per-task deadlines and re-dispatch on worker loss
+  (``tests/test_cluster_faults.py`` proves byte-identity under injected
+  failures).
 
 Backends only change *where and how fast* work executes, never its result:
 cluster labels, signatures and per-day FP/FN are byte-identical across all
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import abc
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro.distsim.machine import MachineSpec
@@ -54,7 +55,7 @@ class BackendConfig:
     kind:
         ``"serial"``, ``"process"``, ``"distsim"`` (the default; it
         reproduces the seed behaviour, including the simulated timing
-        model *and* the process-pool distance fan-out) or ``"cluster"``
+        model, and runs partitions on the process pool) or ``"cluster"``
         (real multi-machine execution over TCP workers; see
         :mod:`repro.exec.cluster`).
     machines:
@@ -64,9 +65,8 @@ class BackendConfig:
         clustering stage always comes from ``KizzleConfig.machines`` so
         that clustering output never depends on the backend.
     workers:
-        Process-pool width for the distance fan-out (process/distsim
-        backends).  ``0`` auto-detects; ``None`` inherits
-        ``DistanceEngineConfig.workers``.
+        Width of the partition pool (process/distsim backends).  ``0``
+        auto-detects; ``None`` inherits ``DistanceEngineConfig.workers``.
     partition_parallel:
         Run the *partition-level* map (tokenize + DBSCAN per partition) on
         a persistent worker pool instead of inline (process/distsim
@@ -74,9 +74,6 @@ class BackendConfig:
         results are byte-identical either way, and batches too small to
         amortize a fan-out (one partition, or one worker) stay inline
         automatically.
-    seed:
-        Base seed for deterministic per-chunk worker RNG seeding.  ``None``
-        inherits ``KizzleConfig.seed``.
     listen:
         Cluster backend only: ``"host:port"`` the TCP coordinator binds
         (``None`` means loopback with an OS-assigned port; read the real
@@ -107,7 +104,6 @@ class BackendConfig:
     machines: Optional[int] = None
     workers: Optional[int] = None
     partition_parallel: bool = True
-    seed: Optional[int] = None
     listen: Optional[str] = None
     spawn_workers: int = 0
     task_deadline_s: float = 60.0
@@ -132,28 +128,18 @@ class BackendConfig:
         if self.max_task_retries < 0:
             raise ValueError("max_task_retries must be non-negative")
 
-    def resolved(self, machines: int, workers: int,
-                 seed: int) -> "BackendConfig":
+    def resolved(self, machines: int, workers: int) -> "BackendConfig":
         """A copy with every ``None`` field filled from pipeline defaults."""
-        return BackendConfig(
-            kind=self.kind,
+        return replace(
+            self,
             machines=self.machines if self.machines is not None else machines,
-            workers=self.workers if self.workers is not None else workers,
-            partition_parallel=self.partition_parallel,
-            seed=self.seed if self.seed is not None else seed,
-            listen=self.listen,
-            spawn_workers=self.spawn_workers,
-            task_deadline_s=self.task_deadline_s,
-            heartbeat_timeout_s=self.heartbeat_timeout_s,
-            max_task_retries=self.max_task_retries,
-            secret=self.secret,
-            affinity=self.affinity)
+            workers=self.workers if self.workers is not None else workers)
 
 
 class ExecutionBackend(abc.ABC):
     """Where stage work runs: inline, on a process pool, or simulated.
 
-    The interface has four load-bearing methods:
+    The interface has three load-bearing methods:
 
     * :meth:`run_mapreduce` executes the clustering stage's scatter/map/
       gather/reduce structure and returns a
@@ -162,9 +148,6 @@ class ExecutionBackend(abc.ABC):
     * :meth:`simulate_stage` accounts an extra perfectly-parallel stage
       (shedding, carry-forward probes) against the backend's notion of the
       machine pool, recording virtual seconds in the report;
-    * :meth:`pair_executor` supplies the
-      :class:`~repro.distance.engine.DistanceEngine` with its batch
-      fan-out substrate (``None`` keeps the engine serial);
     * :meth:`partition_executor` supplies the partition-level map executor
       (``None`` keeps the map-over-partitions inline); backends whose
       executor engaged report the finished map through
@@ -189,10 +172,6 @@ class ExecutionBackend(abc.ABC):
         """Parallel width extra stage costs are spread over."""
         return 1
 
-    def pair_executor(self):
-        """Distance-pair batch executor for the engine (``None`` = serial)."""
-        return None
-
     def partition_executor(self):
         """Partition-level map executor (``None`` = map runs inline).
 
@@ -205,15 +184,6 @@ class ExecutionBackend(abc.ABC):
     def close(self) -> None:
         """Release pooled resources (idempotent).  Backends without
         persistent substrate state have nothing to do."""
-
-    def engine_config(self, base):
-        """The distance-engine configuration this backend runs with.
-
-        The default keeps the pipeline's configuration untouched; the
-        serial backend forces ``workers=1`` so even paper-scale batches
-        stay in-process.
-        """
-        return base
 
     # -- execution ------------------------------------------------------
     @abc.abstractmethod
@@ -328,6 +298,13 @@ class InlineBackend(ExecutionBackend):
         return report
 
 
+class SerialBackend(InlineBackend):
+    """Run every stage inline in the current process — the reference
+    substrate.  Report times are the measured wall clock."""
+
+    name = "serial"
+
+
 def create_backend(config: BackendConfig) -> ExecutionBackend:
     """Instantiate the backend named by ``config.kind``.
 
@@ -335,7 +312,6 @@ def create_backend(config: BackendConfig) -> ExecutionBackend:
     configuration layer without dragging in multiprocessing plumbing.
     """
     if config.kind == "serial":
-        from repro.exec.serial import SerialBackend
         return SerialBackend(config)
     if config.kind == "process":
         from repro.exec.process import ProcessBackend

@@ -3,13 +3,12 @@
 The paper ran the daily clustering as map tasks on a real machine cluster;
 this module closes that gap.  A :class:`ClusterCoordinator` listens on a
 TCP socket, registers :mod:`repro.exec.worker` processes as they connect
-(from this host or any other), leases them work — whole
-:class:`~repro.clustering.partition.PartitionMapTask` objects for the
-partition-level map, :class:`PairChunkLease` bundles for the distance-pair
-fan-out — and collects the results.  :class:`ClusterBackend` wraps the
-coordinator behind the ordinary
-:class:`~repro.exec.backend.ExecutionBackend` interface, so the pipeline
-drives a real cluster through exactly the seam the process backend uses.
+(from this host or any other), leases them whole
+:class:`~repro.clustering.partition.PartitionMapTask` objects and collects
+the results.  :class:`ClusterBackend` wraps the coordinator behind the
+ordinary :class:`~repro.exec.backend.ExecutionBackend` interface, so the
+pipeline drives a real cluster through exactly the seam the process backend
+uses.
 
 Trust model
 -----------
@@ -61,14 +60,13 @@ or mid-churn.  :attr:`task_bytes_sent` / :attr:`tokens_stripped_chars`
 quantify the shipping saved.
 
 Determinism: task identity — not worker identity — carries the RNG seed
-(``PartitionMapTask.run`` seeds from ``(seed, partition_index)``, pair
-chunks from ``(seed, chunk_index)``), and results are merged in task order
-regardless of completion order, so any worker count, placement, churn, or
-mid-map re-dispatch is byte-identical to inline execution.  Effects are
-at-most-once *observable*: a re-dispatched task may execute twice, but the
-coordinator accepts only the result of the live lease and drops late
-duplicates — and task execution is pure, so even the dropped duplicate had
-no side effects.
+(``PartitionMapTask.run`` seeds from ``(seed, partition_index)``), and
+results are merged in task order regardless of completion order, so any
+worker count, placement, churn, or mid-map re-dispatch is byte-identical to
+inline execution.  Effects are at-most-once *observable*: a re-dispatched
+task may execute twice, but the coordinator accepts only the result of the
+live lease and drops late duplicates — and task execution is pure, so even
+the dropped duplicate had no side effects.
 """
 
 from __future__ import annotations
@@ -82,11 +80,10 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.exec import wire
 from repro.exec.backend import BackendConfig, InlineBackend
-from repro.exec.process import PairDecision, SerialPairExecutor, decide_chunk
 
 logger = logging.getLogger("repro.exec.cluster")
 
@@ -111,61 +108,16 @@ def parse_address(text: str) -> Tuple[str, int]:
     return host, int(port)
 
 
-@dataclass
-class PairChunkLease:
-    """One lease of the distance-pair workload: a contiguous run of indexed
-    chunks plus everything a remote worker needs to decide them.
-
-    The chunk indices preserve the parent batch's numbering, so the
-    per-chunk RNG seeding (``chunk_seed(seed, chunk_index)``) is identical
-    to inline execution no matter how chunks are grouped into leases or
-    which worker runs them.
-    """
-
-    points: List[Tuple[str, ...]]
-    chunks: List[Tuple[int, List[Tuple[int, int]]]]
-    epsilon: float
-    config: Any  # DistanceEngineConfig (kept loose to avoid a cycle)
-    seed: int
-
-
-def run_pair_lease(lease: PairChunkLease, cache: Any = None
-                   ) -> List[Tuple[int, List[PairDecision], Dict[str, int]]]:
-    """Execute one pair lease (worker side).
-
-    Profiles are shared across the lease's chunks — a pure cache, so
-    grouping has no observable effect — and each chunk re-seeds its RNG
-    from its own index exactly as the serial and process executors do.
-    ``cache`` optionally supplies the worker's persistent exact-distance
-    cache (:class:`~repro.distance.engine.PairDistanceCache`): hits skip
-    the kernel, and because the cache is exact and content-addressed the
-    decisions are byte-identical with or without it.
-    """
-    profiles: Dict[int, Any] = {}
-    out = []
-    for index, chunk in lease.chunks:
-        decisions, stats = decide_chunk(lease.points, profiles,
-                                        (index, chunk), lease.epsilon,
-                                        lease.config, lease.seed,
-                                        cache=cache)
-        out.append((index, decisions, stats))
-    return out
-
-
 def affinity_key(kind: str, payload: Any) -> Optional[Tuple[str, int]]:
-    """The warmth key a task leases under: partition index for map tasks,
-    leading chunk index for pair leases (``None`` when a payload carries
-    no stable identity).  Keys repeat day over day — partition counts are
-    pinned by configuration — which is exactly what makes yesterday's
-    server a good place to lease today's same-numbered partition."""
+    """The warmth key a task leases under: the partition index of a map
+    task (``None`` when a payload carries no stable identity).  Keys
+    repeat day over day — partition counts are pinned by configuration —
+    which is exactly what makes yesterday's server a good place to lease
+    today's same-numbered partition."""
     if kind == "partition_map":
         index = getattr(payload, "index", None)
         if index is not None:
             return ("pm", index)
-    elif kind == "pair_chunks":
-        chunks = getattr(payload, "chunks", None)
-        if chunks:
-            return ("pc", chunks[0][0])
     return None
 
 
@@ -928,53 +880,6 @@ class ClusterPartitionExecutor:
         return results, time.perf_counter() - started
 
 
-class ClusterPairExecutor:
-    """Distance-pair batch executor over the worker cluster.
-
-    Chunks are grouped into one contiguous lease per expected worker;
-    indices ride along so the per-chunk RNG seeding — and therefore every
-    decision — is identical to the serial and process executors.  Falls
-    back to the in-process serial path when the batch is too small to
-    ship or no worker is connected (byte-identical either way).
-    """
-
-    name = "cluster"
-
-    def __init__(self, coordinator: ClusterCoordinator, seed: int = 0) -> None:
-        self.coordinator = coordinator
-        self.seed = seed
-
-    def decide_chunks(self, points: List[Tuple[str, ...]],
-                      chunks: Sequence[Sequence[Tuple[int, int]]],
-                      epsilon: float, config: Any
-                      ) -> Iterable[Tuple[List[PairDecision],
-                                          Dict[str, int]]]:
-        workers = self.coordinator.worker_count
-        if len(chunks) < 2 or workers < 1:
-            yield from SerialPairExecutor(self.seed).decide_chunks(
-                points, chunks, epsilon, config)
-            return
-        worker_config = replace(config, shared_cache=False, cache_size=0,
-                                workers=1)
-        indexed = list(enumerate(list(chunk) for chunk in chunks))
-        lease_count = min(workers, len(indexed))
-        size, remainder = divmod(len(indexed), lease_count)
-        leases, cursor = [], 0
-        for index in range(lease_count):
-            take = size + (1 if index < remainder else 0)
-            leases.append(PairChunkLease(
-                points=list(points), chunks=indexed[cursor:cursor + take],
-                epsilon=epsilon, config=worker_config, seed=self.seed))
-            cursor += take
-        by_index: Dict[int, Tuple[List[PairDecision], Dict[str, int]]] = {}
-        for outcome, _worker in self.coordinator.submit("pair_chunks",
-                                                        leases):
-            for chunk_index, decisions, stats in outcome:
-                by_index[chunk_index] = (decisions, stats)
-        for chunk_index in range(len(chunks)):
-            yield by_index[chunk_index]
-
-
 # ----------------------------------------------------------------------
 # the backend
 # ----------------------------------------------------------------------
@@ -1018,8 +923,6 @@ class ClusterBackend(InlineBackend):
                 secret=secret)
             for _ in range(config.spawn_workers)]
         self._partition_executor = ClusterPartitionExecutor(self.coordinator)
-        self._pair_executor = ClusterPairExecutor(self.coordinator,
-                                                  seed=config.seed or 0)
 
     # -- substrate ------------------------------------------------------
     @property
@@ -1046,17 +949,8 @@ class ClusterBackend(InlineBackend):
         """Typed wire rejections (auth/replay/forbidden), pre-decode."""
         return dict(self.coordinator.reject_counts)
 
-    def pair_executor(self):
-        return self._pair_executor
-
     def partition_executor(self):
         return self._partition_executor
-
-    def engine_config(self, base):
-        updates: Dict[str, Any] = {}
-        if self.config.seed is not None and base.seed != self.config.seed:
-            updates["seed"] = self.config.seed
-        return replace(base, **updates) if updates else base
 
     def close(self) -> None:
         """Drain the cluster: shut the coordinator down (which tells

@@ -15,10 +15,9 @@ Real execution still uses real cores (the simulator models machine *time*,
 not Python's speed): the partition-level map runs on the same persistent
 :class:`~repro.exec.partition.PartitionPoolExecutor` the process backend
 uses — with the recorded per-partition costs charged as simulated machine
-time through :class:`MapReduceJob` — and the distance-pair fan-out uses the
-per-batch process pool.  A distsim day therefore runs as fast as a
-process-backend day while also reporting the virtual 50-machine timeline
-the paper describes.
+time through :class:`MapReduceJob`.  A distsim day therefore runs as fast
+as a process-backend day while also reporting the virtual 50-machine
+timeline the paper describes.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from repro.distsim.mapreduce import MapReduceJob, MapReduceReport, SimCluster
 from repro.distsim.scheduler import Scheduler, Task
 from repro.exec.backend import BackendConfig, ExecutionBackend
 from repro.exec.partition import PartitionPoolExecutor
-from repro.exec.process import ProcessPairExecutor
 
 
 class DistsimBackend(ExecutionBackend):
@@ -56,18 +54,16 @@ class DistsimBackend(ExecutionBackend):
                 f"the cluster's size)")
         machines = config.machines if config.machines is not None else 50
         self.sim_cluster = sim_cluster or SimCluster(machine_count=machines)
-        self._executor = ProcessPairExecutor(seed=config.seed or 0)
         self._partition_executor = None
         if config.partition_parallel:
             self._partition_executor = PartitionPoolExecutor(
-                workers=config.workers or 0, seed=config.seed or 0)
+                workers=config.workers or 0)
 
     @classmethod
-    def from_cluster(cls, sim_cluster: SimCluster,
-                     seed: int = 0) -> "DistsimBackend":
+    def from_cluster(cls, sim_cluster: SimCluster) -> "DistsimBackend":
         """Wrap an existing simulated cluster (legacy construction path)."""
         config = BackendConfig(kind="distsim",
-                               machines=sim_cluster.machine_count, seed=seed)
+                               machines=sim_cluster.machine_count)
         return cls(config, sim_cluster=sim_cluster)
 
     # -- substrate ------------------------------------------------------
@@ -79,24 +75,12 @@ class DistsimBackend(ExecutionBackend):
     def charge_units(self) -> int:
         return self.sim_cluster.machine_count
 
-    def pair_executor(self):
-        return self._executor
-
     def partition_executor(self):
         return self._partition_executor
 
     def close(self) -> None:
         if self._partition_executor is not None:
             self._partition_executor.close()
-
-    def engine_config(self, base):
-        # Keep the configured worker pool (the simulator only models
-        # virtual time; the real computation still deserves real cores),
-        # but propagate the backend seed for deterministic chunk RNG.
-        if self.config.seed is not None and base.seed != self.config.seed:
-            from dataclasses import replace
-            return replace(base, seed=self.config.seed)
-        return base
 
     # -- execution ------------------------------------------------------
     def run_mapreduce(self, buckets: Sequence[Any],

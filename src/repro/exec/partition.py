@@ -1,10 +1,9 @@
 """Partition-level map executor: a persistent pool for whole map tasks.
 
-The pair executors in :mod:`repro.exec.process` parallelize *inside* one
-partition's distance workload; this module parallelizes *across* partitions
-— the embarrassingly parallel map stage the paper distributes over a
-cluster.  A :class:`PartitionPoolExecutor` owns one long-lived
-:mod:`multiprocessing` pool and ships whole
+This module parallelizes *across* partitions — the embarrassingly parallel
+map stage the paper distributes over a cluster, and the only level of
+fan-out in this codebase.  A :class:`PartitionPoolExecutor` owns one
+long-lived :mod:`multiprocessing` pool and ships whole
 :class:`~repro.clustering.partition.PartitionMapTask` objects to it: each
 child process tokenizes (a no-op for pre-prepared samples), runs DBSCAN and
 selects prototypes for its partition, then sends the clusters back together
@@ -18,10 +17,10 @@ single-worker configuration — run the very same ``task.run()`` code inline,
 which keeps results byte-identical by construction and is also the fallback
 for forkless environments.
 
-Determinism mirrors the pair executors: every task re-seeds the
-:mod:`random` module from ``(seed, partition_index)`` at the start of
-``run()`` (see :meth:`PartitionMapTask.run`), so any worker-side randomness
-is reproducible for every pool width and task placement.
+Determinism: every task re-seeds the :mod:`random` module from
+``(seed, partition_index)`` at the start of ``run()`` (see
+:meth:`PartitionMapTask.run`), so any worker-side randomness is
+reproducible for every pool width and task placement.
 """
 
 from __future__ import annotations
@@ -50,24 +49,17 @@ class PartitionPoolExecutor:
     ----------
     workers:
         Pool width.  ``0`` auto-detects (``cpu_count``); ``1`` never forks
-        — every batch takes the inline fallback.
-    seed:
-        Recorded for introspection; the per-task RNG seed ships inside each
-        task, so the pool itself carries no seeding state.
+        — every batch takes the inline fallback.  The per-task RNG seed
+        ships inside each task, so the pool carries no seeding state.
     """
 
     name = "partition-pool"
 
-    def __init__(self, workers: int = 0, seed: int = 0) -> None:
+    def __init__(self, workers: int = 0) -> None:
         if workers < 0:
             raise ValueError("workers must be non-negative")
         self.workers = workers
-        self.seed = seed
         self._pool: Optional["multiprocessing.pool.Pool"] = None
-        # Registered once here, not per pool creation: close() is
-        # idempotent, and re-registering on every lazy re-create would pin
-        # one handler (and this executor) per close()/run cycle.
-        atexit.register(self.close)
         #: Batches executed on the real pool (telemetry for tests).
         self.pooled_batches = 0
         #: Batches that took the inline fallback.
@@ -108,6 +100,10 @@ class PartitionPoolExecutor:
     def _ensure_pool(self) -> "multiprocessing.pool.Pool":
         if self._pool is None:
             self._pool = multiprocessing.Pool(processes=self.pool_width())
+            # Registered only while a pool is live and dropped by close():
+            # an atexit handler holds a strong reference, so registering in
+            # __init__ would pin every executor ever built until exit.
+            atexit.register(self.close)
         return self._pool
 
     def close(self) -> None:
@@ -116,3 +112,4 @@ class PartitionPoolExecutor:
             self._pool.terminate()
             self._pool.join()
             self._pool = None
+            atexit.unregister(self.close)

@@ -1,208 +1,39 @@
-"""Process-pool execution backend and the distance-pair fan-out.
+"""Process-pool execution backend: whole partitions on local child processes.
 
-This module owns the :mod:`multiprocessing` plumbing that used to live
-privately inside :mod:`repro.distance.engine`: the pool worker globals, the
-chunked pair-deciding worker function, and :class:`ProcessPairExecutor` —
-the object a :class:`~repro.distance.engine.DistanceEngine` delegates its
-batched fan-out to.  Centralizing it here means every backend (and the
-engine's own standalone default) shares one implementation, one seeding
-policy and one set of worker functions that survive pickling under spawn.
-
-Determinism
------------
-Workers re-seed the :mod:`random` module at the start of **every chunk**,
-from ``(base_seed, chunk_index)``.  Chunks are formed and indexed
-deterministically by the parent, so any randomness a worker-side computation
-may ever use is reproducible regardless of the pool width or which worker a
-chunk lands on: runs with ``--workers 1`` and ``--workers N`` are
+Determinism: every shipped task re-seeds the :mod:`random` module from
+``(seed, partition_index)`` at the start of ``run()`` (see
+:meth:`~repro.clustering.partition.PartitionMapTask.run`), and results merge
+in task order, so runs with ``--workers 1`` and ``--workers N`` are
 byte-identical for any ``N`` (asserted in ``tests/test_backends.py``).
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import random
-from dataclasses import replace
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.distance.engine import DistanceEngineConfig, EngineStats, \
-    PointProfile, TokenString, decide_profiles
 from repro.exec.backend import BackendConfig, InlineBackend
-
-#: One decided pair: ``(i, j, within_epsilon, exact_distance_or_None)``.
-PairDecision = Tuple[int, int, bool, Optional[int]]
-
-# ----------------------------------------------------------------------
-# pool worker plumbing (top-level so it survives pickling under spawn)
-# ----------------------------------------------------------------------
-_WORKER_POINTS: List[TokenString] = []
-_WORKER_PROFILES: Dict[int, PointProfile] = {}
-_WORKER_CONFIG: Optional[DistanceEngineConfig] = None
-_WORKER_EPSILON: float = 0.0
-_WORKER_SEED: int = 0
+from repro.exec.partition import PartitionPoolExecutor
 
 
-def _pool_init(points: List[TokenString], epsilon: float,
-               config: DistanceEngineConfig, seed: int) -> None:
-    global _WORKER_POINTS, _WORKER_PROFILES, _WORKER_CONFIG, \
-        _WORKER_EPSILON, _WORKER_SEED
-    _WORKER_POINTS = points
-    _WORKER_PROFILES = {}
-    _WORKER_CONFIG = config
-    _WORKER_EPSILON = epsilon
-    _WORKER_SEED = seed
-
-
-def chunk_seed(base_seed: int, chunk_index: int) -> int:
-    """The deterministic RNG seed of one work chunk.
-
-    Derived from the base seed and the chunk's position in the batch — not
-    from the worker's identity — so the stream of random numbers any chunk
-    sees is the same for every pool width.
-    """
-    return (base_seed * 1_000_003 + chunk_index) & 0x7FFFFFFF
-
-
-def _profile_for(points: Sequence[TokenString],
-                 profiles: Dict[int, PointProfile], index: int,
-                 config: DistanceEngineConfig) -> PointProfile:
-    profile = profiles.get(index)
-    if profile is None:
-        profile = PointProfile(points[index], config.qgram_size)
-        profiles[index] = profile
-    return profile
-
-
-def decide_chunk(points: Sequence[TokenString],
-                 profiles: Dict[int, PointProfile],
-                 indexed_chunk: Tuple[int, Sequence[Tuple[int, int]]],
-                 epsilon: float, config: DistanceEngineConfig,
-                 seed: int, *, cache: Any = None
-                 ) -> Tuple[List[PairDecision], Dict[str, int]]:
-    """Decide one indexed chunk of candidate pairs against explicit state.
-
-    Shared by the pool worker (whose state lives in the ``_WORKER_*``
-    globals set by :func:`_pool_init`) and the serial executor (whose state
-    is local to one ``decide_chunks`` call).  Returns the per-pair decisions
-    plus the chunk's stats; exact distances flow back so the caller can seed
-    its cache, and the stats merge into the caller's accounting.
-
-    ``cache`` optionally supplies an exact
-    :class:`~repro.distance.engine.PairDistanceCache` (cluster workers pass
-    their persistent warm store).  Pool workers run cache-less; either way
-    the verdicts are identical — the cache stores exact distances, so a hit
-    only skips recomputation.
-    """
-    chunk_index, chunk = indexed_chunk
-    random.seed(chunk_seed(seed, chunk_index))
-    stats = EngineStats()
-    out: List[PairDecision] = []
-    for i, j in chunk:
-        profile_a = _profile_for(points, profiles, i, config)
-        profile_b = _profile_for(points, profiles, j, config)
-        threshold = int(epsilon * max(profile_a.length, profile_b.length))
-        verdict, distance = decide_profiles(profile_a, profile_b, threshold,
-                                            config, cache, stats)
-        out.append((i, j, verdict, distance))
-    # The triage loop in the parent already counted these pairs.
-    stats.pairs = 0
-    return out, stats.as_dict()
-
-
-def _pool_decide_chunk(indexed_chunk: Tuple[int, Sequence[Tuple[int, int]]]
-                       ) -> Tuple[List[PairDecision], Dict[str, int]]:
-    """Decide one indexed chunk inside a pool worker (global state)."""
-    return decide_chunk(_WORKER_POINTS, _WORKER_PROFILES, indexed_chunk,
-                        _WORKER_EPSILON, _WORKER_CONFIG, _WORKER_SEED)
-
-
-# ----------------------------------------------------------------------
-# pair executors
-# ----------------------------------------------------------------------
-class SerialPairExecutor:
-    """Decide chunks inline — the executor a forkless environment gets.
-
-    State (points, profiles, config) is local to each ``decide_chunks``
-    call, never the ``_WORKER_*`` module globals: the generator is lazy, so
-    two engines interleaving their chunk iteration in one process must not
-    clobber each other's points mid-batch (the globals are reserved for
-    real pool workers, where each process serves exactly one batch).
-    """
-
-    name = "serial"
-
-    def __init__(self, seed: int = 0) -> None:
-        self.seed = seed
-
-    def decide_chunks(self, points: List[TokenString],
-                      chunks: Sequence[Sequence[Tuple[int, int]]],
-                      epsilon: float, config: DistanceEngineConfig
-                      ) -> Iterable[Tuple[List[PairDecision], Dict[str, int]]]:
-        profiles: Dict[int, PointProfile] = {}
-        for indexed in enumerate(chunks):
-            yield decide_chunk(points, profiles, indexed, epsilon, config,
-                               self.seed)
-
-
-class ProcessPairExecutor:
-    """Fan chunked pair queries out over a :mod:`multiprocessing` pool.
-
-    A fresh pool is created per batch (matching the engine's historical
-    behaviour); workers run cache-less so exact distances flow back to the
-    parent's cache, and each chunk re-seeds its RNG deterministically.
-    """
-
-    name = "process"
-
-    def __init__(self, seed: int = 0) -> None:
-        self.seed = seed
-
-    def decide_chunks(self, points: List[TokenString],
-                      chunks: Sequence[Sequence[Tuple[int, int]]],
-                      epsilon: float, config: DistanceEngineConfig
-                      ) -> Iterable[Tuple[List[PairDecision], Dict[str, int]]]:
-        workers = config.effective_workers()
-        if workers <= 1 or len(chunks) < 2:
-            yield from SerialPairExecutor(self.seed).decide_chunks(
-                points, chunks, epsilon, config)
-            return
-        # Workers keep the counting filters (pruning before the kernel) but
-        # run cache-less: exact distances flow back and are cached by the
-        # engine.
-        worker_config = replace(config, shared_cache=False, cache_size=0,
-                                workers=1)
-        with multiprocessing.Pool(
-                processes=min(workers, len(chunks)),
-                initializer=_pool_init,
-                initargs=(points, epsilon, worker_config, self.seed)) as pool:
-            yield from pool.map(_pool_decide_chunk, list(enumerate(chunks)))
-
-
-# ----------------------------------------------------------------------
-# the backend
-# ----------------------------------------------------------------------
 class ProcessBackend(InlineBackend):
     """Real process-pool parallelism, no simulation.
 
     The partition-level map (tokenize + DBSCAN per partition) fans out over
     a persistent :class:`~repro.exec.partition.PartitionPoolExecutor` —
     whole partitions ship to child processes and per-partition clusters
-    ship back — while batches too small to partition keep the historical
-    inline map, whose distance-pair workload fans out over a per-batch pool
-    via :class:`ProcessPairExecutor`.  Report times are measured wall
-    clock, as with the serial backend.
+    ship back — while batches too small to be worth shipping run the same
+    map inline.  Report times are measured wall clock, as with the serial
+    backend.
     """
 
     name = "process"
 
     def __init__(self, config: BackendConfig) -> None:
         super().__init__(config)
-        self._executor = ProcessPairExecutor(seed=config.seed or 0)
         self._partition_executor = None
         if config.partition_parallel:
-            from repro.exec.partition import PartitionPoolExecutor
             self._partition_executor = PartitionPoolExecutor(
-                workers=config.workers or 0, seed=config.seed or 0)
+                workers=config.workers or 0)
 
     # -- substrate ------------------------------------------------------
     @property
@@ -212,21 +43,9 @@ class ProcessBackend(InlineBackend):
             return multiprocessing.cpu_count()
         return workers
 
-    def pair_executor(self):
-        return self._executor
-
     def partition_executor(self):
         return self._partition_executor
 
     def close(self) -> None:
         if self._partition_executor is not None:
             self._partition_executor.close()
-
-    def engine_config(self, base):
-        updates: Dict[str, Any] = {}
-        if self.config.workers is not None \
-                and base.workers != self.config.workers:
-            updates["workers"] = self.config.workers
-        if self.config.seed is not None and base.seed != self.config.seed:
-            updates["seed"] = self.config.seed
-        return replace(base, **updates) if updates else base

@@ -154,7 +154,6 @@ ALLOWED_GLOBALS = frozenset({
     ("repro.clustering.partition", "PartitionMapResult"),
     ("repro.distance.engine", "DistanceEngineConfig"),
     ("repro.distance.engine", "EngineStats"),
-    ("repro.exec.cluster", "PairChunkLease"),
 })
 
 

@@ -29,20 +29,15 @@ repeat partition leased back to this worker ships *slim* (tokens
 stripped); the prepared cache re-derives them, byte-identically, without
 the coordinator re-shipping the same strings every day.
 
-Task kinds mirror the coordinator's leases:
+The one task kind is ``partition_map`` — a
+:class:`~repro.clustering.partition.PartitionMapTask`; execution is
+``task.run()`` fed with this worker's warm engine and prepared cache — the
+same decision code path the inline and process substrates use, which is
+what keeps cluster execution byte-identical by construction.
 
-* ``partition_map`` — a :class:`~repro.clustering.partition.PartitionMapTask`;
-  execution is ``task.run()`` fed with this worker's warm engine and
-  prepared cache — the same decision code path the inline and process
-  substrates use, which is what keeps cluster execution byte-identical
-  by construction.
-* ``pair_chunks`` — a :class:`~repro.exec.cluster.PairChunkLease` of
-  distance-pair chunks, decided through the shared
-  :func:`~repro.exec.process.decide_chunk` with the persistent distance
-  cache underneath.
-
-A task that raises is reported back as ``failed`` (the coordinator
-re-dispatches it elsewhere); the worker itself stays up.
+A task that raises, or names any other kind, is reported back as
+``failed`` (the coordinator re-dispatches it elsewhere); the worker itself
+stays up.
 
 Fault injection (test harness)
 ------------------------------
@@ -90,8 +85,7 @@ from dataclasses import replace
 from typing import Any, Optional, Tuple
 
 from repro.exec import wire
-from repro.exec.cluster import (PairChunkLease, SECRET_ENV, parse_address,
-                                run_pair_lease)
+from repro.exec.cluster import SECRET_ENV, parse_address
 
 FAULTS = ("sigkill-mid-task", "drop-mid-frame", "stall-heartbeat",
           "bad-hmac", "replayed-frame", "rogue-pickle", "drain-mid-task")
@@ -171,21 +165,14 @@ def execute_task(kind: str, payload: Any,
     """Run one leased task; shared by the worker loop and its tests.
 
     With ``caches``, partition maps run against a warm engine (persistent
-    distance cache behind a delta view, prepared cache for tokenization)
-    and pair leases read through the persistent distance cache.  Results
-    are byte-identical with or without caches — they are exact and
+    distance cache behind a delta view, prepared cache for tokenization).
+    Results are byte-identical with or without caches — they are exact and
     content-addressed — warm just skips recomputation and re-shipping.
     """
     if kind == "partition_map":
         if caches is None:
             return payload.run()
         return _run_partition_warm(payload, caches)
-    if kind == "pair_chunks":
-        if not isinstance(payload, PairChunkLease):
-            raise TypeError(f"pair_chunks payload must be a PairChunkLease, "
-                            f"got {type(payload).__name__}")
-        return run_pair_lease(
-            payload, cache=caches.distances if caches is not None else None)
     raise ValueError(f"unknown task kind {kind!r}")
 
 
@@ -202,7 +189,7 @@ def _run_partition_warm(task: Any, caches: WorkerCaches) -> Any:
     from repro.distance.engine import DeltaCache, DistanceEngine
 
     before = caches.prepared.stats()
-    config = replace(task.engine_config, workers=1, shared_cache=False)
+    config = replace(task.engine_config, shared_cache=False)
     engine = DistanceEngine(config, cache=DeltaCache(caches.distances))
     result = task.run(engine=engine, prepared=caches.prepared)
     after = caches.prepared.stats()

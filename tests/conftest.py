@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime
+import multiprocessing
 import random
 
 import pytest
@@ -42,6 +43,15 @@ def small_generator():
                           "sweetorange": 4},
         seed=42,
     ))
+
+
+@pytest.fixture()
+def no_fork(monkeypatch):
+    """Fail the test if anything constructs a ``multiprocessing.Pool``."""
+    def forbidden(*args, **kwargs):
+        pytest.fail("multiprocessing.Pool was constructed")
+
+    monkeypatch.setattr(multiprocessing, "Pool", forbidden)
 
 
 @pytest.fixture()

@@ -4,15 +4,18 @@ The load-bearing property: backends change *where* work runs, never *what*
 comes out.  On a seeded multi-day stream — warm and cold — the serial,
 process and distsim backends must produce byte-identical cluster labels,
 signatures and per-day FP/FN.  The process pool must additionally be
-deterministic across worker counts (the per-chunk RNG seeding bugfix).
+deterministic across worker counts (per-task RNG seeding), and must not be
+forked at all for partitions too small to be worth shipping.
 """
 
 from __future__ import annotations
 
 import datetime
+import random
 
 import pytest
 
+from repro.clustering.partition import chunk_seed
 from repro.core.config import IncrementalConfig, KizzleConfig
 from repro.core.pipeline import Kizzle
 from repro.distance.engine import DistanceEngineConfig
@@ -25,8 +28,6 @@ from repro.exec import (
     SerialBackend,
     create_backend,
 )
-from repro.exec.process import ProcessPairExecutor, SerialPairExecutor, \
-    chunk_seed
 
 D = datetime.date
 KITS = ("nuclear", "angler", "rig", "sweetorange")
@@ -48,10 +49,10 @@ class TestBackendConfig:
 
     def test_resolved_fills_unset_fields_only(self):
         config = BackendConfig(kind="process", machines=8)
-        resolved = config.resolved(machines=50, workers=4, seed=7)
+        resolved = config.resolved(machines=50, workers=4)
         assert resolved.machines == 8      # explicitly set: kept
         assert resolved.workers == 4       # inherited
-        assert resolved.seed == 7          # inherited
+        assert resolved.kind == "process"  # everything else: copied
 
     def test_kizzle_config_resolves_backend(self):
         config = KizzleConfig(machines=12, seed=3,
@@ -60,7 +61,6 @@ class TestBackendConfig:
         assert resolved.kind == "distsim"
         assert resolved.machines == 12
         assert resolved.workers == 2
-        assert resolved.seed == 3
 
     def test_factory_returns_each_kind(self):
         from repro.exec.cluster import ClusterBackend
@@ -92,7 +92,7 @@ class TestBackendConfig:
                                spawn_workers=3, task_deadline_s=5.0,
                                heartbeat_timeout_s=2.0, max_task_retries=1,
                                secret="hunter2", affinity=False)
-        resolved = config.resolved(machines=50, workers=4, seed=7)
+        resolved = config.resolved(machines=50, workers=4)
         assert resolved.listen == "0.0.0.0:7777"
         assert resolved.spawn_workers == 3
         assert resolved.task_deadline_s == 5.0
@@ -100,19 +100,6 @@ class TestBackendConfig:
         assert resolved.max_task_retries == 1
         assert resolved.secret == "hunter2"
         assert resolved.affinity is False
-
-    def test_serial_backend_forces_single_worker_engine(self):
-        backend = create_backend(BackendConfig(kind="serial"))
-        engine_config = backend.engine_config(DistanceEngineConfig(workers=8))
-        assert engine_config.workers == 1
-        assert backend.pair_executor() is None
-
-    def test_process_and_distsim_supply_pool_executor(self):
-        for kind in ("process", "distsim"):
-            backend = create_backend(BackendConfig(kind=kind, seed=5))
-            executor = backend.pair_executor()
-            assert isinstance(executor, ProcessPairExecutor)
-            assert executor.seed == 5
 
     def test_clusterer_machine_count_is_backend_invariant(self):
         """The logical machine count (which sets the default partition
@@ -205,7 +192,7 @@ class TestBackendConfig:
         adopted = DistsimBackend(BackendConfig(kind="distsim"),
                                  sim_cluster=cluster)
         assert adopted.charge_units == 4
-        legacy = DistsimBackend.from_cluster(cluster, seed=3)
+        legacy = DistsimBackend.from_cluster(cluster)
         assert legacy.sim_cluster is cluster
         assert legacy.config.machines == 4
 
@@ -218,113 +205,6 @@ class TestChunkSeeding:
         assert chunk_seed(1, 0) != chunk_seed(1, 1)
         assert chunk_seed(1, 0) != chunk_seed(2, 0)
         assert chunk_seed(9, 4) == chunk_seed(9, 4)
-
-    def test_serial_and_pool_executors_agree(self):
-        config = DistanceEngineConfig(shared_cache=False, cache_size=0,
-                                      workers=2, chunk_size=2, seed=11)
-        points = [tuple("aaaaaaaaaa"), tuple("aaaaaaaaab"),
-                  tuple("zzzzzzzzzz"), tuple("aaaaabaaab"),
-                  tuple("qqqqqqqqqq"), tuple("qqqqqqqqqr")]
-        pairs = [(i, j) for i in range(len(points))
-                 for j in range(i + 1, len(points))]
-        chunks = [pairs[start:start + 2] for start in range(0, len(pairs), 2)]
-        serial = [decision
-                  for result, _ in SerialPairExecutor(seed=11).decide_chunks(
-                      points, chunks, 0.2, config)
-                  for decision in result]
-        pooled = [decision
-                  for result, _ in ProcessPairExecutor(seed=11).decide_chunks(
-                      points, chunks, 0.2, config)
-                  for decision in result]
-        assert serial == pooled
-
-
-class TestPairExecutorReentrancy:
-    """The serial pair executor is a lazy generator; two engines whose chunk
-    iteration interleaves in one process must not clobber each other's
-    points/config (the bug: the serial path parked its state in the
-    ``_WORKER_*`` module globals that belong to pool workers)."""
-
-    def _batch(self, text_points, chunk_size=1):
-        points = [tuple(point) for point in text_points]
-        pairs = [(i, j) for i in range(len(points))
-                 for j in range(i + 1, len(points))]
-        chunks = [pairs[start:start + chunk_size]
-                  for start in range(0, len(pairs), chunk_size)]
-        return points, chunks
-
-    def test_interleaved_serial_executors_do_not_clobber(self):
-        config_a = DistanceEngineConfig(shared_cache=False, cache_size=0)
-        # Different qgram size: a clobbered config is visible even when the
-        # points happen to agree.
-        config_b = DistanceEngineConfig(shared_cache=False, cache_size=0,
-                                        qgram_size=2)
-        points_a, chunks_a = self._batch(
-            ["aaaaaaaaaa", "aaaaaaaaab", "zzzzzzzzzz", "aaaaabaaab"])
-        points_b, chunks_b = self._batch(
-            ["qqqqqqqqqq", "qqqqqqqqqr", "mmmmmmmmmm", "qqqqqrqqqr"])
-
-        def collect(generator):
-            return [decision for result, _ in generator
-                    for decision in result]
-
-        expected_a = collect(SerialPairExecutor(seed=1).decide_chunks(
-            points_a, chunks_a, 0.2, config_a))
-        expected_b = collect(SerialPairExecutor(seed=2).decide_chunks(
-            points_b, chunks_b, 0.2, config_b))
-
-        gen_a = SerialPairExecutor(seed=1).decide_chunks(
-            points_a, chunks_a, 0.2, config_a)
-        gen_b = SerialPairExecutor(seed=2).decide_chunks(
-            points_b, chunks_b, 0.2, config_b)
-        interleaved_a, interleaved_b = [], []
-        for (result_a, _), (result_b, _) in zip(gen_a, gen_b):
-            interleaved_a.extend(result_a)
-            interleaved_b.extend(result_b)
-        assert interleaved_a == expected_a
-        assert interleaved_b == expected_b
-
-
-class TestProcessPairExecutorFallback:
-    """``workers <= 1`` or a single chunk must take the serial path and
-    produce decisions *and stats* identical to the pooled path."""
-
-    def _decide(self, executor_cls, config, points, chunks, seed=7):
-        decisions, stats = [], []
-        for chunk_result, chunk_stats in executor_cls(seed=seed).decide_chunks(
-                points, chunks, 0.2, config):
-            decisions.extend(chunk_result)
-            stats.append(chunk_stats)
-        return decisions, stats
-
-    def _fixture(self):
-        points = [tuple("aaaaaaaaaa"), tuple("aaaaaaaaab"),
-                  tuple("zzzzzzzzzz"), tuple("aaaaabaaab"),
-                  tuple("qqqqqqqqqq"), tuple("qqqqqqqqqr")]
-        pairs = [(i, j) for i in range(len(points))
-                 for j in range(i + 1, len(points))]
-        chunks = [pairs[start:start + 3] for start in range(0, len(pairs), 3)]
-        return points, chunks
-
-    def test_single_worker_falls_back_to_serial_path(self):
-        points, chunks = self._fixture()
-        single = DistanceEngineConfig(shared_cache=False, cache_size=0,
-                                      workers=1)
-        pooled = DistanceEngineConfig(shared_cache=False, cache_size=0,
-                                      workers=2)
-        fallback = self._decide(ProcessPairExecutor, single, points, chunks)
-        reference = self._decide(ProcessPairExecutor, pooled, points, chunks)
-        assert fallback == reference
-
-    def test_single_chunk_falls_back_to_serial_path(self):
-        points, chunks = self._fixture()
-        one_chunk = [[pair for chunk in chunks for pair in chunk]]
-        config = DistanceEngineConfig(shared_cache=False, cache_size=0,
-                                      workers=4)
-        fallback = self._decide(ProcessPairExecutor, config, points,
-                                one_chunk)
-        serial = self._decide(SerialPairExecutor, config, points, one_chunk)
-        assert fallback == serial
 
 
 # ----------------------------------------------------------------------
@@ -414,15 +294,14 @@ class TestBackendEquivalence:
 
     @pytest.mark.slow
     def test_worker_count_does_not_change_signatures(self):
-        """Repeated runs with --workers N are byte-identical for any N;
-        a tiny parallel threshold forces the pool to actually engage."""
+        """Repeated runs with --workers N are byte-identical for any N
+        (cold days ship raw partitions, so the pool engages for N > 1)."""
         reference = None
         for workers in (1, 2, 3):
-            distance = DistanceEngineConfig(
-                workers=workers, parallel_threshold=1, chunk_size=1,
-                shared_cache=False)
+            distance = DistanceEngineConfig(workers=workers,
+                                            shared_cache=False)
             result = _run_stream("process", incremental=False, days=2,
-                                 distance=distance)
+                                 distance=distance, partitions=4)
             if reference is None:
                 reference = result
             else:
@@ -467,25 +346,41 @@ class TestBackendEquivalence:
         assert set(worker_stats) == set(telemetry["tasks_by_worker"])
         assert sum(stats["pairs"] for stats in worker_stats.values()) > 0
 
-    def test_pool_path_actually_engaged(self):
-        """The forced-parallel configuration must exercise the executor,
-        otherwise the determinism test above proves nothing."""
-        generator = _generator()
-        config = KizzleConfig(
-            machines=6, min_points=3,
-            distance=DistanceEngineConfig(
-                workers=2, parallel_threshold=1, chunk_size=1,
-                shared_cache=False),
-            backend=BackendConfig(kind="process"))
-        kizzle = Kizzle(config)
-        for kit in KITS:
-            kizzle.seed_known_kit(
-                kit, [generator.reference_core(kit, D(2014, 7, 31))])
-        date = D(2014, 8, 1)
-        batch = generator.generate_day(date)
-        kizzle.process_day(
-            [(s.sample_id, s.content) for s in batch.samples], date)
-        assert kizzle.clusterer.engine.stats.executor_pairs > 0
+    def test_small_warm_partitions_never_fork(self, no_fork):
+        """Whole partitions are the only unit of fan-out: a warm day whose
+        pre-tokenized partitions are below ``pooled_partition_min`` runs
+        in one process on the process backend, however many distance pairs
+        each partition holds (here 7,140, all past the length filter)."""
+        statements = ("var a = 1;", "f(a);", "a = [];", "a = {};",
+                      "a += 's';", "return a - b;", "delete a.b;",
+                      "a = !b;", "a = typeof b;")
+        rng = random.Random(20140801)
+        samples = []
+        for family in range(30):
+            shapes = rng.sample(statements, 3)
+            base = [rng.choice(shapes) for _ in range(40)]
+            for member in range(8):
+                # One statement differs per member: 240 distinct token
+                # strings, family members within epsilon of each other.
+                body = list(base)
+                body[member] = "void a, b;"
+                samples.append((f"f{family}m{member}", " ".join(body)))
+
+        def labels(backend):
+            config = KizzleConfig(
+                partitions=2, incremental=IncrementalConfig(enabled=True),
+                distance=DistanceEngineConfig(shared_cache=False),
+                backend=backend)
+            with Kizzle(config) as kizzle:
+                result = kizzle.process_day(samples, D(2014, 8, 1))
+            return sorted(
+                (sorted(sample.sample_id
+                        for sample in report.cluster.samples), report.kit)
+                for report in result.clusters)
+
+        reference = labels(BackendConfig(kind="serial"))
+        assert reference, "fixture produced no clusters"
+        assert labels(BackendConfig(kind="process", workers=2)) == reference
 
 
 # ----------------------------------------------------------------------

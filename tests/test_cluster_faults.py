@@ -229,7 +229,7 @@ class TestCoordinatorFailureHandling:
         try:
             started = time.monotonic()
             with pytest.raises(ClusterError, match="workers"):
-                coordinator.submit("pair_chunks", [object()])
+                coordinator.submit("partition_map", [object()])
             assert time.monotonic() - started < 5.0
         finally:
             coordinator.close()

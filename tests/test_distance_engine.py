@@ -1,4 +1,4 @@
-"""Tests for the pruned, parallel distance engine.
+"""Tests for the pruned distance engine.
 
 Three layers of guarantees:
 
@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.clustering import ClusteredSample, DBSCAN, DistributedClusterer
+from repro.core.config import KizzleConfig
 from repro.distance import (
     DistanceEngine,
     DistanceEngineConfig,
@@ -35,6 +36,7 @@ from repro.distance import (
 from repro.distance.metrics import _histogram_lower_bound
 from repro.distsim import SimCluster
 from repro.ekgen import StreamConfig, TelemetryGenerator
+from repro.exec import BackendConfig, create_backend
 
 DEFAULT_SETTINGS = settings(max_examples=60, deadline=None,
                             suppress_health_check=[HealthCheck.too_slow])
@@ -185,9 +187,20 @@ class TestEngineQueries:
         with pytest.raises(ValueError):
             DistanceEngineConfig(workers=-1)
         with pytest.raises(ValueError):
-            DistanceEngineConfig(chunk_size=0)
-        with pytest.raises(ValueError):
             DistanceEngineConfig(cache_size=-1)
+
+    def test_large_batch_is_decided_in_process(self, no_fork):
+        """The engine never forks, however large the batch: 4,950 pairs of
+        which 4,900 reach the bag filter (equal lengths, disjoint bags)."""
+        points = []
+        for group in range(50):
+            base = (f"t{group}",) * 30
+            points += [base, base[:-1] + ("x",)]
+        engine = DistanceEngine()
+        neighbours, comparisons = engine.neighbourhoods(points, 0.10)
+        assert comparisons == 4950
+        assert neighbours == [[index ^ 1] for index in range(100)]
+        assert engine.stats.bag_pruned == 4900
 
 
 def telemetry_points(seed=4242):
@@ -233,15 +246,36 @@ class TestEngineBackedDBSCANEquivalence:
         assert ablated.labels == baseline.labels
 
     def test_parallel_workers_identical(self, points):
-        """The pool path must agree with the serial path (forced by a tiny
-        parallel threshold so the fan-out actually runs)."""
-        serial = DBSCAN(epsilon=0.10, min_points=3,
-                        engine=private_engine(workers=1)).fit(points)
-        parallel = DBSCAN(epsilon=0.10, min_points=3,
-                          engine=private_engine(workers=2,
-                                                parallel_threshold=1,
-                                                chunk_size=8)).fit(points)
-        assert parallel.labels == serial.labels
+        """``workers`` only sizes the partition pool (through
+        ``KizzleConfig.resolved_backend``): partitions clustered on a
+        2-wide pool must merge to the clusters the inline map produces."""
+        samples = [ClusteredSample(sample_id=str(i), content="",
+                                   tokens=tokens)
+                   for i, tokens in enumerate(points)]
+
+        def run(workers):
+            config = KizzleConfig(
+                distance=DistanceEngineConfig(workers=workers,
+                                              shared_cache=False),
+                backend=BackendConfig(kind="process"))
+            backend = create_backend(config.resolved_backend())
+            try:
+                clusterer = DistributedClusterer(
+                    epsilon=0.10, min_points=3,
+                    engine_config=config.distance, backend=backend)
+                clusterer.pooled_partition_min = 1
+                clusters, report = clusterer.run(samples, partitions=2)
+            finally:
+                backend.close()
+            labels = [(cluster.cluster_id, cluster.prototype.sample_id,
+                       [sample.sample_id for sample in cluster.samples])
+                      for cluster in clusters]
+            return labels, report.map_workers
+
+        serial, serial_width = run(1)
+        parallel, parallel_width = run(2)
+        assert (serial_width, parallel_width) == (1, 2)
+        assert parallel == serial
 
     def test_distributed_clusterer_attaches_engine_stats(self, points):
         samples = [ClusteredSample(sample_id=str(i), content="",

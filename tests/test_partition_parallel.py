@@ -12,7 +12,9 @@ equivalence tests prove nothing).
 from __future__ import annotations
 
 import datetime
+import gc
 import pickle
+import weakref
 
 import pytest
 
@@ -223,6 +225,22 @@ class TestPartitionPoolExecutor:
         pooled_exec.close()
         inline_exec.close()
 
+    @pytest.mark.parametrize("pooled", [False, True],
+                             ids=["never-pooled", "pooled-then-closed"])
+    def test_closed_executor_is_collectable(self, pooled):
+        """An atexit handler holds a strong reference: it must exist only
+        while a pool is live, or every executor ever built is pinned (with
+        its pool, if never closed) until interpreter exit."""
+        executor = PartitionPoolExecutor(workers=2)
+        if pooled:
+            executor.run(_make_tasks(count=2))
+            assert executor.pooled_batches == 1
+        executor.close()
+        alive = weakref.ref(executor)
+        del executor
+        gc.collect()
+        assert alive() is None
+
     def test_tasks_are_picklable(self):
         task = _make_tasks(count=2)[0]
         clone = pickle.loads(pickle.dumps(task))
@@ -230,11 +248,13 @@ class TestPartitionPoolExecutor:
 
 
 class TestPartitionMapTask:
-    def test_worker_engine_never_forks_and_keeps_cache_private(self):
+    def test_worker_engine_never_forks_and_keeps_cache_private(
+            self, no_fork):
         task = _make_tasks(count=2)[0]
         engine = task.worker_engine()
-        assert engine.config.workers == 1
         assert engine.config.shared_cache is False
+        result = task.run(engine=engine)
+        assert result.cache_entries == engine.export_cache()
 
     def test_run_is_deterministic(self):
         task = _make_tasks(count=2)[0]
@@ -284,8 +304,8 @@ class TestWorthFanningOut:
 class TestKnobPlumbing:
     def test_backend_config_resolved_preserves_flag(self):
         config = BackendConfig(kind="process", partition_parallel=False)
-        assert config.resolved(machines=4, workers=2,
-                               seed=1).partition_parallel is False
+        assert config.resolved(machines=4,
+                               workers=2).partition_parallel is False
 
     def test_cli_flag_reaches_backend_config(self):
         from repro.cli import _backend_config, build_parser
@@ -299,11 +319,10 @@ class TestKnobPlumbing:
     def test_backends_expose_executor_when_enabled(self):
         for kind in ("process", "distsim"):
             enabled = create_backend(
-                BackendConfig(kind=kind, workers=3, seed=9))
+                BackendConfig(kind=kind, workers=3))
             executor = enabled.partition_executor()
             assert isinstance(executor, PartitionPoolExecutor)
             assert executor.pool_width() == 3
-            assert executor.seed == 9
             enabled.close()
             disabled = create_backend(
                 BackendConfig(kind=kind, partition_parallel=False))

@@ -47,8 +47,7 @@ map_tasks = st.builds(
     engine_config=st.builds(
         DistanceEngineConfig,
         workers=st.integers(min_value=0, max_value=4),
-        cache_size=st.integers(min_value=0, max_value=512),
-        seed=st.integers(min_value=0, max_value=2**31 - 1)),
+        cache_size=st.integers(min_value=0, max_value=512)),
     seed=st.integers(min_value=0, max_value=2**31 - 1))
 
 map_results = st.builds(
@@ -362,6 +361,35 @@ class TestForbiddenPayload:
         Pickler(buffer, protocol=4).dump(["external"])
         with pytest.raises(wire.ForbiddenPayload):
             wire.loads_payload(buffer.getvalue())
+
+    def test_removed_pair_chunk_lease_is_rejected_end_to_end(self):
+        """The distance-pair lease is gone from the protocol: a frame
+        naming its payload class is forbidden before any lookup, and a
+        worker leased the old task kind answers ``failed`` without
+        executing anything."""
+        import threading
+
+        from repro.exec.cluster import ClusterCoordinator, ClusterError
+        from repro.exec.worker import Worker
+
+        frame = wire.encode_frame_raw(
+            b"crepro.exec.cluster\nPairChunkLease\n.")
+        with pytest.raises(wire.ForbiddenPayload):
+            wire.decode_frame(frame)
+
+        coordinator = ClusterCoordinator(max_task_retries=0,
+                                         worker_wait_s=10.0)
+        worker = Worker(coordinator.start())
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        try:
+            with pytest.raises(ClusterError, match="unknown task kind"):
+                coordinator.submit("pair_chunks", [{"chunks": []}])
+            assert worker.tasks_done == 0
+        finally:
+            coordinator.close()
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()
 
 
 # ----------------------------------------------------------------------
