@@ -11,7 +11,6 @@ from __future__ import annotations
 import datetime
 
 from repro.clustering import ClusteredSample, DistributedClusterer
-from repro.distsim import SimCluster
 from repro.ekgen import StreamConfig, TelemetryGenerator
 from repro.evalharness import format_table
 
@@ -41,7 +40,7 @@ def sweep(samples, labels):
     for epsilon in EPSILONS:
         clusterer = DistributedClusterer(
             epsilon=epsilon, min_points=3,
-            sim_cluster=SimCluster(machine_count=4))
+            machines=4)
         clusters, _report = clusterer.run(samples, partitions=2)
         pure = 0
         clustered_samples = 0

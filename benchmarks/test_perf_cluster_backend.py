@@ -41,7 +41,9 @@ from __future__ import annotations
 import datetime
 import os
 import time
+from unittest import mock
 
+import repro.exec.partition as exec_partition
 from repro.clustering import ClusteredSample, DistributedClusterer
 from repro.distance.engine import DistanceEngineConfig
 from repro.ekgen import StreamConfig, TelemetryGenerator
@@ -189,13 +191,13 @@ def _run_warm_on_cluster(samples, affinity):
             backend=backend, machines=PARTITIONS)
         # Pre-tokenized partitions are below the fan-out worth threshold
         # at this scale; force the map onto the workers either way.
-        clusterer.pooled_partition_min = 1
-        clusterer.run(samples, partitions=PARTITIONS)
-        coordinator = backend.coordinator
-        cold_bytes = coordinator.task_bytes_sent
-        started = time.perf_counter()
-        clusters, report = clusterer.run(samples, partitions=PARTITIONS)
-        warm_wall = time.perf_counter() - started
+        with mock.patch.object(exec_partition, "POOLED_PARTITION_MIN", 1):
+            clusterer.run(samples, partitions=PARTITIONS)
+            coordinator = backend.coordinator
+            cold_bytes = coordinator.task_bytes_sent
+            started = time.perf_counter()
+            clusters, report = clusterer.run(samples, partitions=PARTITIONS)
+            warm_wall = time.perf_counter() - started
         return (_cluster_key(clusters), report, warm_wall,
                 coordinator.task_bytes_sent - cold_bytes,
                 coordinator.slim_leases, coordinator.tokens_stripped_chars)

@@ -14,7 +14,6 @@ import datetime
 import random
 
 from repro.clustering import ClusteredSample, DistributedClusterer
-from repro.distsim import SimCluster
 from repro.ekgen import StreamConfig, TelemetryGenerator
 from repro.evalharness import format_table
 
@@ -38,7 +37,7 @@ def run_sweep(samples):
     for machines in MACHINE_COUNTS:
         clusterer = DistributedClusterer(
             epsilon=0.10, min_points=3,
-            sim_cluster=SimCluster(machine_count=machines))
+            machines=machines)
         partitions = min(machines, max(1, len(samples) // 40))
         clusters, report = clusterer.run(samples, partitions=partitions)
         results.append((machines, partitions, len(clusters), report))

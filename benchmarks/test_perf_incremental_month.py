@@ -2,13 +2,18 @@
 
 Runs the default-scale month experiment twice — once cold (every day from
 scratch, the seed behaviour) and once warm (shedding + carry-forward + fast
-scanning) — and asserts the two contracts of the incremental pipeline:
+scanning) — and asserts what the incremental pipeline promises:
 
 * identical per-day FP/FN metrics for both engines, every day;
-* the warm run is at least 5x faster end to end.
+* the warm run sheds the known bulk of the stream (over 30 % of samples);
+* the warm run lexes at most three quarters of the month's samples (the
+  cold path lexes every sample at least once).
 
-The per-run timings are recorded as benchmark extra info so the nightly
-``BENCH_<date>.json`` artifact tracks the speedup PR over PR.
+The gates are counts, not clocks: a faster lexer shrinks the cold run more
+than the warm one, so a wall-clock ratio would go red for an improvement.
+The per-run timings and their ratio are still recorded as ungated benchmark
+extra info so the nightly ``BENCH_<date>.json`` artifact tracks the speedup
+PR over PR.
 
 A second test re-runs the warm month on each execution backend (serial /
 process / distsim) and asserts byte-identical per-day FP/FN and deployed
@@ -28,8 +33,9 @@ from repro.exec import BackendConfig
 AUGUST_START = datetime.date(2014, 8, 1)
 AUGUST_END = datetime.date(2014, 8, 31)
 
-#: Required end-to-end speedup of the warm path over the cold path.
-MIN_SPEEDUP = 5.0
+#: Ceiling on the warm month's full lexer runs, as a share of its samples
+#: (measured 0.625 when the gate was set: 1,127 runs for 1,803 samples).
+MAX_LEXED_FRACTION = 0.75
 
 
 def _month_config(incremental: bool,
@@ -60,9 +66,11 @@ def test_incremental_month_speedup_and_equivalence(benchmark):
     cold_seconds = time.perf_counter() - started
 
     def run_warm():
-        return MonthExperiment(_month_config(True)).run()
+        experiment = MonthExperiment(_month_config(True))
+        return experiment.run(), experiment.kizzle.prepared.stats()
 
-    warm_report = benchmark.pedantic(run_warm, rounds=1, iterations=1)
+    warm_report, prepared_stats = benchmark.pedantic(
+        run_warm, rounds=1, iterations=1)
     warm_seconds = benchmark.stats.stats.mean
 
     assert len(cold_report.days) == len(warm_report.days) == 31
@@ -83,9 +91,12 @@ def test_incremental_month_speedup_and_equivalence(benchmark):
     # The warm path must actually be shedding the known bulk of the
     # stream, not just winning on caching.
     assert shed_total > 0.3 * sample_total
-    assert speedup >= MIN_SPEEDUP, \
-        f"warm path only {speedup:.2f}x faster (cold {cold_seconds:.1f}s, " \
-        f"warm {warm_seconds:.1f}s); need >= {MIN_SPEEDUP}x"
+    # ... and must spare the lexer: each raw miss is one full lexer run.
+    lexer_runs = prepared_stats["raw_misses"]
+    benchmark.extra_info["lexer_runs"] = lexer_runs
+    assert lexer_runs <= MAX_LEXED_FRACTION * sample_total, \
+        f"warm month ran the lexer {lexer_runs} times for {sample_total} " \
+        f"samples; need <= {MAX_LEXED_FRACTION:.0%}"
 
 
 def test_backend_equivalence_on_seeded_month(benchmark):

@@ -3,24 +3,24 @@
 The first stage of Kizzle's pipeline randomly partitions the daily sample
 batch across a cluster of machines, tokenizes and clusters each partition
 independently, and reconciles the per-partition clusters in a reduce step
-(paper, Section III-A and Figure 7).  :class:`DistributedClusterer` wires the
-real clustering code into the :mod:`repro.distsim` simulator so that both the
-clusters and the timing breakdown are produced in one run.
+(paper, Section III-A and Figure 7).  :class:`DistributedClusterer` builds one
+:class:`PartitionMapTask` per partition and hands the batch to an execution
+backend (:mod:`repro.exec`), which decides where the tasks run and what
+timing report comes back; :meth:`PartitionMapTask.run` is the only path from
+the day loop to :func:`cluster_partition`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, \
-    TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.clustering.dbscan import DBSCAN, NOISE
 from repro.clustering.merge import merge_clusters
 from repro.clustering.prototypes import select_prototype
-from repro.distance.engine import DistanceEngine, DistanceEngineConfig, \
-    EngineStats
-from repro.distsim.mapreduce import MapReduceReport, SimCluster
+from repro.distance.engine import DistanceEngine, DistanceEngineConfig
+from repro.distsim.mapreduce import MapReduceReport
 from repro.jstoken.normalizer import abstract_token_string
 
 if TYPE_CHECKING:
@@ -147,9 +147,9 @@ def cluster_partition(samples: Sequence[ClusteredSample],
 def partition_map_cost(samples: Sequence[ClusteredSample],
                        comparisons: int, epsilon: float) -> float:
     """Abstract work units of one partition's map: comparisons weighted by
-    the typical banded-DP cost per pair.  One formula shared by the inline
-    map and the partition-parallel workers, so the simulated machine time a
-    backend charges never depends on where the map actually ran."""
+    the typical banded-DP cost per pair.  Recorded in the task's result, so
+    the simulated machine time a backend charges never depends on where the
+    map actually ran."""
     average_length = (sum(len(sample.tokens) for sample in samples)
                       / max(1, len(samples)))
     return comparisons * max(1.0, epsilon * average_length) * average_length
@@ -159,12 +159,13 @@ def partition_map_cost(samples: Sequence[ClusteredSample],
 class PartitionMapResult:
     """What one per-partition map task sends back to the driver.
 
-    Besides the clusters themselves, the worker ships its distance-engine
-    accounting (:attr:`stats`) and every exact distance it computed
-    (:attr:`cache_entries`) so the parent engine can merge both: the stats
-    keep the per-layer attribution whole, and the cache entries let the
-    reduce step reuse distances the map phase already paid for — the same
-    benefit the inline path gets from sharing one engine.
+    Besides the clusters themselves, a task that ran on a task-private
+    engine ships that engine's accounting (:attr:`stats`) and every exact
+    distance it computed (:attr:`cache_entries`) so the driver's engine can
+    merge both: the stats keep the per-layer attribution whole, and the
+    cache entries let the reduce step reuse distances the map phase already
+    paid for.  A task that ran in process on the driver's own engine leaves
+    both empty — that engine already holds them.
     """
 
     index: int
@@ -181,26 +182,16 @@ class PartitionMapResult:
     worker_id: Optional[str] = None
 
 
-def chunk_seed(base_seed: int, chunk_index: int) -> int:
-    """The deterministic RNG seed of one unit of shipped work.
-
-    Derived from the base seed and the unit's position in the batch — not
-    from the worker's identity — so the stream of random numbers any task
-    sees is the same for every pool width and task placement.
-    """
-    return (base_seed * 1_000_003 + chunk_index) & 0x7FFFFFFF
-
-
 @dataclass
 class PartitionMapTask:
     """One whole per-partition map, shippable to a child process.
 
-    Self-contained and picklable: the samples (already tokenized by the
-    prepare stage), the DBSCAN parameters, and a worker-safe engine
-    configuration travel with the task, so a persistent pool needs no
+    Self-contained and picklable: the samples (raw on a cold day,
+    pre-tokenized on the warm path), the DBSCAN parameters, and a worker-safe
+    engine configuration travel with the task, so a persistent pool needs no
     per-day re-initialization.  :meth:`run` is the single execution path —
-    pool workers and the serial fallback call exactly the same code, which
-    is what makes partition-parallel execution byte-identical to inline by
+    the driver process, pool workers and cluster workers call exactly the
+    same code, which is what makes every transport byte-identical by
     construction.
     """
 
@@ -209,7 +200,11 @@ class PartitionMapTask:
     epsilon: float
     min_points: int
     engine_config: DistanceEngineConfig
-    seed: int = 0
+
+    @property
+    def input_bytes(self) -> float:
+        """Size of the partition shipped to its machine (sample contents)."""
+        return float(sum(len(sample.content) for sample in self.samples))
 
     def worker_engine(self) -> DistanceEngine:
         """A fresh engine for this task, with a private cache whose exact
@@ -218,16 +213,21 @@ class PartitionMapTask:
                                       shared_cache=False))
 
     def run(self, engine: Optional[DistanceEngine] = None,
-            prepared: Optional["PreparedCache"] = None) -> PartitionMapResult:
+            prepared: Optional["PreparedCache"] = None,
+            export: bool = True) -> PartitionMapResult:
         """Execute the map.  ``engine`` optionally supplies a caller-built
         engine (cluster workers pass one wrapping their persistent distance
         cache); ``prepared`` optionally supplies a tokenization cache —
         samples shipped without tokens (slim warm-affinity leases) re-derive
         them through it, and samples shipped with tokens seed it for the
         next day.  Tokens are a pure function of content either way, so
-        every combination of arguments produces byte-identical results.
+        every combination of arguments produces byte-identical clusters.
+
+        ``export=False`` is for the driver running the task on its own
+        shared engine: the result then carries no stats and no cache
+        entries, because absorbing an engine's own totals back into it
+        would double count them and copy its whole cache once per task.
         """
-        random.seed(chunk_seed(self.seed, self.index))
         if engine is None:
             engine = self.worker_engine()
         # Tokenization is part of the map (the paper's per-machine work):
@@ -256,8 +256,8 @@ class PartitionMapTask:
             cost=partition_map_cost(ready, comparisons, self.epsilon),
             output_bytes=float(sum(len(cluster.prototype.content)
                                    for cluster in clusters)),
-            stats=engine.stats.as_dict(),
-            cache_entries=engine.export_cache())
+            stats=engine.stats.as_dict() if export else {},
+            cache_entries=engine.export_cache() if export else [])
 
 
 class DistributedClusterer:
@@ -268,10 +268,6 @@ class DistributedClusterer:
     epsilon, min_points:
         DBSCAN parameters (paper defaults: 0.10 and a small density
         requirement).
-    sim_cluster:
-        Legacy construction path: a simulated machine pool, wrapped in a
-        :class:`~repro.exec.distsim.DistsimBackend` when no ``backend`` is
-        given.  Defaults to the paper's 50 machines.
     seed:
         Seed for the random partitioning.
     engine_config:
@@ -280,14 +276,15 @@ class DistributedClusterer:
         step reuses distances the map phase already computed.
     backend:
         The :class:`~repro.exec.backend.ExecutionBackend` the map/reduce
-        structure runs through.  Defaults to a distsim backend over
-        ``sim_cluster`` — the seed reproduction's behaviour.
+        structure runs through.  Defaults to a distsim backend simulating
+        ``machines`` machines (the paper's 50 when unset) — the seed
+        reproduction's behaviour.
     machines:
         Logical machine count governing the *default partition count*.
         Deliberately independent of the backend: partitioning shapes the
         clustering output (per-partition DBSCAN + merge), so it must be
-        identical whether the partitions run inline, on a pool, or on the
-        simulator.  Defaults to the simulated pool size.
+        identical whether the partitions run in process, on a pool, or on
+        a cluster.  Defaults to the backend's configured machine count.
     """
 
     #: Target number of samples per partition when the caller does not pin
@@ -296,166 +293,74 @@ class DistributedClusterer:
     #: turn everything into noise, so the default adapts to the batch size.
     MIN_SAMPLES_PER_PARTITION = 50
 
-    #: Minimum partition size (samples) before *pre-tokenized* buckets are
-    #: worth shipping to the partition pool: below this the per-partition
-    #: DBSCAN is so cheap that pickling the contents out costs more than
-    #: the overlap buys.  Untokenized buckets always fan out — lexing
-    #: dominates and parallelizes perfectly.  Instance-tunable for tests.
-    pooled_partition_min = 256
-
     def __init__(self, epsilon: float = 0.10, min_points: int = 3,
-                 sim_cluster: Optional[SimCluster] = None,
                  seed: int = 0,
                  engine_config: Optional[DistanceEngineConfig] = None,
                  backend: Optional["ExecutionBackend"] = None,
                  machines: Optional[int] = None) -> None:
-        from repro.exec.distsim import DistsimBackend
+        from repro.exec.backend import BackendConfig, create_backend
 
         self.epsilon = epsilon
         self.min_points = min_points
         if backend is None:
-            backend = DistsimBackend.from_cluster(
-                sim_cluster or SimCluster(machine_count=machines or 50))
+            backend = create_backend(BackendConfig(kind="distsim",
+                                                   machines=machines or 50))
         self.backend = backend
-        if machines is not None:
-            self.machines = machines
-        else:
-            # The logical machine count must not depend on the backend
-            # kind: read the simulated pool when there is one, otherwise
-            # the same configured value a distsim backend would have used.
-            cluster = getattr(backend, "sim_cluster", None)
-            if cluster is not None:
-                self.machines = cluster.machine_count
-            elif backend.config.machines is not None:
-                self.machines = backend.config.machines
-            else:
-                self.machines = 50
+        # The logical machine count must not depend on the backend kind:
+        # without an explicit value, every backend reads the same
+        # configured one.
+        self.machines = machines or backend.config.machines or 50
         self.seed = seed
         self.engine = DistanceEngine(engine_config)
-
-    @property
-    def sim_cluster(self) -> SimCluster:
-        """The simulated pool (a synthetic one for non-distsim backends)."""
-        cluster = getattr(self.backend, "sim_cluster", None)
-        if cluster is not None:
-            return cluster
-        return SimCluster(machine_count=self.machines)
 
     def run(self, samples: Sequence[ClusteredSample],
             partitions: Optional[int] = None
             ) -> Tuple[List[Cluster], MapReduceReport]:
         """Cluster a daily batch of samples.
 
-        The map-over-partitions runs on the backend's partition executor
-        (a persistent process pool) when one is supplied and the batch is
-        worth fanning out; otherwise it runs inline through the backend's
-        map/reduce driver.  Both paths execute the same per-partition code
-        against the same buckets, so the merged clusters are byte-identical.
-        Returns the final merged clusters (with globally unique ids) and the
-        map/reduce timing report.
+        Every partition becomes one :class:`PartitionMapTask` and the batch
+        goes to the backend, which runs the tasks wherever its transport
+        puts them, merges the results in task order through
+        :meth:`_reduce`, and reports the timing.  Returns the final merged
+        clusters (with globally unique ids) and that report.
         """
-        # Tokenization belongs to the *map*: each partition tokenizes its
-        # own bucket (inline or in a pool worker), which is both what the
-        # paper distributes and what lets the partition pool parallelize a
-        # cold day's dominant cost.  Partitioning only shuffles by seeded
-        # index, so bucket membership is independent of token state.
+        # Tokenization belongs to the *map*: each task tokenizes its own
+        # partition (in process or in a worker), which is both what the
+        # paper distributes and what lets a pool parallelize a cold day's
+        # dominant cost.  Partitioning only shuffles by seeded index, so
+        # partition membership is independent of token state.
         if partitions is not None:
             partition_count = partitions
         else:
             partition_count = min(
                 self.machines,
                 max(1, len(samples) // self.MIN_SAMPLES_PER_PARTITION))
-        buckets = partition_samples(list(samples), partition_count,
-                                    seed=self.seed)
-
-        def map_function(partition_items: Sequence[List[ClusteredSample]]
-                         ) -> Tuple[List[Cluster], float, float]:
-            # The map/reduce driver hands each partition a list of items; our
-            # items are the pre-shuffled buckets, so flatten them back into a
-            # single list of samples for this partition.
-            bucket: List[ClusteredSample] = [
-                sample.ensure_tokens() for item in partition_items
-                for sample in item]
-            clusters, comparisons = cluster_partition(
-                bucket, epsilon=self.epsilon, min_points=self.min_points,
-                engine=self.engine)
-            cost = partition_map_cost(bucket, comparisons, self.epsilon)
-            output_bytes = sum(len(cluster.prototype.content)
-                               for cluster in clusters)
-            return clusters, cost, output_bytes
-
-        def reduce_function(per_partition: List[List[Cluster]]
-                            ) -> Tuple[List[Cluster], float]:
-            merged, comparisons = merge_clusters(per_partition,
-                                                 epsilon=self.epsilon,
-                                                 engine=self.engine)
-            average_length = 1.0
-            all_clusters = [cluster for part in per_partition for cluster in part]
-            if all_clusters:
-                average_length = sum(len(c.prototype.tokens)
-                                     for c in all_clusters) / len(all_clusters)
-            cost = comparisons * max(1.0, self.epsilon * average_length) \
-                * average_length
-            return merged, cost
-
-        def item_bytes(bucket: List[ClusteredSample]) -> float:
-            return float(sum(len(sample.content) for sample in bucket))
-
-        before = EngineStats(**self.engine.stats.as_dict())
-        executor = self.backend.partition_executor()
-        if executor is not None and executor.should_engage(len(buckets)) \
-                and self._worth_fanning_out(buckets):
-            report = self._run_partition_parallel(buckets, executor,
-                                                  reduce_function, item_bytes)
-        else:
-            report = self.backend.run_mapreduce(
-                buckets, map_function, reduce_function, item_bytes=item_bytes)
-        delta = EngineStats(**{
-            name: value - getattr(before, name)
-            for name, value in self.engine.stats.as_dict().items()})
-        report.distance_stats = delta.as_dict()
-        merged: List[Cluster] = report.reduce_value or []
-        return merged, report
-
-    def _worth_fanning_out(self, buckets: List[List[ClusteredSample]]
-                           ) -> bool:
-        """Whether shipping these buckets to the pool can pay for itself.
-
-        Raw (untokenized) buckets always do — the map then carries the
-        lexer, a cold day's dominant cost.  Pre-tokenized buckets (the warm
-        path's cache output) only fan out when partitions are big enough
-        for DBSCAN itself to outweigh the serialization overhead.
-        """
-        if any(not sample.tokens for bucket in buckets for sample in bucket):
-            return True
-        return max(len(bucket) for bucket in buckets) \
-            >= self.pooled_partition_min
-
-    def _run_partition_parallel(
-            self, buckets: List[List[ClusteredSample]], executor,
-            reduce_function: Callable[[List[List[Cluster]]],
-                                      Tuple[List[Cluster], float]],
-            item_bytes: Callable[[List[ClusteredSample]], float]
-            ) -> MapReduceReport:
-        """Fan the whole per-partition map out over the partition executor.
-
-        Each partition's tokenize/DBSCAN/prototype work runs in a child
-        process; the clusters come back with the worker's engine stats and
-        every exact distance it computed, which are merged into the parent
-        engine (so the reduce step reuses the map phase's distance work, as
-        the inline path does through its shared engine).  The reduce itself
-        stays in-process on the shared engine.
-        """
         tasks = [PartitionMapTask(index=index, samples=bucket,
                                   epsilon=self.epsilon,
                                   min_points=self.min_points,
-                                  engine_config=self.engine.config,
-                                  seed=self.seed)
-                 for index, bucket in enumerate(buckets)]
-        results, pool_seconds = executor.run(tasks)
-        for result in results:
-            self.engine.absorb_remote(result.stats, result.cache_entries,
-                                      worker=result.worker_id)
-        return self.backend.run_partition_map(
-            buckets, results, pool_seconds, executor.pool_width(),
-            reduce_function, item_bytes)
+                                  engine_config=self.engine.config)
+                 for index, bucket in enumerate(partition_samples(
+                     list(samples), partition_count, seed=self.seed))]
+
+        before = self.engine.stats.as_dict()
+        report = self.backend.run_mapreduce(tasks, self._reduce, self.engine)
+        report.distance_stats = {
+            name: value - before[name]
+            for name, value in self.engine.stats.as_dict().items()}
+        return report.reduce_value or [], report
+
+    def _reduce(self, per_partition: List[List[Cluster]]
+                ) -> Tuple[List[Cluster], float]:
+        """Reconcile the per-partition clusters on the shared engine;
+        returns the merged clusters and the reduce's abstract cost."""
+        merged, comparisons = merge_clusters(per_partition,
+                                             epsilon=self.epsilon,
+                                             engine=self.engine)
+        average_length = 1.0
+        all_clusters = [cluster for part in per_partition for cluster in part]
+        if all_clusters:
+            average_length = sum(len(c.prototype.tokens)
+                                 for c in all_clusters) / len(all_clusters)
+        cost = comparisons * max(1.0, self.epsilon * average_length) \
+            * average_length
+        return merged, cost

@@ -354,10 +354,10 @@ class Kizzle:
         the DBSCAN density requirement and prototype selection, so the
         result matches clustering the full batch.
 
-        The partition-level map dispatches through the backend (persistent
-        worker pool when one is supplied and the batch is large enough,
-        inline otherwise); when it ran on the pool, the pool's measured
-        wall clock is surfaced as the ``cluster.map`` sub-wall.
+        Every partition runs as one map task through the backend's single
+        transport seam (a worker pool or cluster when the batch is worth
+        shipping, in process otherwise); when the map was shipped, its
+        measured wall clock is surfaced as the ``cluster.map`` sub-wall.
         """
         prepared = context["prepared"]
         clusters, timing = self.clusterer.run(

@@ -19,7 +19,8 @@ from repro.distsim.events import EventLoop, Event
 from repro.distsim.machine import Machine, MachineSpec
 from repro.distsim.network import NetworkModel
 from repro.distsim.scheduler import Scheduler, Task, TaskResult
-from repro.distsim.mapreduce import MapReduceJob, MapReduceReport, SimCluster
+from repro.distsim.mapreduce import MapReduceJob, MapReduceReport, \
+    SimCluster, virtual_timeline
 
 __all__ = [
     "EventLoop",
@@ -33,4 +34,5 @@ __all__ = [
     "MapReduceJob",
     "MapReduceReport",
     "SimCluster",
+    "virtual_timeline",
 ]

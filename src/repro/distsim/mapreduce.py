@@ -1,11 +1,12 @@
-"""Map/reduce driver over the simulated cluster.
+"""Map/reduce timing model over the simulated cluster.
 
 The clustering pipeline of the paper is structured as: scatter samples to
 machines, cluster each partition independently (map), then reconcile the
-per-partition clusters on a single machine (reduce).  :class:`MapReduceJob`
-runs that structure over the simulator, executing the real map and reduce
-functions, and reports a timing breakdown that exposes the reduce bottleneck
-the paper describes.
+per-partition clusters on a single machine (reduce).
+:func:`virtual_timeline` turns the costs such a job recorded into the
+scatter/map/gather/reduce breakdown that exposes the reduce bottleneck the
+paper describes; :class:`MapReduceJob` is the standalone driver that runs
+real map and reduce functions and reports that timeline.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.distsim.machine import MachineSpec
 from repro.distsim.network import NetworkModel
-from repro.distsim.scheduler import Scheduler, Task, TaskResult
+from repro.distsim.scheduler import Scheduler, Task
 
 
 @dataclass
@@ -28,7 +29,6 @@ class MapReduceReport:
     map_time: float
     gather_time: float
     reduce_time: float
-    map_results: List[TaskResult] = field(default_factory=list)
     reduce_value: Any = None
     #: Distance-engine accounting for the whole job (pairs per pruning
     #: layer, cache hits, kernel calls), attached by engine-backed callers
@@ -131,6 +131,37 @@ class SimCluster:
             raise ValueError("machine_count must be positive")
 
 
+def virtual_timeline(cluster: SimCluster, input_bytes: Sequence[float],
+                     map_costs: Sequence[float],
+                     output_bytes: Sequence[float], reduce_cost: float
+                     ) -> Tuple[float, float, float, float]:
+    """Virtual ``(scatter, map, gather, reduce)`` seconds of one job.
+
+    A pure function of what a finished job recorded — per-task input
+    bytes, map cost and output bytes (all in task order), plus the reduce
+    cost — so the timing model observes an execution instead of driving
+    it: wherever the map really ran, the same costs give the same
+    timeline.  The input is scattered evenly over the pool, the map tasks
+    go to the least-loaded machine in submission order, the reducer's
+    inbound link serializes one largest-output transfer per task, and the
+    reduce runs on a single machine.
+    """
+    network, spec = cluster.network, cluster.machine_spec
+    scatter_time = network.scatter_time(sum(input_bytes),
+                                        cluster.machine_count)
+    mappers = Scheduler(cluster.machine_count, spec=spec)
+    # The work already happened; the tasks only carry its recorded cost.
+    mappers.run_tasks([Task(name=f"map-{index}", callable=lambda: None,
+                            cost=cost)
+                       for index, cost in enumerate(map_costs)])
+    gather_time = network.gather_time(max(output_bytes, default=0.0),
+                                      len(output_bytes) or 1)
+    reducer = Scheduler(1, spec=spec)
+    reducer.run_tasks([Task(name="reduce", callable=lambda: None,
+                            cost=reduce_cost)])
+    return scatter_time, mappers.makespan, gather_time, reducer.makespan
+
+
 class MapReduceJob:
     """Execute a map/reduce computation on a :class:`SimCluster`.
 
@@ -164,57 +195,23 @@ class MapReduceJob:
         ``partitions`` defaults to the machine count.  Items are assigned to
         partitions round-robin after the caller has already shuffled them if
         random partitioning is desired (the clustering layer shuffles with a
-        seeded RNG so runs stay reproducible).
+        seeded RNG so runs stay reproducible).  Map and reduce execute for
+        real, in partition order; the report's times come from
+        :func:`virtual_timeline` over the costs they returned.
         """
         partition_count = partitions or self.cluster.machine_count
         partition_count = max(1, min(partition_count, max(1, len(items))))
-        buckets: List[List[Any]] = [[] for _ in range(partition_count)]
-        for index, item in enumerate(items):
-            buckets[index % partition_count].append(item)
+        buckets = [list(items[index::partition_count])
+                   for index in range(min(partition_count, len(items)))]
 
-        total_bytes = sum(item_bytes(item) for item in items)
-        scatter_time = self.cluster.network.scatter_time(
-            total_bytes, self.cluster.machine_count)
-
-        scheduler = Scheduler(self.cluster.machine_count,
-                              spec=self.cluster.machine_spec)
-        map_outputs: List[Any] = []
-        output_sizes: List[float] = []
-
-        def make_map_task(bucket: List[Any], index: int) -> Task:
-            def run_map() -> Dict[str, Any]:
-                value, cost, output_bytes = self.map_function(bucket)
-                return {"value": value, "cost": cost,
-                        "output_bytes": output_bytes}
-            return Task(name=f"map-{index}", callable=run_map)
-
-        tasks = [make_map_task(bucket, index)
-                 for index, bucket in enumerate(buckets) if bucket]
-        map_results = scheduler.run_tasks(tasks)
-        for result in map_results:
-            if result.error is not None:
-                raise result.error
-            map_outputs.append(result.value["value"])
-            output_sizes.append(float(result.value["output_bytes"]))
-        map_time = scheduler.makespan
-
-        per_machine_bytes = max(output_sizes) if output_sizes else 0.0
-        gather_time = self.cluster.network.gather_time(
-            per_machine_bytes, len(output_sizes) or 1)
-
-        reduce_value, reduce_cost = self.reduce_function(map_outputs)
-        reducer = Scheduler(1, spec=self.cluster.machine_spec)
-        reducer.run_tasks([Task(name="reduce", callable=lambda: None,
-                                cost=reduce_cost)])
-        reduce_time = reducer.makespan
-
-        return MapReduceReport(
-            machine_count=self.cluster.machine_count,
-            partitions=partition_count,
-            scatter_time=scatter_time,
-            map_time=map_time,
-            gather_time=gather_time,
-            reduce_time=reduce_time,
-            map_results=map_results,
-            reduce_value=reduce_value,
-        )
+        mapped = [self.map_function(bucket) for bucket in buckets]
+        reduce_value, reduce_cost = self.reduce_function(
+            [value for value, _cost, _output_bytes in mapped])
+        phases = virtual_timeline(
+            self.cluster,
+            [sum(item_bytes(item) for item in bucket) for bucket in buckets],
+            [cost for _value, cost, _output_bytes in mapped],
+            [float(output_bytes) for _value, _cost, output_bytes in mapped],
+            reduce_cost)
+        return MapReduceReport(self.cluster.machine_count, partition_count,
+                               *phases, reduce_value=reduce_value)

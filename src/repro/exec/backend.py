@@ -2,33 +2,34 @@
 
 The stage-graph pipeline (:mod:`repro.core.stages`) describes *what* the
 daily loop does; an :class:`ExecutionBackend` decides *where* the work runs.
-The unit of parallel work is always one whole partition map task
-(:class:`~repro.clustering.partition.PartitionMapTask`).  Four
-implementations share the interface:
+The clustering stage is one map over partitions plus one reduce (paper,
+Section III-A, Figure 7), and there is one seam for it: every partition is a
+:class:`~repro.clustering.partition.PartitionMapTask`, and
+:meth:`ExecutionBackend.run_partition_map` is the only thing that differs
+between substrates.  Four implementations share the interface:
 
-* :class:`SerialBackend` — everything inline in one process, no
-  simulation; the reference substrate every other backend must match byte
-  for byte.
-* :class:`~repro.exec.process.ProcessBackend` — partitions run on a
-  persistent :mod:`multiprocessing` pool, each task seeded from its
-  partition index so any worker count produces identical results.
-* :class:`~repro.exec.distsim.DistsimBackend` — drives the
-  :mod:`repro.distsim` scheduler/map-reduce simulator, so makespan and
-  utilization reports come from real scheduled stage tasks rather than
-  side-channel cost charging.  This is the default (it reproduces the
-  paper's 50-machine timing model, and it is what the seed reproduction
-  always did).
+* :class:`SerialBackend` — every task runs in the driver process on the
+  clusterer's shared engine; the reference substrate every other backend
+  must match byte for byte.
+* :class:`~repro.exec.process.ProcessBackend` — batches worth shipping run
+  on a persistent :mod:`multiprocessing` pool; the rest run in process.
+* :class:`~repro.exec.distsim.DistsimBackend` — the same pool transport,
+  reported on the paper's 50-machine timeline, which is computed *after*
+  the map and reduce ran from the costs they recorded
+  (:func:`~repro.distsim.mapreduce.virtual_timeline`).  This is the
+  default, and it is what the seed reproduction always did.
 * :class:`~repro.exec.cluster.ClusterBackend` — true multi-machine
-  execution: a TCP coordinator leases whole partition map tasks to
+  execution: a TCP coordinator leases the tasks to
   :mod:`repro.exec.worker` processes on this or other hosts, with
   heartbeats, per-task deadlines and re-dispatch on worker loss
   (``tests/test_cluster_faults.py`` proves byte-identity under injected
   failures).
 
 Backends only change *where and how fast* work executes, never its result:
-cluster labels, signatures and per-day FP/FN are byte-identical across all
-of them (asserted in ``tests/test_backends.py``).  Anything that affects
-results — partition counts, shuffle seeds, epsilon — stays in
+results merge in task order whatever the completion order, so cluster
+labels, signatures and per-day FP/FN are byte-identical across all of them
+(asserted in ``tests/test_backends.py``).  Anything that affects results —
+partition counts, shuffle seeds, epsilon — stays in
 :class:`~repro.core.config.KizzleConfig` and is shared by every backend.
 """
 
@@ -37,10 +38,16 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Tuple, \
+    TYPE_CHECKING
 
 from repro.distsim.machine import MachineSpec
 from repro.distsim.mapreduce import MapReduceReport
+
+if TYPE_CHECKING:
+    from repro.clustering.partition import PartitionMapResult, \
+        PartitionMapTask
+    from repro.distance.engine import DistanceEngine
 
 #: Recognized backend kinds, in CLI/help order.
 BACKEND_KINDS = ("serial", "process", "distsim", "cluster")
@@ -68,12 +75,11 @@ class BackendConfig:
         Width of the partition pool (process/distsim backends).  ``0``
         auto-detects; ``None`` inherits ``DistanceEngineConfig.workers``.
     partition_parallel:
-        Run the *partition-level* map (tokenize + DBSCAN per partition) on
-        a persistent worker pool instead of inline (process/distsim
-        backends; the serial backend always runs inline).  On by default —
-        results are byte-identical either way, and batches too small to
-        amortize a fan-out (one partition, or one worker) stay inline
-        automatically.
+        Let the process/distsim backends ship the partition map (tokenize
+        + DBSCAN per partition) to a persistent worker pool.  On by default
+        — results are byte-identical either way, and batches not worth
+        shipping (one partition, one worker, small pre-tokenized
+        partitions) run in process automatically.
     listen:
         Cluster backend only: ``"host:port"`` the TCP coordinator binds
         (``None`` means loopback with an OS-assigned port; read the real
@@ -137,22 +143,20 @@ class BackendConfig:
 
 
 class ExecutionBackend(abc.ABC):
-    """Where stage work runs: inline, on a process pool, or simulated.
+    """Where stage work runs: in process, on a process pool, or remotely.
 
     The interface has three load-bearing methods:
 
-    * :meth:`run_mapreduce` executes the clustering stage's scatter/map/
-      gather/reduce structure and returns a
-      :class:`~repro.distsim.mapreduce.MapReduceReport` (with
+    * :meth:`run_partition_map` is the transport seam: it executes a batch
+      of partition map tasks somewhere and returns their results in task
+      order;
+    * :meth:`run_mapreduce` is the one driver of the clustering stage — map
+      through the seam, fold remote engine state back, reduce, report — and
+      returns a :class:`~repro.distsim.mapreduce.MapReduceReport` (with
       ``reduce_value`` holding the merged clusters);
     * :meth:`simulate_stage` accounts an extra perfectly-parallel stage
       (shedding, carry-forward probes) against the backend's notion of the
-      machine pool, recording virtual seconds in the report;
-    * :meth:`partition_executor` supplies the partition-level map executor
-      (``None`` keeps the map-over-partitions inline); backends whose
-      executor engaged report the finished map through
-      :meth:`run_partition_map`, which charges/records timing without
-      re-executing the work.
+      machine pool, recording virtual seconds in the report.
     """
 
     #: Short identifier, also the CLI ``--backend`` value.
@@ -172,34 +176,76 @@ class ExecutionBackend(abc.ABC):
         """Parallel width extra stage costs are spread over."""
         return 1
 
-    def partition_executor(self):
-        """Partition-level map executor (``None`` = map runs inline).
-
-        When supplied, the clustering driver ships whole per-partition map
-        tasks (tokenize + DBSCAN + prototypes) to the executor's persistent
-        pool and hands the finished results to :meth:`run_partition_map`.
-        """
-        return None
+    @property
+    def ship_width(self) -> int:
+        """Real worker width a shipped map runs with (reported as
+        ``map_workers``; an in-process map always reports 1)."""
+        return self.charge_units
 
     def close(self) -> None:
         """Release pooled resources (idempotent).  Backends without
         persistent substrate state have nothing to do."""
 
     # -- execution ------------------------------------------------------
-    @abc.abstractmethod
-    def run_mapreduce(self, buckets: Sequence[Any],
-                      map_function: Callable[[Sequence[Any]], Any],
-                      reduce_function: Callable[[List[Any]], Any],
-                      item_bytes: Callable[[Any], float]) -> MapReduceReport:
-        """Execute one map/reduce over pre-partitioned buckets.
+    def run_partition_map(self, tasks: Sequence["PartitionMapTask"],
+                          engine: "DistanceEngine"
+                          ) -> List["PartitionMapResult"]:
+        """Execute the tasks; return their results in task order.
 
-        ``map_function`` receives a list of items (the backend hands each
-        bucket through as a single item, matching
-        :class:`~repro.distsim.mapreduce.MapReduceJob` semantics) and must
-        return ``(value, cost, output_bytes)``; ``reduce_function`` receives
-        the list of map values and returns ``(value, cost)``.  The report's
-        ``reduce_value`` carries the reduce result.
+        The base transport runs every task in this process on ``engine``,
+        the clusterer's shared engine, so the reduce finds the map's
+        distances already cached.  Nothing is exported from that engine:
+        copying its stats and whole cache into each result only to absorb
+        them back would double count the former and pay for the latter
+        once per partition.  Overrides ship the batch elsewhere; their
+        tasks run on task-private engines and the results carry that
+        engine's stats and distances home.
         """
+        return [task.run(engine=engine, export=False) for task in tasks]
+
+    def run_mapreduce(self, tasks: Sequence["PartitionMapTask"],
+                      reduce_function: Callable[[List[Any]],
+                                                Tuple[Any, float]],
+                      engine: "DistanceEngine") -> MapReduceReport:
+        """Execute one map/reduce over pre-built partition tasks.
+
+        ``reduce_function`` receives the per-partition cluster lists in
+        task order and returns ``(value, cost)``; it runs in process on
+        ``engine``.  Results of shipped tasks are absorbed into ``engine``
+        first, in task order, so the per-layer stats stay whole and the
+        reduce reuses the distances the map already paid for — exactly
+        what an in-process map gets from sharing the engine.
+        """
+        started = time.perf_counter()
+        results = self.run_partition_map(tasks, engine)
+        map_seconds = time.perf_counter() - started
+        shipped = [result for result in results if result.stats]
+        for result in shipped:
+            engine.absorb_remote(result.stats, result.cache_entries,
+                                 worker=result.worker_id)
+
+        started = time.perf_counter()
+        reduce_value, reduce_cost = reduce_function(
+            [result.clusters for result in results])
+        reduce_seconds = time.perf_counter() - started
+
+        phases = self._timeline(tasks, results, reduce_cost,
+                                map_seconds, reduce_seconds)
+        report = MapReduceReport(self.charge_units, max(1, len(tasks)),
+                                 *phases, reduce_value=reduce_value,
+                                 backend=self.name)
+        if shipped:
+            report.map_workers = self.ship_width
+            report.map_wall_seconds = map_seconds
+        return report
+
+    @abc.abstractmethod
+    def _timeline(self, tasks: Sequence["PartitionMapTask"],
+                  results: Sequence["PartitionMapResult"],
+                  reduce_cost: float, map_seconds: float,
+                  reduce_seconds: float) -> Tuple[float, float, float, float]:
+        """``(scatter, map, gather, reduce)`` seconds of a finished job:
+        measured wall clock, or a virtual timeline over recorded costs."""
 
     @abc.abstractmethod
     def simulate_stage(self, report: MapReduceReport, name: str,
@@ -211,74 +257,20 @@ class ExecutionBackend(abc.ABC):
         scheduled tasks).  Returns the seconds charged.
         """
 
-    def run_partition_map(self, buckets: Sequence[Any],
-                          results: Sequence[Any], pool_seconds: float,
-                          pool_width: int,
-                          reduce_function: Callable[[List[Any]], Any],
-                          item_bytes: Callable[[Any], float]
-                          ) -> MapReduceReport:
-        """Account a partition map that already ran on the partition pool.
-
-        ``results`` carries one finished
-        :class:`~repro.clustering.partition.PartitionMapResult` per bucket,
-        in bucket order.  The map/reduce structure is replayed through
-        :meth:`run_mapreduce` with a map function that simply returns each
-        bucket's precomputed ``(clusters, cost, output_bytes)``: the
-        simulator backend thereby keeps charging the recorded costs as
-        simulated machine time (the paper's timing model is preserved even
-        though the work ran on the real pool), while the reduce executes
-        for real.  ``pool_seconds``/``pool_width`` record the measured wall
-        clock and width of the real pool in the report.
-        """
-        by_bucket = {id(bucket): result
-                     for bucket, result in zip(buckets, results)}
-
-        def precomputed_map(partition_items: Sequence[Any]) -> Any:
-            result = by_bucket[id(partition_items[0])]
-            return result.clusters, result.cost, result.output_bytes
-
-        report = self.run_mapreduce(buckets, precomputed_map,
-                                    reduce_function, item_bytes)
-        report.map_wall_seconds = pool_seconds
-        report.map_workers = pool_width
-        return report
-
 
 class InlineBackend(ExecutionBackend):
-    """Shared substrate for backends that execute map/reduce inline.
+    """Shared substrate for backends that report measured wall clock.
 
-    Map and reduce run as plain function calls in submission order; the
-    report's map/reduce times are measured wall clock and the network
-    phases are zero (nothing is shipped anywhere).  Extra stages charge
-    through :meth:`MapReduceReport.charge_stage` — the one place the
+    The report's map/reduce times are the driver's wall clock around the
+    map seam and the reduce, and the network phases are zero (no transfer
+    is modelled).  Extra stages charge through
+    :meth:`MapReduceReport.charge_stage` — the one place the
     cost-to-seconds formula lives — spread over :attr:`charge_units`.
     """
 
-    def run_mapreduce(self, buckets: Sequence[Any],
-                      map_function: Callable[[Sequence[Any]], Any],
-                      reduce_function: Callable[[List[Any]], Any],
-                      item_bytes: Callable[[Any], float]) -> MapReduceReport:
-        started = time.perf_counter()
-        map_values: List[Any] = []
-        for bucket in buckets:
-            value, _cost, _output_bytes = map_function([bucket])
-            map_values.append(value)
-        map_seconds = time.perf_counter() - started
-
-        started = time.perf_counter()
-        reduce_value, _reduce_cost = reduce_function(map_values)
-        reduce_seconds = time.perf_counter() - started
-
-        return MapReduceReport(
-            machine_count=self.charge_units,
-            partitions=max(1, len(buckets)),
-            scatter_time=0.0,
-            map_time=map_seconds,
-            gather_time=0.0,
-            reduce_time=reduce_seconds,
-            reduce_value=reduce_value,
-            backend=self.name,
-        )
+    def _timeline(self, tasks, results, reduce_cost, map_seconds,
+                  reduce_seconds) -> Tuple[float, float, float, float]:
+        return 0.0, map_seconds, 0.0, reduce_seconds
 
     def simulate_stage(self, report: MapReduceReport, name: str,
                        cost: float) -> float:
@@ -286,21 +278,10 @@ class InlineBackend(ExecutionBackend):
                                    machine_count=self.charge_units,
                                    spec=self.machine_spec)
 
-    def run_partition_map(self, buckets, results, pool_seconds, pool_width,
-                          reduce_function, item_bytes) -> MapReduceReport:
-        """Inline backends report measured wall clock, so the map time is
-        the real pool's wall clock rather than the near-zero cost of
-        replaying precomputed values."""
-        report = super().run_partition_map(buckets, results, pool_seconds,
-                                           pool_width, reduce_function,
-                                           item_bytes)
-        report.map_time = pool_seconds
-        return report
-
 
 class SerialBackend(InlineBackend):
-    """Run every stage inline in the current process — the reference
-    substrate.  Report times are the measured wall clock."""
+    """Run every stage in the current process — the reference substrate.
+    Report times are the measured wall clock."""
 
     name = "serial"
 

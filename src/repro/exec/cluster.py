@@ -6,9 +6,9 @@ TCP socket, registers :mod:`repro.exec.worker` processes as they connect
 (from this host or any other), leases them whole
 :class:`~repro.clustering.partition.PartitionMapTask` objects and collects
 the results.  :class:`ClusterBackend` wraps the coordinator behind the
-ordinary :class:`~repro.exec.backend.ExecutionBackend` interface, so the
-pipeline drives a real cluster through exactly the seam the process backend
-uses.
+ordinary :class:`~repro.exec.backend.ExecutionBackend` interface: its
+``run_partition_map`` is the TCP lease, so the pipeline drives a real
+cluster through exactly the seam the process backend uses.
 
 Trust model
 -----------
@@ -59,14 +59,14 @@ deterministically, so results are byte-identical with affinity on, off,
 or mid-churn.  :attr:`task_bytes_sent` / :attr:`tokens_stripped_chars`
 quantify the shipping saved.
 
-Determinism: task identity — not worker identity — carries the RNG seed
-(``PartitionMapTask.run`` seeds from ``(seed, partition_index)``), and
-results are merged in task order regardless of completion order, so any
-worker count, placement, churn, or mid-map re-dispatch is byte-identical to
-inline execution.  Effects are at-most-once *observable*: a re-dispatched
-task may execute twice, but the coordinator accepts only the result of the
-live lease and drops late duplicates — and task execution is pure, so even
-the dropped duplicate had no side effects.
+Determinism: a task's result is a pure function of the task — never of the
+worker that ran it — and results are merged in task order regardless of
+completion order, so any worker count, placement, churn, or mid-map
+re-dispatch is byte-identical to in-process execution.  Effects are
+at-most-once *observable*: a re-dispatched task may execute twice, but the
+coordinator accepts only the result of the live lease and drops late
+duplicates — and task execution is pure, so even the dropped duplicate had
+no side effects.
 """
 
 from __future__ import annotations
@@ -84,6 +84,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.exec import wire
 from repro.exec.backend import BackendConfig, InlineBackend
+from repro.exec.partition import worth_shipping
 
 logger = logging.getLogger("repro.exec.cluster")
 
@@ -841,46 +842,6 @@ def spawn_local_worker(address: Tuple[str, int], *,
 
 
 # ----------------------------------------------------------------------
-# executors over the coordinator
-# ----------------------------------------------------------------------
-class ClusterPartitionExecutor:
-    """Partition-level map executor running on the worker cluster.
-
-    Drop-in for :class:`~repro.exec.partition.PartitionPoolExecutor`: the
-    clustering driver ships whole ``PartitionMapTask`` objects and gets
-    ``PartitionMapResult`` objects back in task order, each annotated with
-    the worker that produced it (``result.worker_id``) so the distance
-    engine can attribute remote stats per worker.
-    """
-
-    name = "cluster"
-
-    def __init__(self, coordinator: ClusterCoordinator) -> None:
-        self.coordinator = coordinator
-        #: Batches submitted to the cluster (there is no inline fallback
-        #: here — engagement gating lives in the clustering driver).
-        self.pooled_batches = 0
-
-    def pool_width(self) -> int:
-        return max(1, self.coordinator.worker_count)
-
-    def should_engage(self, task_count: int) -> bool:
-        """Two or more partitions are worth distributing; worker arrival is
-        awaited at dispatch (workers may still be connecting)."""
-        return task_count >= 2
-
-    def run(self, tasks: Sequence[Any]) -> Tuple[List[Any], float]:
-        started = time.perf_counter()
-        self.pooled_batches += 1
-        outcomes = self.coordinator.submit("partition_map", list(tasks))
-        results = []
-        for result, worker_id in outcomes:
-            result.worker_id = worker_id
-            results.append(result)
-        return results, time.perf_counter() - started
-
-
-# ----------------------------------------------------------------------
 # the backend
 # ----------------------------------------------------------------------
 class ClusterBackend(InlineBackend):
@@ -922,7 +883,6 @@ class ClusterBackend(InlineBackend):
                 heartbeat_interval=config.heartbeat_timeout_s / 4.0,
                 secret=secret)
             for _ in range(config.spawn_workers)]
-        self._partition_executor = ClusterPartitionExecutor(self.coordinator)
 
     # -- substrate ------------------------------------------------------
     @property
@@ -949,8 +909,21 @@ class ClusterBackend(InlineBackend):
         """Typed wire rejections (auth/replay/forbidden), pre-decode."""
         return dict(self.coordinator.reject_counts)
 
-    def partition_executor(self):
-        return self._partition_executor
+    def run_partition_map(self, tasks: Sequence[Any], engine: Any
+                          ) -> List[Any]:
+        """Lease the batch to the worker fleet.  Each result is annotated
+        with the worker that produced it (``result.worker_id``) so the
+        distance engine can attribute remote stats per worker."""
+        # The fleet is elastic — workers may still be connecting, and are
+        # awaited at dispatch — so its momentary width never vetoes a ship.
+        if not worth_shipping(tasks, width=2):
+            return super().run_partition_map(tasks, engine)
+        results = []
+        for result, worker_id in self.coordinator.submit("partition_map",
+                                                         list(tasks)):
+            result.worker_id = worker_id
+            results.append(result)
+        return results
 
     def close(self) -> None:
         """Drain the cluster: shut the coordinator down (which tells

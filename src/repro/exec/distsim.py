@@ -1,50 +1,50 @@
 """Simulated-cluster execution backend (the default).
 
-Wraps the :mod:`repro.distsim` discrete-event simulator behind the
-:class:`~repro.exec.backend.ExecutionBackend` interface: the clustering
-stage runs through :class:`~repro.distsim.mapreduce.MapReduceJob` on a
-:class:`~repro.distsim.mapreduce.SimCluster` exactly as the seed
-reproduction did, and the extra pipeline stages (shedding, carry-forward
-probes) are submitted as *real scheduled tasks* to a
-:class:`~repro.distsim.scheduler.Scheduler` over the same machine pool — so
-their makespan includes scheduling overhead and their per-machine
-utilization is observable, instead of being a side-channel arithmetic
-charge.
+Puts the :mod:`repro.distsim` timing model behind the
+:class:`~repro.exec.backend.ExecutionBackend` interface as an *observer*:
+the partition map runs on real cores through the same fork-pool transport
+the process backend uses (the simulator models machine *time*, not Python's
+speed), the reduce runs in process, and only afterwards is the paper's
+50-machine scatter/map/gather/reduce timeline computed from the costs the
+tasks recorded (:func:`~repro.distsim.mapreduce.virtual_timeline`).  A
+distsim day therefore runs as fast as a process-backend day, and its virtual
+timeline does not depend on where the map actually ran.
 
-Real execution still uses real cores (the simulator models machine *time*,
-not Python's speed): the partition-level map runs on the same persistent
-:class:`~repro.exec.partition.PartitionPoolExecutor` the process backend
-uses — with the recorded per-partition costs charged as simulated machine
-time through :class:`MapReduceJob`.  A distsim day therefore runs as fast
-as a process-backend day while also reporting the virtual 50-machine
-timeline the paper describes.
+The extra pipeline stages (shedding, carry-forward probes) are submitted as
+*real scheduled tasks* to a :class:`~repro.distsim.scheduler.Scheduler` over
+the same machine pool — so their makespan includes scheduling overhead and
+their per-machine utilization is observable, instead of being a
+side-channel arithmetic charge.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence
+from dataclasses import replace
+from typing import Optional, Tuple
 
 from repro.distsim.machine import MachineSpec
-from repro.distsim.mapreduce import MapReduceJob, MapReduceReport, SimCluster
+from repro.distsim.mapreduce import MapReduceReport, SimCluster, \
+    virtual_timeline
 from repro.distsim.scheduler import Scheduler, Task
 from repro.exec.backend import BackendConfig, ExecutionBackend
-from repro.exec.partition import PartitionPoolExecutor
+from repro.exec.partition import PoolTransport
 
 
-class DistsimBackend(ExecutionBackend):
-    """Execute stages on the simulated machine pool.
+class DistsimBackend(PoolTransport, ExecutionBackend):
+    """The pool transport, reported on the simulated machine pool.
 
-    An injected ``sim_cluster`` must agree with ``config.machines`` when
-    both are given: the simulated pool size drives ``charge_units`` (what
-    stage costs are spread over), so a silent mismatch would desynchronize
-    the timing model from the configuration.
+    An injected ``sim_cluster`` (the way to simulate a non-default machine
+    or network model) must agree with ``config.machines`` when both are
+    given: the simulated pool size drives ``charge_units`` (what stage
+    costs are spread over), so a silent mismatch would desynchronize the
+    timing model from the configuration.  With ``machines`` unset the
+    backend adopts the injected cluster's size.
     """
 
     name = "distsim"
 
     def __init__(self, config: BackendConfig,
                  sim_cluster: Optional[SimCluster] = None) -> None:
-        super().__init__(config)
         if sim_cluster is not None and config.machines is not None \
                 and sim_cluster.machine_count != config.machines:
             raise ValueError(
@@ -52,19 +52,10 @@ class DistsimBackend(ExecutionBackend):
                 f"machines but the backend config says {config.machines}; "
                 f"pass a matching config (or leave machines unset to adopt "
                 f"the cluster's size)")
-        machines = config.machines if config.machines is not None else 50
-        self.sim_cluster = sim_cluster or SimCluster(machine_count=machines)
-        self._partition_executor = None
-        if config.partition_parallel:
-            self._partition_executor = PartitionPoolExecutor(
-                workers=config.workers or 0)
-
-    @classmethod
-    def from_cluster(cls, sim_cluster: SimCluster) -> "DistsimBackend":
-        """Wrap an existing simulated cluster (legacy construction path)."""
-        config = BackendConfig(kind="distsim",
-                               machines=sim_cluster.machine_count)
-        return cls(config, sim_cluster=sim_cluster)
+        self.sim_cluster = sim_cluster or SimCluster(
+            machine_count=config.machines or 50)
+        super().__init__(
+            replace(config, machines=self.sim_cluster.machine_count))
 
     # -- substrate ------------------------------------------------------
     @property
@@ -75,23 +66,15 @@ class DistsimBackend(ExecutionBackend):
     def charge_units(self) -> int:
         return self.sim_cluster.machine_count
 
-    def partition_executor(self):
-        return self._partition_executor
-
-    def close(self) -> None:
-        if self._partition_executor is not None:
-            self._partition_executor.close()
-
     # -- execution ------------------------------------------------------
-    def run_mapreduce(self, buckets: Sequence[Any],
-                      map_function: Callable[[Sequence[Any]], Any],
-                      reduce_function: Callable[[List[Any]], Any],
-                      item_bytes: Callable[[Any], float]) -> MapReduceReport:
-        job = MapReduceJob(self.sim_cluster, map_function, reduce_function)
-        report = job.run(buckets, partitions=len(buckets),
-                         item_bytes=item_bytes)
-        report.backend = self.name
-        return report
+    def _timeline(self, tasks, results, reduce_cost, map_seconds,
+                  reduce_seconds) -> Tuple[float, float, float, float]:
+        return virtual_timeline(
+            self.sim_cluster,
+            [task.input_bytes for task in tasks],
+            [result.cost for result in results],
+            [result.output_bytes for result in results],
+            reduce_cost)
 
     def simulate_stage(self, report: MapReduceReport, name: str,
                        cost: float) -> float:

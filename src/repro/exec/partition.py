@@ -1,4 +1,4 @@
-"""Partition-level map executor: a persistent pool for whole map tasks.
+"""The fork-pool transport: a persistent pool for whole partition map tasks.
 
 This module parallelizes *across* partitions — the embarrassingly parallel
 map stage the paper distributes over a cluster, and the only level of
@@ -6,35 +6,60 @@ fan-out in this codebase.  A :class:`PartitionPoolExecutor` owns one
 long-lived :mod:`multiprocessing` pool and ships whole
 :class:`~repro.clustering.partition.PartitionMapTask` objects to it: each
 child process tokenizes (a no-op for pre-prepared samples), runs DBSCAN and
-selects prototypes for its partition, then sends the clusters back together
-with its engine stats and exact-distance cache so the parent can merge both.
+selects prototypes for its partition on a task-private engine, then sends
+the clusters back together with that engine's stats and exact-distance cache
+so the driver can merge both.  :class:`PoolTransport` puts the pool behind
+``ExecutionBackend.run_partition_map`` for the process and distsim backends.
 
-The pool is created lazily on the first batch that is worth fanning out and
-then reused day over day (fork/spawn cost is paid once per pipeline, not
-once per day); tasks are self-contained, so nothing is re-initialized
-between batches.  Small batches — fewer than two partitions, or a
-single-worker configuration — run the very same ``task.run()`` code inline,
-which keeps results byte-identical by construction and is also the fallback
-for forkless environments.
+The pool is created lazily on the first batch that is worth shipping
+(:func:`worth_shipping` — the one copy of that rule, shared with the cluster
+backend) and then reused day over day: fork/spawn cost is paid once per
+pipeline, not once per day, and tasks are self-contained, so nothing is
+re-initialized between batches.  Batches that are not worth shipping run the
+very same ``task.run`` in the driver process, which keeps results
+byte-identical by construction.
 
-Determinism: every task re-seeds the :mod:`random` module from
-``(seed, partition_index)`` at the start of ``run()`` (see
-:meth:`PartitionMapTask.run`), so any worker-side randomness is
-reproducible for every pool width and task placement.
+Determinism: a task's result is a pure function of the task (nothing in the
+map reads ambient state such as the global RNG), and results come back in
+task order, so every pool width and task placement gives the same output.
 """
 
 from __future__ import annotations
 
 import atexit
 import multiprocessing
-import time
-from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import List, Optional, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:
     import multiprocessing.pool
 
     from repro.clustering.partition import PartitionMapResult, \
         PartitionMapTask
+    from repro.distance.engine import DistanceEngine
+    from repro.exec.backend import BackendConfig
+
+#: Minimum partition size (samples) before *pre-tokenized* partitions are
+#: worth shipping: below this the per-partition DBSCAN is so cheap that
+#: pickling the contents out costs more than the overlap buys.
+POOLED_PARTITION_MIN = 256
+
+
+def worth_shipping(tasks: Sequence["PartitionMapTask"], width: int) -> bool:
+    """Whether shipping this batch to ``width`` workers can pay for itself.
+
+    One partition has nothing to overlap, and one worker would only add
+    shipping overhead to in-process execution.  Beyond that, raw
+    (untokenized) partitions always ship — the map then carries the lexer,
+    a cold day's dominant cost, which parallelizes perfectly — while
+    pre-tokenized partitions (the warm path's cache output) ship only when
+    the largest is big enough for DBSCAN itself to outweigh serialization.
+    Decided from the batch alone; deliberately not a user option.
+    """
+    if len(tasks) < 2 or width < 2:
+        return False
+    if any(not sample.tokens for task in tasks for sample in task.samples):
+        return True
+    return max(len(task.samples) for task in tasks) >= POOLED_PARTITION_MIN
 
 
 def _run_partition_task(task: "PartitionMapTask") -> "PartitionMapResult":
@@ -48,54 +73,28 @@ class PartitionPoolExecutor:
     Parameters
     ----------
     workers:
-        Pool width.  ``0`` auto-detects (``cpu_count``); ``1`` never forks
-        — every batch takes the inline fallback.  The per-task RNG seed
-        ships inside each task, so the pool carries no seeding state.
+        Pool width; ``0`` auto-detects (``cpu_count``).  The pool carries
+        no per-batch state — everything a task needs ships inside it.
     """
-
-    name = "partition-pool"
 
     def __init__(self, workers: int = 0) -> None:
         if workers < 0:
             raise ValueError("workers must be non-negative")
         self.workers = workers
         self._pool: Optional["multiprocessing.pool.Pool"] = None
-        #: Batches executed on the real pool (telemetry for tests).
+        #: Batches executed on the pool (telemetry for tests).
         self.pooled_batches = 0
-        #: Batches that took the inline fallback.
-        self.inline_batches = 0
 
-    # -- sizing ---------------------------------------------------------
     def pool_width(self) -> int:
         """The worker count a pooled batch runs with."""
-        if self.workers == 0:
-            return multiprocessing.cpu_count()
-        return self.workers
+        return self.workers or multiprocessing.cpu_count()
 
-    def should_engage(self, task_count: int) -> bool:
-        """Whether a batch of ``task_count`` partitions is worth forking
-        for.  One partition has nothing to overlap, and one worker would
-        only add shipping overhead to serial execution."""
-        return task_count >= 2 and self.pool_width() > 1
-
-    # -- execution ------------------------------------------------------
     def run(self, tasks: Sequence["PartitionMapTask"]
-            ) -> Tuple[List["PartitionMapResult"], float]:
-        """Execute the batch; returns ``(results, wall_seconds)``.
-
-        Results come back in task order regardless of which worker ran
-        what.  Batches below the engagement threshold run inline through
-        the identical ``task.run()`` path.
-        """
-        started = time.perf_counter()
-        if not self.should_engage(len(tasks)):
-            self.inline_batches += 1
-            results = [task.run() for task in tasks]
-        else:
-            self.pooled_batches += 1
-            results = self._ensure_pool().map(_run_partition_task,
-                                              list(tasks))
-        return results, time.perf_counter() - started
+            ) -> List["PartitionMapResult"]:
+        """Execute the batch on the pool; results come back in task order
+        regardless of which worker ran what."""
+        self.pooled_batches += 1
+        return self._ensure_pool().map(_run_partition_task, list(tasks))
 
     def _ensure_pool(self) -> "multiprocessing.pool.Pool":
         if self._pool is None:
@@ -113,3 +112,32 @@ class PartitionPoolExecutor:
             self._pool.join()
             self._pool = None
             atexit.unregister(self.close)
+
+
+class PoolTransport:
+    """Backend mixin: ``run_partition_map`` over a persistent fork pool.
+
+    ``pool`` is ``None`` when ``config.partition_parallel`` is off; every
+    batch then takes the in-process transport, as does any batch that is
+    not :func:`worth_shipping`.
+    """
+
+    def __init__(self, config: "BackendConfig") -> None:
+        super().__init__(config)
+        self.pool = PartitionPoolExecutor(config.workers or 0) \
+            if config.partition_parallel else None
+
+    @property
+    def ship_width(self) -> int:
+        return self.pool.pool_width() if self.pool is not None else 1
+
+    def run_partition_map(self, tasks: Sequence["PartitionMapTask"],
+                          engine: "DistanceEngine"
+                          ) -> List["PartitionMapResult"]:
+        if worth_shipping(tasks, self.ship_width):
+            return self.pool.run(tasks)
+        return super().run_partition_map(tasks, engine)
+
+    def close(self) -> None:
+        if self.pool is not None:
+            self.pool.close()

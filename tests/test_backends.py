@@ -4,18 +4,24 @@ The load-bearing property: backends change *where* work runs, never *what*
 comes out.  On a seeded multi-day stream — warm and cold — the serial,
 process and distsim backends must produce byte-identical cluster labels,
 signatures and per-day FP/FN.  The process pool must additionally be
-deterministic across worker counts (per-task RNG seeding), and must not be
-forked at all for partitions too small to be worth shipping.
+deterministic across worker counts, and must not be forked at all for
+partitions too small to be worth shipping.  Every backend runs the map
+through the one ``run_partition_map`` seam, so the transports (in process,
+fork pool, TCP) are also compared directly, and the distsim timeline — now
+computed after the fact from recorded costs — is pinned to golden values.
 """
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import random
+from unittest import mock
 
 import pytest
 
-from repro.clustering.partition import chunk_seed
+import repro.exec.partition as exec_partition
+from repro.clustering.partition import ClusteredSample, DistributedClusterer
 from repro.core.config import IncrementalConfig, KizzleConfig
 from repro.core.pipeline import Kizzle
 from repro.distance.engine import DistanceEngineConfig
@@ -105,8 +111,6 @@ class TestBackendConfig:
         """The logical machine count (which sets the default partition
         count, and therefore shapes clustering output) must come from the
         configured value on every backend kind, not from the substrate."""
-        from repro.clustering.partition import DistributedClusterer
-
         backends = {kind: create_backend(BackendConfig(kind=kind,
                                                        machines=10))
                     for kind in BACKEND_KINDS}
@@ -192,19 +196,7 @@ class TestBackendConfig:
         adopted = DistsimBackend(BackendConfig(kind="distsim"),
                                  sim_cluster=cluster)
         assert adopted.charge_units == 4
-        legacy = DistsimBackend.from_cluster(cluster)
-        assert legacy.sim_cluster is cluster
-        assert legacy.config.machines == 4
-
-
-# ----------------------------------------------------------------------
-# deterministic worker seeding
-# ----------------------------------------------------------------------
-class TestChunkSeeding:
-    def test_chunk_seed_depends_on_chunk_not_worker(self):
-        assert chunk_seed(1, 0) != chunk_seed(1, 1)
-        assert chunk_seed(1, 0) != chunk_seed(2, 0)
-        assert chunk_seed(9, 4) == chunk_seed(9, 4)
+        assert adopted.config.machines == 4
 
 
 # ----------------------------------------------------------------------
@@ -233,11 +225,13 @@ def _run_stream(backend_kind, incremental, days=3, distance=None,
         incremental=IncrementalConfig(enabled=incremental),
         backend=BackendConfig(kind=backend_kind, **(backend_overrides or {})))
     kizzle = Kizzle(config)
-    if backend_kind == "cluster":
-        # Pre-tokenized (warm) partitions are tiny here; drop the worth-it
-        # threshold so the map still ships to the workers.
-        kizzle.clusterer.pooled_partition_min = 1
-    try:
+    with contextlib.ExitStack() as stack:
+        stack.callback(kizzle.close)
+        if backend_kind == "cluster":
+            # Pre-tokenized (warm) partitions are tiny here; drop the
+            # worth-it threshold so the map still ships to the workers.
+            stack.enter_context(mock.patch.object(
+                exec_partition, "POOLED_PARTITION_MIN", 1))
         for kit in KITS:
             kizzle.seed_known_kit(
                 kit, [generator.reference_core(kit, D(2014, 7, 31))])
@@ -270,14 +264,32 @@ def _run_stream(backend_kind, incremental, days=3, distance=None,
                 worker: stats.as_dict()
                 for worker, stats in
                 kizzle.clusterer.engine.remote_worker_stats.items()}
-    finally:
-        kizzle.close()
     if backend_kind == "cluster":
         # Clean shutdown is part of the contract: close() must join every
         # coordinator service/handler thread, not abandon them.
         assert kizzle.backend.coordinator.leaked_threads() == [], \
             "cluster coordinator close() leaked service threads"
     return day_labels, day_fpfn, signatures
+
+
+def _family_samples(families):
+    """``(sample_id, content)`` pairs: ``families`` groups of 8 same-length
+    scripts.  One statement differs per member, so members are distinct
+    token strings within epsilon of each other and every pair gets past the
+    length filter — the distance engine does real kernel and cache work."""
+    statements = ("var a = 1;", "f(a);", "a = [];", "a = {};",
+                  "a += 's';", "return a - b;", "delete a.b;",
+                  "a = !b;", "a = typeof b;")
+    rng = random.Random(20140801)
+    samples = []
+    for family in range(families):
+        shapes = rng.sample(statements, 3)
+        base = [rng.choice(shapes) for _ in range(40)]
+        for member in range(8):
+            body = list(base)
+            body[member] = "void a, b;"
+            samples.append((f"f{family}m{member}", " ".join(body)))
+    return samples
 
 
 class TestBackendEquivalence:
@@ -348,23 +360,10 @@ class TestBackendEquivalence:
 
     def test_small_warm_partitions_never_fork(self, no_fork):
         """Whole partitions are the only unit of fan-out: a warm day whose
-        pre-tokenized partitions are below ``pooled_partition_min`` runs
+        pre-tokenized partitions are below ``POOLED_PARTITION_MIN`` runs
         in one process on the process backend, however many distance pairs
         each partition holds (here 7,140, all past the length filter)."""
-        statements = ("var a = 1;", "f(a);", "a = [];", "a = {};",
-                      "a += 's';", "return a - b;", "delete a.b;",
-                      "a = !b;", "a = typeof b;")
-        rng = random.Random(20140801)
-        samples = []
-        for family in range(30):
-            shapes = rng.sample(statements, 3)
-            base = [rng.choice(shapes) for _ in range(40)]
-            for member in range(8):
-                # One statement differs per member: 240 distinct token
-                # strings, family members within epsilon of each other.
-                body = list(base)
-                body[member] = "void a, b;"
-                samples.append((f"f{family}m{member}", " ".join(body)))
+        samples = _family_samples(30)
 
         def labels(backend):
             config = KizzleConfig(
@@ -381,6 +380,142 @@ class TestBackendEquivalence:
         reference = labels(BackendConfig(kind="serial"))
         assert reference, "fixture produced no clusters"
         assert labels(BackendConfig(kind="process", workers=2)) == reference
+
+
+# ----------------------------------------------------------------------
+# the one map seam: transports compared directly, timeline as an observer
+# ----------------------------------------------------------------------
+class _DistsimOver(DistsimBackend):
+    """The distsim report over another backend's transport: the timeline
+    observes recorded costs, so it must not care which transport ran."""
+
+    def __init__(self, transport):
+        super().__init__(BackendConfig(kind="distsim", machines=6,
+                                       partition_parallel=False))
+        self.transport = transport
+
+    def run_partition_map(self, tasks, engine):
+        return self.transport.run_partition_map(tasks, engine)
+
+
+def _cluster_day(backend, samples):
+    """Cluster one day's samples (floor dropped so pre-tokenized partitions
+    ship too); returns (labels, report, clusterer)."""
+    clusterer = DistributedClusterer(
+        min_points=3, machines=6, backend=backend,
+        engine_config=DistanceEngineConfig(workers=1, shared_cache=False))
+    with mock.patch.object(exec_partition, "POOLED_PARTITION_MIN", 1):
+        clusters, report = clusterer.run(samples, partitions=4)
+    labels = [(cluster.cluster_id, cluster.prototype.sample_id,
+               [sample.sample_id for sample in cluster.samples])
+              for cluster in clusters]
+    return labels, report, clusterer
+
+
+def _phases(report):
+    return (report.scatter_time, report.map_time, report.gather_time,
+            report.reduce_time)
+
+
+class TestOneMapSeam:
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_transports_agree_on_clusters_stats_and_timeline(self, warm):
+        """The same day through the three transports — in process, fork
+        pool, TCP lease — gives equal clusters, equal engine accounting
+        and, observed by the distsim report, equal virtual phases."""
+        make = ClusteredSample.from_content if warm else ClusteredSample
+        samples = [make(sample_id, content)
+                   for sample_id, content in _family_samples(12)]
+        outcomes = {}
+        for name, config in (
+                ("in-process", BackendConfig(kind="serial")),
+                ("fork-pool", BackendConfig(kind="process", workers=2)),
+                ("tcp", BackendConfig(kind="cluster", spawn_workers=2,
+                                      heartbeat_timeout_s=4.0))):
+            transport = create_backend(config)
+            try:
+                labels, report, _ = _cluster_day(_DistsimOver(transport),
+                                                 samples)
+                stats = {key: value
+                         for key, value in report.distance_stats.items()
+                         if not key.startswith("prepared_")}
+                outcomes[name] = (labels, stats, _phases(report))
+                if name == "fork-pool":
+                    assert transport.pool.pooled_batches == 1
+                if name == "tcp":
+                    assert transport.remote_task_count == 4
+            finally:
+                transport.close()
+        reference = outcomes["in-process"]
+        assert reference[0], "fixture produced no clusters"
+        assert reference[1]["kernel_calls"] > 0
+        assert outcomes["fork-pool"] == reference
+        assert outcomes["tcp"] == reference
+
+    def test_in_process_map_does_not_double_count_engine_stats(self):
+        """An in-process map works on the shared engine directly: nothing
+        is exported from it and absorbed back, so its totals equal the
+        pair decisions actually made — the totals a pooled run absorbs
+        from its task-private engines."""
+        samples = [ClusteredSample(sample_id, content)
+                   for sample_id, content in _family_samples(12)]
+        serial = create_backend(BackendConfig(kind="serial"))
+        pooled = create_backend(BackendConfig(kind="process", workers=2))
+        try:
+            _, in_process, clusterer = _cluster_day(serial, samples)
+            _, shipped, pooled_clusterer = _cluster_day(pooled, samples)
+            assert shipped.map_workers == 2 and in_process.map_workers == 1
+            assert in_process.distance_stats == shipped.distance_stats
+            # One run on a fresh engine: the engine's totals *are* the
+            # run's delta — a double absorb would have inflated them.
+            assert clusterer.engine.stats.as_dict() \
+                == in_process.distance_stats
+            assert clusterer.engine.stats.as_dict() \
+                == pooled_clusterer.engine.stats.as_dict()
+            assert clusterer.engine.remote_worker_stats == {}
+        finally:
+            serial.close()
+            pooled.close()
+
+    def test_distsim_timeline_matches_parent_commit_golden(self):
+        """The virtual timeline is computed after the fact from recorded
+        costs; these values were captured from the commit that still drove
+        the map through the simulator's scheduler, to the last digit."""
+        generator = TelemetryGenerator(StreamConfig(
+            benign_per_day=20,
+            kit_daily_counts={"angler": 24, "nuclear": 16,
+                              "sweetorange": 16, "rig": 12},
+            seed=20140801))
+        golden = {
+            False: [((0.05635402666666667, 6.084152290816327,
+                      0.059758240000000004, 22.613830737500002), {})],
+            True: [((0.05635402666666667, 6.084152290816327,
+                     0.059758240000000004, 22.613830737500002),
+                    {"shed": 0.0, "carry_forward": 0.0}),
+                   ((0.05045600666666667, 2.494211675,
+                     0.05711104, 4.053382592857142),
+                    {"shed": 2.1549490000000002,
+                     "carry_forward": 2.0451316901041667})],
+        }
+        for incremental, days in golden.items():
+            config = KizzleConfig(
+                machines=6, min_points=3, partitions=4,
+                distance=DistanceEngineConfig(workers=1, shared_cache=False),
+                incremental=IncrementalConfig(enabled=incremental),
+                backend=BackendConfig(kind="distsim", workers=1))
+            with Kizzle(config) as kizzle:
+                for kit in KITS:
+                    kizzle.seed_known_kit(
+                        kit, [generator.reference_core(kit, D(2014, 7, 31))])
+                for offset, (phases, stage_seconds) in enumerate(days):
+                    date = D(2014, 8, 1) + datetime.timedelta(days=offset)
+                    batch = generator.generate_day(date)
+                    timing = kizzle.process_day(
+                        [(s.sample_id, s.content) for s in batch.samples],
+                        date).timing
+                    assert _phases(timing) == phases
+                    assert timing.stage_seconds == stage_seconds
+                    assert (timing.machine_count, timing.partitions) == (6, 4)
 
 
 # ----------------------------------------------------------------------

@@ -23,9 +23,11 @@ import datetime
 import os
 import time
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
+import repro.exec.partition as exec_partition
 from repro.core.config import IncrementalConfig, KizzleConfig
 from repro.core.pipeline import Kizzle
 from repro.ekgen import StreamConfig, TelemetryGenerator
@@ -115,9 +117,6 @@ def _run_cluster_with_fault(fault, days=2, incremental=False):
         backend=BackendConfig(**FAULT_BACKEND)))
     backend = kizzle.backend
     backend.coordinator.min_workers = 2  # both workers present at dispatch
-    # The warm path ships pre-tokenized partitions; drop the worth-it
-    # threshold so the tiny test partitions still fan out to the cluster.
-    kizzle.clusterer.pooled_partition_min = 1
     procs = [
         spawn_local_worker(backend.address, heartbeat_interval=0.25),
         spawn_local_worker(backend.address, heartbeat_interval=0.25,
@@ -127,7 +126,10 @@ def _run_cluster_with_fault(fault, days=2, incremental=False):
         for kit in KITS:
             kizzle.seed_known_kit(
                 kit, [generator.reference_core(kit, D(2014, 7, 31))])
-        labels, fpfn = _run_days(kizzle, generator, days)
+        # The warm path ships pre-tokenized partitions; drop the worth-it
+        # threshold so the tiny test partitions still fan out to the cluster.
+        with mock.patch.object(exec_partition, "POOLED_PARTITION_MIN", 1):
+            labels, fpfn = _run_days(kizzle, generator, days)
         signatures = [(s.kit, s.created, s.pattern)
                       for s in kizzle.database]
         outcome = SimpleNamespace(

@@ -18,7 +18,6 @@ from repro.clustering import (
     partition_samples,
     select_prototype,
 )
-from repro.distsim import SimCluster
 from repro.jstoken import abstract_token_string
 
 
@@ -223,7 +222,7 @@ class TestDistributedClusterer:
                     generated.sample_id, generated.content))
         clusterer = DistributedClusterer(
             epsilon=0.10, min_points=3,
-            sim_cluster=SimCluster(machine_count=4))
+            machines=4)
         clusters, report = clusterer.run(samples, partitions=2)
         assert len(clusters) == 2
         assert report.total_time > 0
@@ -234,7 +233,7 @@ class TestDistributedClusterer:
                                    tokens=("var", "Identifier", ";"))
                    for i in range(10)]
         clusterer = DistributedClusterer(
-            min_points=3, sim_cluster=SimCluster(machine_count=50))
+            min_points=3, machines=50)
         clusters, report = clusterer.run(samples)
         assert report.partitions == 1
         assert len(clusters) == 1

@@ -14,11 +14,13 @@ Three layers of guarantees:
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.exec.partition as exec_partition
 from repro.clustering import ClusteredSample, DBSCAN, DistributedClusterer
 from repro.core.config import KizzleConfig
 from repro.distance import (
@@ -34,7 +36,6 @@ from repro.distance import (
     qgram_lower_bound,
 )
 from repro.distance.metrics import _histogram_lower_bound
-from repro.distsim import SimCluster
 from repro.ekgen import StreamConfig, TelemetryGenerator
 from repro.exec import BackendConfig, create_backend
 
@@ -263,8 +264,9 @@ class TestEngineBackedDBSCANEquivalence:
                 clusterer = DistributedClusterer(
                     epsilon=0.10, min_points=3,
                     engine_config=config.distance, backend=backend)
-                clusterer.pooled_partition_min = 1
-                clusters, report = clusterer.run(samples, partitions=2)
+                with mock.patch.object(exec_partition,
+                                       "POOLED_PARTITION_MIN", 1):
+                    clusters, report = clusterer.run(samples, partitions=2)
             finally:
                 backend.close()
             labels = [(cluster.cluster_id, cluster.prototype.sample_id,
@@ -282,8 +284,7 @@ class TestEngineBackedDBSCANEquivalence:
                                    tokens=tokens)
                    for i, tokens in enumerate(points)]
         clusterer = DistributedClusterer(
-            epsilon=0.10, min_points=3,
-            sim_cluster=SimCluster(machine_count=4),
+            epsilon=0.10, min_points=3, machines=4,
             engine_config=DistanceEngineConfig(shared_cache=False))
         clusters, report = clusterer.run(samples, partitions=2)
         assert clusters

@@ -13,6 +13,7 @@ from repro.distsim import (
     Scheduler,
     SimCluster,
     Task,
+    virtual_timeline,
 )
 
 
@@ -197,6 +198,29 @@ class TestMapReduce:
     def test_computation_is_correct(self):
         report = self.run_job(4, list(range(100)))
         assert report.reduce_value == sum(range(100))
+
+    @pytest.mark.parametrize("machines,count", [(4, 100), (2, 200),
+                                                (40, 200), (8, 3), (4, 0)])
+    def test_virtual_timeline_is_a_pure_function_of_recorded_costs(
+            self, machines, count):
+        """The job's times equal :func:`virtual_timeline` over what its
+        map and reduce functions returned — no execution needed."""
+        report = self.run_job(machines, list(range(count)))
+        partitions = min(machines, count)
+        sizes = [len(range(index, count, partitions))
+                 for index in range(partitions)]
+        timeline = virtual_timeline(
+            SimCluster(machine_count=machines,
+                       machine_spec=MachineSpec(ops_per_second=1000.0,
+                                                startup_latency=0.0)),
+            input_bytes=[8.0 * size for size in sizes],
+            map_costs=[100.0 * size for size in sizes],
+            output_bytes=[10.0 * size for size in sizes],
+            reduce_cost=50.0 * partitions)
+        assert timeline == (report.scatter_time, report.map_time,
+                            report.gather_time, report.reduce_time)
+        assert report.map_time == (max(sizes) * 100 / 1000.0 if sizes
+                                   else 0.0)
 
     def test_scaling_reduces_map_time(self):
         small = self.run_job(2, list(range(200)))

@@ -16,7 +16,6 @@ import pytest
 
 from repro import Kizzle, KizzleConfig
 from repro.clustering import ClusteredSample, DistributedClusterer
-from repro.distsim import SimCluster
 from repro.ekgen import TelemetryGenerator, StreamConfig
 from repro.jstoken import abstract_token_string, tokenize
 from repro.scanner.normalizer import normalize_for_scan
@@ -122,7 +121,7 @@ class TestPipelineWithDamagedBatch:
                                     tokens=("var", "Identifier", ";"))
                     for i in range(5)]
         clusterer = DistributedClusterer(
-            min_points=3, sim_cluster=SimCluster(machine_count=2))
+            min_points=3, machines=2)
         clusters, _report = clusterer.run(samples, partitions=1)
         # Both groups are internally identical, so both may cluster, but the
         # empty and non-empty groups never merge.

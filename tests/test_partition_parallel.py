@@ -15,17 +15,19 @@ import datetime
 import gc
 import pickle
 import weakref
+from unittest import mock
 
 import pytest
 
-from repro.clustering.partition import ClusteredSample, DistributedClusterer, \
-    PartitionMapTask, partition_samples
+import repro.exec.partition as exec_partition
+from repro.clustering.partition import ClusteredSample, PartitionMapTask, \
+    partition_samples
 from repro.core.config import IncrementalConfig, KizzleConfig
 from repro.core.pipeline import Kizzle
 from repro.distance.engine import DistanceEngine, DistanceEngineConfig
 from repro.ekgen import StreamConfig, TelemetryGenerator
 from repro.exec.backend import BackendConfig, create_backend
-from repro.exec.partition import PartitionPoolExecutor
+from repro.exec.partition import PartitionPoolExecutor, worth_shipping
 
 D = datetime.date
 KITS = ("nuclear", "angler", "rig", "sweetorange")
@@ -55,10 +57,6 @@ def _run_stream(backend_kind, incremental, workers,
         backend=BackendConfig(kind=backend_kind, workers=workers,
                               partition_parallel=partition_parallel))
     kizzle = Kizzle(config)
-    # The warm path hands the cluster stage pre-tokenized (cached) samples,
-    # which tiny test days would keep inline under the worth-it heuristic;
-    # drop the floor so the pool demonstrably engages warm as well as cold.
-    kizzle.clusterer.pooled_partition_min = 1
     for kit in KITS:
         kizzle.seed_known_kit(
             kit, [generator.reference_core(kit, D(2014, 7, 31))])
@@ -66,8 +64,13 @@ def _run_stream(backend_kind, incremental, workers,
     for offset in range(days):
         date = D(2014, 8, 1) + datetime.timedelta(days=offset)
         batch = generator.generate_day(date)
-        result = kizzle.process_day(
-            [(s.sample_id, s.content) for s in batch.samples], date)
+        # The warm path hands the cluster stage pre-tokenized (cached)
+        # samples, which tiny test days would keep in process under the
+        # worth-shipping rule; drop the floor so the pool demonstrably
+        # engages warm as well as cold.
+        with mock.patch.object(exec_partition, "POOLED_PARTITION_MIN", 1):
+            result = kizzle.process_day(
+                [(s.sample_id, s.content) for s in batch.samples], date)
         day_labels.append(sorted(
             (tuple(sorted(sample.sample_id
                           for sample in report.cluster.samples)),
@@ -115,13 +118,12 @@ class TestPartitionParallelEquivalence:
         assert enabled[:3] == disabled[:3]
 
     def test_pool_actually_engaged_and_attributed(self):
-        """Engagement must be observable: the executor counts a pooled
+        """Engagement must be observable: the pool counts a shipped
         batch, the report carries the pool width, and the cluster stage
         attributes the pool's wall clock as the ``cluster.map`` sub-wall."""
         _, _, _, result, kizzle = _run_stream("process", False, workers=2,
                                               days=1)
-        executor = kizzle.backend.partition_executor()
-        assert executor.pooled_batches > 0
+        assert kizzle.backend.pool.pooled_batches > 0
         assert result.timing.map_workers == 2
         assert result.timing.partitions == PARTITIONS
         assert "cluster.map" in result.stage_walls
@@ -155,10 +157,19 @@ class TestPartitionParallelEquivalence:
             == inline.timing.distance_stats["pairs"]
         assert pooled.timing.distance_stats["pairs"] > 0
 
-    def test_serial_backend_has_no_partition_executor(self):
+    def test_serial_backend_has_no_partition_executor(self, no_fork):
+        """The serial backend owns no pool: even a batch every other
+        transport would ship runs in process, on the caller's engine."""
         backend = create_backend(
             BackendConfig(kind="serial", partition_parallel=True))
-        assert backend.partition_executor() is None
+        assert not hasattr(backend, "pool")
+        tasks = _raw(_make_tasks(count=2))
+        engine = DistanceEngine(DistanceEngineConfig(shared_cache=False))
+        results = backend.run_partition_map(tasks, engine)
+        private = [task.run() for task in tasks]
+        assert _comparable(results) == _comparable(private)
+        assert engine.stats.pairs \
+            == sum(result.stats["pairs"] for result in private) > 0
         backend.close()  # must be a harmless no-op
 
 
@@ -174,9 +185,17 @@ def _make_tasks(count=3, per_partition=6):
     return [PartitionMapTask(index=index, samples=bucket, epsilon=0.10,
                              min_points=3,
                              engine_config=DistanceEngineConfig(
-                                 shared_cache=False),
-                             seed=5)
+                                 shared_cache=False))
             for index, bucket in enumerate(buckets)]
+
+
+def _raw(tasks):
+    """The same tasks with token strings dropped — a cold day's partitions,
+    the strongest case for shipping."""
+    for task in tasks:
+        task.samples = [ClusteredSample(sample.sample_id, sample.content)
+                        for sample in task.samples]
+    return tasks
 
 
 def _comparable(results):
@@ -192,26 +211,28 @@ class TestPartitionPoolExecutor:
             PartitionPoolExecutor(workers=-1)
 
     def test_should_engage_needs_partitions_and_workers(self):
-        pooled = PartitionPoolExecutor(workers=2)
-        assert pooled.should_engage(2)
-        assert not pooled.should_engage(1)
-        assert not PartitionPoolExecutor(workers=1).should_engage(8)
+        raw = _raw(_make_tasks(count=8))
+        assert worth_shipping(raw[:2], width=2)
+        assert not worth_shipping(raw[:1], width=2)
+        assert not worth_shipping(raw, width=1)
 
-    def test_single_partition_batch_runs_inline(self):
-        executor = PartitionPoolExecutor(workers=2)
-        results, seconds = executor.run(_make_tasks(count=1))
-        assert executor.inline_batches == 1
-        assert executor.pooled_batches == 0
-        assert executor._pool is None  # never forked
-        assert len(results) == 1 and seconds >= 0.0
-        executor.close()
+    def test_single_partition_batch_runs_inline(self, no_fork):
+        """A one-task batch has nothing to overlap: the pool backend runs
+        it in process (never forks) on the caller's engine."""
+        backend = create_backend(BackendConfig(kind="process", workers=2))
+        engine = DistanceEngine(DistanceEngineConfig(shared_cache=False))
+        results = backend.run_partition_map(_raw(_make_tasks(count=1)),
+                                            engine)
+        assert backend.pool.pooled_batches == 0
+        assert backend.pool._pool is None  # never forked
+        assert len(results) == 1 and results[0].stats == {}
+        backend.close()
 
     def test_pooled_results_identical_to_inline_fallback(self):
         tasks = _make_tasks(count=3)
-        inline_exec = PartitionPoolExecutor(workers=1)
-        inline, _ = inline_exec.run(tasks)
+        inline = [task.run() for task in tasks]
         pooled_exec = PartitionPoolExecutor(workers=2)
-        pooled, _ = pooled_exec.run(tasks)
+        pooled = pooled_exec.run(tasks)
         assert pooled_exec.pooled_batches == 1
         assert _comparable(pooled) == _comparable(inline)
         assert [r.stats for r in pooled] == [r.stats for r in inline]
@@ -220,10 +241,9 @@ class TestPartitionPoolExecutor:
         pooled_exec.close()
         pooled_exec.close()  # idempotent
         # A closed executor recovers: the pool is re-created on demand.
-        again, _ = pooled_exec.run(tasks)
+        again = pooled_exec.run(tasks)
         assert _comparable(again) == _comparable(inline)
         pooled_exec.close()
-        inline_exec.close()
 
     @pytest.mark.parametrize("pooled", [False, True],
                              ids=["never-pooled", "pooled-then-closed"])
@@ -277,25 +297,27 @@ class TestWorthFanningOut:
     than their DBSCAN); raw buckets always fan out (the map carries the
     lexer)."""
 
-    def _clusterer(self):
-        backend = create_backend(BackendConfig(kind="serial"))
-        return DistributedClusterer(backend=backend, machines=4)
+    @staticmethod
+    def _tasks(*buckets):
+        return [PartitionMapTask(index=index, samples=bucket, epsilon=0.10,
+                                 min_points=3,
+                                 engine_config=DistanceEngineConfig())
+                for index, bucket in enumerate(buckets)]
 
     def test_raw_buckets_always_fan_out(self):
-        clusterer = self._clusterer()
-        raw = [[ClusteredSample(sample_id="a", content="var a = 1;")]] * 2
-        assert clusterer._worth_fanning_out(raw)
+        raw = [ClusteredSample(sample_id="a", content="var a = 1;")]
+        assert worth_shipping(self._tasks(raw, raw), width=2)
 
     def test_small_tokenized_buckets_stay_inline(self):
-        clusterer = self._clusterer()
-        tokenized = [[ClusteredSample.from_content("a", "var a = 1;")]] * 2
-        assert not clusterer._worth_fanning_out(tokenized)
+        tokenized = [ClusteredSample.from_content("a", "var a = 1;")]
+        assert not worth_shipping(self._tasks(tokenized, tokenized), width=2)
 
-    def test_large_tokenized_buckets_fan_out(self):
-        clusterer = self._clusterer()
-        clusterer.pooled_partition_min = 3
+    def test_large_tokenized_buckets_fan_out(self, monkeypatch):
+        monkeypatch.setattr(exec_partition, "POOLED_PARTITION_MIN", 3)
         sample = ClusteredSample.from_content("a", "var a = 1;")
-        assert clusterer._worth_fanning_out([[sample] * 3, [sample]])
+        assert worth_shipping(self._tasks([sample] * 3, [sample]), width=2)
+        assert not worth_shipping(self._tasks([sample] * 2, [sample]),
+                                  width=2)
 
 
 # ----------------------------------------------------------------------
@@ -320,11 +342,11 @@ class TestKnobPlumbing:
         for kind in ("process", "distsim"):
             enabled = create_backend(
                 BackendConfig(kind=kind, workers=3))
-            executor = enabled.partition_executor()
-            assert isinstance(executor, PartitionPoolExecutor)
-            assert executor.pool_width() == 3
+            assert isinstance(enabled.pool, PartitionPoolExecutor)
+            assert enabled.pool.pool_width() == 3
+            assert enabled.ship_width == 3
             enabled.close()
             disabled = create_backend(
                 BackendConfig(kind=kind, partition_parallel=False))
-            assert disabled.partition_executor() is None
+            assert disabled.pool is None
             disabled.close()

@@ -47,8 +47,7 @@ map_tasks = st.builds(
     engine_config=st.builds(
         DistanceEngineConfig,
         workers=st.integers(min_value=0, max_value=4),
-        cache_size=st.integers(min_value=0, max_value=512)),
-    seed=st.integers(min_value=0, max_value=2**31 - 1))
+        cache_size=st.integers(min_value=0, max_value=512)))
 
 map_results = st.builds(
     PartitionMapResult,
