@@ -12,20 +12,11 @@ distributed map's cost and failure telemetry into the nightly
   or scheduling regression fails the night even if other work masks it;
 * ``cluster_redispatch_count`` — re-dispatches observed in the
   fault-recovery pass below, gated via the ``*_count`` rule so workers
-  being declared dead more often than the baseline is itself a regression;
-* ``cluster_warm_map_wall_s`` — wall clock of a *repeat* (warm) map on the
-  same fleet with partition affinity on: the workers' persistent caches
-  and the coordinator's slim (token-stripped) re-leases make this the
-  day-over-day steady state, so its regression gate guards the warmth
-  machinery itself;
-* ``cluster_warm_reship_bytes_count`` — encoded task bytes shipped during
-  that warm repeat map (the ``_count`` suffix opts it into the counter
-  gate): affinity re-leases partitions slim, so this growing back toward
-  the affinity-off baseline means the re-shipping optimisation quietly
-  stopped working.  The affinity-off baseline itself, and the
-  handshake/HMAC costs of the authenticated wire, ride along ungated in
-  ``extra_info`` (informational: they reflect payload shape and crypto
-  throughput, not scheduling behaviour).
+  being declared dead more often than the baseline is itself a regression.
+
+The authenticated handshake's round trip (``wire_handshake_seconds``) rides
+along ungated in ``extra_info``: it reflects crypto throughput, not
+scheduling behaviour.
 
 Two contracts are asserted on every run, not just recorded:
 
@@ -40,15 +31,15 @@ from __future__ import annotations
 
 import datetime
 import os
+import socket
 import time
-from unittest import mock
 
-import repro.exec.partition as exec_partition
 from repro.clustering import ClusteredSample, DistributedClusterer
 from repro.distance.engine import DistanceEngineConfig
 from repro.ekgen import StreamConfig, TelemetryGenerator
+from repro.exec import wire
 from repro.exec.backend import BackendConfig, create_backend
-from repro.exec.cluster import spawn_local_worker
+from repro.exec.cluster import ClusterCoordinator, spawn_local_worker
 
 DAY = datetime.date(2014, 8, 2)
 #: Paper-shape day scaled so the three cluster-stage runs (serial
@@ -129,6 +120,24 @@ def _run_on_cluster(samples, fault=None):
             proc.wait(timeout=10.0)
 
 
+def _measure_handshake():
+    """A live hello/welcome round trip under a secret (informational)."""
+    coordinator = ClusterCoordinator("127.0.0.1", 0, secret="nightly-bench")
+    coordinator.start()
+    try:
+        started = time.perf_counter()
+        sock = socket.create_connection(coordinator.address, timeout=5.0)
+        codec = wire.FrameCodec("nightly-bench")
+        codec.send(sock, ("hello", {"version": wire.WIRE_VERSION, "pid": 0}))
+        kind, _body = codec.recv(sock)
+        handshake_s = time.perf_counter() - started
+        assert kind == "welcome"
+        sock.close()
+    finally:
+        coordinator.close()
+    return handshake_s
+
+
 def test_cluster_backend_map(benchmark):
     samples = _raw_batch()
     serial_key = _run_serial(samples)
@@ -155,124 +164,5 @@ def test_cluster_backend_map(benchmark):
     benchmark.extra_info["cluster_map_wall_s"] = \
         round(report.map_wall_seconds, 3)
     benchmark.extra_info["cluster_redispatch_count"] = fault_redispatched
-
-
-# ----------------------------------------------------------------------
-# warm repeat map: partition affinity + slim re-leases
-# ----------------------------------------------------------------------
-def _tokenized_batch():
-    """The warm pipeline's shape: samples arrive already tokenized (the
-    prepare stage ran), so the only thing a full lease ships that a slim
-    one does not is the token strings themselves."""
-    generator = TelemetryGenerator(
-        StreamConfig.paper_scale(samples_per_day=SAMPLES_PER_DAY))
-    batch = generator.generate_day(DAY)
-    return [ClusteredSample.from_content(sample.sample_id, sample.content)
-            for sample in batch.samples]
-
-
-def _run_warm_on_cluster(samples, affinity):
-    """Two maps of the same day on one 2-worker fleet; measure the second.
-
-    The first (cold) map seeds the workers' persistent caches and the
-    coordinator's partition->worker affinity; the second is the warm
-    steady state this benchmark records: with affinity on, repeat
-    partitions re-lease to their previous worker with tokens stripped.
-    """
-    backend = create_backend(BackendConfig(
-        kind="cluster", spawn_workers=WORKERS,
-        heartbeat_timeout_s=10.0, task_deadline_s=120.0,
-        affinity=affinity))
-    try:
-        clusterer = DistributedClusterer(
-            epsilon=0.10, min_points=3, seed=0,
-            engine_config=DistanceEngineConfig(workers=1,
-                                               shared_cache=False),
-            backend=backend, machines=PARTITIONS)
-        # Pre-tokenized partitions are below the fan-out worth threshold
-        # at this scale; force the map onto the workers either way.
-        with mock.patch.object(exec_partition, "POOLED_PARTITION_MIN", 1):
-            clusterer.run(samples, partitions=PARTITIONS)
-            coordinator = backend.coordinator
-            cold_bytes = coordinator.task_bytes_sent
-            started = time.perf_counter()
-            clusters, report = clusterer.run(samples, partitions=PARTITIONS)
-            warm_wall = time.perf_counter() - started
-        return (_cluster_key(clusters), report, warm_wall,
-                coordinator.task_bytes_sent - cold_bytes,
-                coordinator.slim_leases, coordinator.tokens_stripped_chars)
-    finally:
-        backend.close()
-
-
-def _measure_wire_overhead():
-    """Per-frame HMAC/codec cost and a live handshake round trip, both
-    informational (ungated): they track crypto and payload throughput,
-    not cluster scheduling."""
-    from repro.exec import wire
-    from repro.exec.cluster import ClusterCoordinator
-    import socket
-
-    body = wire.dumps_payload(("task", {"task_id": 1, "kind": "noop",
-                                        "payload": list(range(512))}))
-    key = wire.derive_key("nightly-bench")
-    rounds = 2_000
-    started = time.perf_counter()
-    for seq in range(1, rounds + 1):
-        frame = wire.encode_frame_raw(body, key=key, seq=seq)
-        wire.decode_frame_ex(frame, key=key, last_seq=seq - 1)
-    frame_us = (time.perf_counter() - started) / rounds * 1e6
-
-    coordinator = ClusterCoordinator("127.0.0.1", 0, secret="nightly-bench")
-    coordinator.start()
-    try:
-        started = time.perf_counter()
-        sock = socket.create_connection(coordinator.address, timeout=5.0)
-        codec = wire.FrameCodec("nightly-bench")
-        codec.send(sock, ("hello", {"version": wire.WIRE_VERSION, "pid": 0}))
-        kind, _body = codec.recv(sock)
-        handshake_s = time.perf_counter() - started
-        assert kind == "welcome"
-        sock.close()
-    finally:
-        coordinator.close()
-    return frame_us, handshake_s
-
-
-def test_cluster_warm_affinity_map(benchmark):
-    samples = _tokenized_batch()
-    serial_key = _run_serial(samples)
-
-    warm_key, report, _warm_wall, reship_bytes, slim_leases, stripped = \
-        benchmark.pedantic(_run_warm_on_cluster, args=(samples, True),
-                           rounds=1, iterations=1)
-    assert warm_key == serial_key, \
-        "warm affinity map diverged from serial"
-    assert slim_leases >= 1, \
-        "no repeat partition was re-leased slim to its previous worker"
-    assert stripped > 0
-
-    off_key, _off_report, _off_wall, off_bytes, off_slim, _ = \
-        _run_warm_on_cluster(samples, affinity=False)
-    assert off_key == serial_key, \
-        "affinity-off map diverged from serial"
-    assert off_slim == 0, "affinity off must never strip a lease"
-    assert reship_bytes < off_bytes, \
-        "affinity did not reduce warm-map task shipping " \
-        f"({reship_bytes} vs {off_bytes} bytes)"
-
-    frame_us, handshake_s = _measure_wire_overhead()
-
-    benchmark.extra_info["samples"] = len(samples)
-    benchmark.extra_info["partitions"] = PARTITIONS
-    benchmark.extra_info["workers"] = WORKERS
-    # Gated series: the warm steady state is the product being protected.
-    benchmark.extra_info["cluster_warm_map_wall_s"] = \
-        round(report.map_wall_seconds, 3)
-    benchmark.extra_info["cluster_warm_reship_bytes_count"] = reship_bytes
-    # Informational (ungated): baselines and wire costs.
-    benchmark.extra_info["warm_task_bytes_affinity_off"] = off_bytes
-    benchmark.extra_info["warm_slim_leases"] = slim_leases
-    benchmark.extra_info["warm_tokens_stripped_chars"] = stripped
-    benchmark.extra_info["wire_frame_roundtrip_us"] = round(frame_us, 2)
-    benchmark.extra_info["wire_handshake_seconds"] = round(handshake_s, 4)
+    benchmark.extra_info["wire_handshake_seconds"] = \
+        round(_measure_handshake(), 4)

@@ -129,9 +129,9 @@ def main() -> None:
     print(f"    still byte-identical; re-dispatched leases: "
           f"{telemetry['redispatch']}")
     print()
-    print("Every RNG seed rides on task identity (the partition index),")
-    print("never on worker identity - so placement, worker count, and")
-    print("mid-map failures can never change the day's output.")
+    print("Task execution is pure and results merge in task order - so")
+    print("placement, worker count, and mid-map failures can never change")
+    print("the day's output.")
 
 
 if __name__ == "__main__":

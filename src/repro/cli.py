@@ -120,15 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: the REPRO_CLUSTER_SECRET "
                              "environment variable; unset = integrity "
                              "checking only, for single-host development)")
-    parser.add_argument("--affinity",
-                        action=argparse.BooleanOptionalAction, default=True,
-                        help="with --backend cluster: lease repeat "
-                             "partitions back to the worker that served "
-                             "them last and ship those leases with tokens "
-                             "stripped (the worker's persistent caches "
-                             "re-derive them); purely a warm-path "
-                             "optimization — results are byte-identical "
-                             "with --no-affinity")
     parser.add_argument("--machines", type=int, default=10,
                         help="logical machine count, wired through the "
                              "backend config: sets the clustering "
@@ -232,8 +223,7 @@ def _backend_config(args: argparse.Namespace) -> BackendConfig:
                          listen=args.listen,
                          spawn_workers=args.spawn_workers
                          if args.backend == "cluster" else 0,
-                         secret=args.cluster_secret,
-                         affinity=args.affinity)
+                         secret=args.cluster_secret)
 
 
 def _kizzle_config(args: argparse.Namespace) -> KizzleConfig:

@@ -24,7 +24,6 @@ from repro.distsim.mapreduce import MapReduceReport
 from repro.jstoken.normalizer import abstract_token_string
 
 if TYPE_CHECKING:
-    from repro.core.prepared import PreparedCache
     from repro.exec.backend import ExecutionBackend
 
 
@@ -213,15 +212,10 @@ class PartitionMapTask:
                                       shared_cache=False))
 
     def run(self, engine: Optional[DistanceEngine] = None,
-            prepared: Optional["PreparedCache"] = None,
             export: bool = True) -> PartitionMapResult:
-        """Execute the map.  ``engine`` optionally supplies a caller-built
-        engine (cluster workers pass one wrapping their persistent distance
-        cache); ``prepared`` optionally supplies a tokenization cache —
-        samples shipped without tokens (slim warm-affinity leases) re-derive
-        them through it, and samples shipped with tokens seed it for the
-        next day.  Tokens are a pure function of content either way, so
-        every combination of arguments produces byte-identical clusters.
+        """Execute the map.  ``engine`` is the driver's shared engine when
+        the task runs in process on it; a shipped task leaves it unset and
+        runs on a fresh :meth:`worker_engine`.
 
         ``export=False`` is for the driver running the task on its own
         shared engine: the result then carries no stats and no cache
@@ -234,18 +228,7 @@ class PartitionMapTask:
         # partitions arrive raw from a cold start and prepared from the
         # warm path's cache, and either way the tokenized forms feed both
         # DBSCAN below and the cost accounting.
-        if prepared is None:
-            ready = [sample.ensure_tokens() for sample in self.samples]
-        else:
-            ready = []
-            for sample in self.samples:
-                if sample.tokens:
-                    prepared.seed_abstract(sample.content, sample.tokens)
-                    ready.append(sample)
-                else:
-                    ready.append(replace(
-                        sample,
-                        tokens=prepared.abstract_tokens(sample.content)))
+        ready = [sample.ensure_tokens() for sample in self.samples]
         clusters, comparisons = cluster_partition(
             ready, epsilon=self.epsilon, min_points=self.min_points,
             engine=engine)

@@ -50,15 +50,6 @@ class _LRUTable:
             self._entries.popitem(last=False)
         return entry
 
-    def put(self, key: str, value: object) -> None:
-        """Install a value computed elsewhere (same LRU accounting as a
-        computed miss, but no hit/miss counter movement: seeding is not a
-        lookup)."""
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        if len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -102,18 +93,6 @@ class PreparedCache:
     def fast_normalized(self, content: str) -> str:
         """The regex-based fast normal form of ``content`` (memoized)."""
         return self._fast.get(content, fast_normalize)
-
-    def seed_abstract(self, content: str, tokens: Tuple[str, ...]) -> None:
-        """Install an externally computed abstract token string.
-
-        Cluster workers use this when a task ships with tokens attached:
-        seeding means the *next* lease of the same partition can ship slim
-        (token-stripped) and still resolve tokens from cache.  The caller
-        vouches that ``tokens`` equals ``abstract_tokens(content)`` — on
-        the cluster wire that holds because both sides derive tokens with
-        the same pure function of content.
-        """
-        self._tokens.put(content, tuple(tokens))
 
     # ------------------------------------------------------------------
     @staticmethod

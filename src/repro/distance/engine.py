@@ -112,11 +112,6 @@ class EngineStats:
     bag_pruned: int = 0
     qgram_pruned: int = 0
     kernel_calls: int = 0
-    #: Tokenizations resolved from / missed in a cluster worker's
-    #: persistent prepared cache (warm-affinity telemetry; zero for
-    #: purely local engines, which tokenize before the engine is involved).
-    prepared_hits: int = 0
-    prepared_misses: int = 0
 
     def add(self, other: "EngineStats") -> None:
         for stat_field in fields(self):
@@ -220,40 +215,6 @@ class PairDistanceCache:
         self._entries.clear()
 
 
-class DeltaCache(PairDistanceCache):
-    """A view over a backing cache that remembers what *it* added.
-
-    Reads and writes delegate to the backing store (so a long-lived worker
-    cache serves hits across tasks and days), but :meth:`items` returns
-    only the entries put *through this view* — which is exactly what a
-    cluster worker's per-task engine should export back to the
-    coordinator: its own new distances, not the entire warm store it
-    happens to sit on.
-    """
-
-    def __init__(self, backing: PairDistanceCache) -> None:
-        self.backing = backing
-        self.maxsize = backing.maxsize
-        self._new: List[Tuple[TokenString, TokenString, int]] = []
-
-    def get(self, a: TokenString, b: TokenString) -> Optional[int]:
-        return self.backing.get(a, b)
-
-    def put(self, a: TokenString, b: TokenString, distance: int) -> None:
-        self.backing.put(a, b, distance)
-        self._new.append((a, b, distance))
-
-    def items(self) -> List[Tuple[TokenString, TokenString, int]]:
-        return list(self._new)
-
-    def __len__(self) -> int:
-        return len(self.backing)
-
-    def clear(self) -> None:
-        self.backing.clear()
-        self._new.clear()
-
-
 #: Process-wide cache shared by engines configured with ``shared_cache``.
 _SHARED_CACHE = PairDistanceCache(maxsize=DistanceEngineConfig.cache_size)
 
@@ -314,15 +275,9 @@ def decide_profiles(profile_a: PointProfile, profile_b: PointProfile,
 class DistanceEngine:
     """Batched, pruned, memoized distance queries over token strings."""
 
-    def __init__(self, config: Optional[DistanceEngineConfig] = None,
-                 cache: Optional[PairDistanceCache] = None) -> None:
+    def __init__(self, config: Optional[DistanceEngineConfig] = None) -> None:
         self.config = config or DistanceEngineConfig()
-        if cache is not None:
-            # Caller-supplied store (e.g. a cluster worker's persistent
-            # cache behind a DeltaCache view); overrides the shared/private
-            # policy below.
-            self.cache = cache
-        elif self.config.shared_cache and \
+        if self.config.shared_cache and \
                 self.config.cache_size == _SHARED_CACHE.maxsize:
             self.cache = _SHARED_CACHE
         else:

@@ -99,11 +99,6 @@ class BackendConfig:
         ``None`` falls back to the ``REPRO_CLUSTER_SECRET`` environment
         variable; with neither set the wire still integrity-checks frames
         under a public default key (single-host development mode).
-    affinity:
-        Cluster backend only: prefer re-leasing repeat partitions to the
-        worker that served them last and ship such leases token-stripped
-        (the worker's persistent caches re-derive them).  Purely a
-        warm-path optimization — results are byte-identical either way.
     """
 
     kind: str = "distsim"
@@ -116,7 +111,6 @@ class BackendConfig:
     heartbeat_timeout_s: float = 10.0
     max_task_retries: int = 3
     secret: Optional[str] = None
-    affinity: bool = True
 
     def __post_init__(self) -> None:
         if self.kind not in BACKEND_KINDS:

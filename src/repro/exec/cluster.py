@@ -36,6 +36,8 @@ down and its leased task goes back to the front of the queue with the dead
 worker recorded in the task's *exclusion list* and its attempt counter
 bumped.  A task that exhausts ``max_task_retries`` re-dispatches fails the
 whole submission (:class:`ClusterError`) rather than silently degrading.
+A peer that connects and does not say ``hello`` within the heartbeat
+timeout never registered, so it holds no lease; it is simply dropped.
 
 The fleet is *elastic*: workers may register at any time — including in
 the middle of a map, where a late joiner immediately folds into the lease
@@ -44,20 +46,6 @@ lease, returns the result, sends ``goodbye`` and exits, never tripping
 the re-dispatch path.  ``min_workers`` gates only the *initial* fleet
 assembly; a fleet that later shrinks below it keeps running, loudly
 (``repro.exec.cluster`` logger) but correctly.
-
-Warmth
-------
-The coordinator remembers which worker last served each partition
-(:attr:`ClusterCoordinator._affinity`) and, when that worker asks for
-work again, prefers re-leasing it the same partition — and ships the
-task *slim*, with token strings stripped, because the worker's persistent
-:class:`~repro.core.prepared.PreparedCache` (keyed by the coordinator's
-``cache_epoch``) already holds yesterday's tokenizations.  Affinity is a
-hint, never a constraint: any worker can take any task, re-dispatch
-ignores affinity entirely, and a stripped task re-derives its tokens
-deterministically, so results are byte-identical with affinity on, off,
-or mid-churn.  :attr:`task_bytes_sent` / :attr:`tokens_stripped_chars`
-quantify the shipping saved.
 
 Determinism: a task's result is a pure function of the task — never of the
 worker that ran it — and results are merged in task order regardless of
@@ -79,7 +67,7 @@ import sys
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.exec import wire
@@ -109,41 +97,6 @@ def parse_address(text: str) -> Tuple[str, int]:
     return host, int(port)
 
 
-def affinity_key(kind: str, payload: Any) -> Optional[Tuple[str, int]]:
-    """The warmth key a task leases under: the partition index of a map
-    task (``None`` when a payload carries no stable identity).  Keys
-    repeat day over day — partition counts are pinned by configuration —
-    which is exactly what makes yesterday's server a good place to lease
-    today's same-numbered partition."""
-    if kind == "partition_map":
-        index = getattr(payload, "index", None)
-        if index is not None:
-            return ("pm", index)
-    return None
-
-
-def strip_tokens(task: Any) -> Tuple[Any, int]:
-    """A copy of a ``PartitionMapTask`` with sample token strings removed.
-
-    Returns ``(slim_task, stripped_chars)``; the original task when there
-    is nothing to strip.  Tokens are a pure function of content
-    (re-derived by the worker's prepared cache, or the lexer on a miss),
-    so a stripped task runs byte-identical to a full one.
-    """
-    samples = getattr(task, "samples", None)
-    if not samples or not any(sample.tokens for sample in samples):
-        return task, 0
-    stripped_chars = 0
-    slim_samples = []
-    for sample in samples:
-        if sample.tokens:
-            stripped_chars += sum(len(token) + 1 for token in sample.tokens)
-            slim_samples.append(replace(sample, tokens=()))
-        else:
-            slim_samples.append(sample)
-    return replace(task, samples=slim_samples), stripped_chars
-
-
 # ----------------------------------------------------------------------
 # coordinator internals
 # ----------------------------------------------------------------------
@@ -154,7 +107,6 @@ class _TaskState:
     task_id: int
     kind: str
     payload: Any
-    affinity: Optional[Tuple[str, int]] = None
     attempts: int = 0
     excluded: set = field(default_factory=set)
     lease_worker: Optional[str] = None
@@ -163,6 +115,18 @@ class _TaskState:
     failed: Optional[str] = None
     result: Any = None
     worker_id: Optional[str] = None  # who produced the accepted result
+
+
+def _kill_socket(conn: socket.socket) -> None:
+    """Tear a socket down; unblocks a thread blocked in ``recv`` on it."""
+    try:
+        conn.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        conn.close()
+    except OSError:
+        pass
 
 
 class _WorkerConn:
@@ -189,14 +153,7 @@ class _WorkerConn:
 
     def kill_connection(self) -> None:
         """Tear the socket down; unblocks the handler thread's recv."""
-        try:
-            self.conn.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self.conn.close()
-        except OSError:
-            pass
+        _kill_socket(self.conn)
 
 
 class ClusterCoordinator:
@@ -229,11 +186,6 @@ class ClusterCoordinator:
         a peer that cannot produce valid tags never registers, let alone
         leases work.  ``None`` falls back to the public default key
         (integrity checking only — single-host development mode).
-    affinity:
-        Prefer re-leasing a partition to the worker that served it last,
-        and ship such leases with token strings stripped (the worker's
-        epoch-keyed caches re-derive them).  A pure optimization: off by
-        flag, results are byte-identical either way.
     """
 
     #: Monitor thread poll interval (heartbeat/deadline sweep).
@@ -249,8 +201,7 @@ class ClusterCoordinator:
                  max_task_retries: int = 3,
                  min_workers: int = 1,
                  worker_wait_s: float = 30.0,
-                 secret: Optional[str] = None,
-                 affinity: bool = True) -> None:
+                 secret: Optional[str] = None) -> None:
         if task_deadline_s <= 0 or heartbeat_timeout_s <= 0:
             raise ValueError("deadlines must be positive")
         if max_task_retries < 0:
@@ -263,7 +214,6 @@ class ClusterCoordinator:
         self.min_workers = min_workers
         self.worker_wait_s = worker_wait_s
         self.secret = secret
-        self.affinity = affinity
 
         self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -274,6 +224,10 @@ class ClusterCoordinator:
 
         self._state = threading.Condition()
         self._workers: Dict[str, _WorkerConn] = {}
+        #: Accepted connections that have not said ``hello`` yet -> accept
+        #: time.  No worker entry covers them, so the monitor sweep and
+        #: :meth:`close` reach them through this table.
+        self._handshaking: Dict[socket.socket, float] = {}
         self._pending: "deque[_TaskState]" = deque()
         self._leased: Dict[int, _TaskState] = {}
         self._next_worker = 0
@@ -281,14 +235,6 @@ class ClusterCoordinator:
         self._closed = False
         self._submit_lock = threading.Lock()
         self._threads: List[threading.Thread] = []
-        #: warmth key -> worker that last completed a task under it.
-        self._affinity: Dict[Tuple[str, int], str] = {}
-
-        #: Epoch the worker-side persistent caches are keyed by; issued in
-        #: the welcome and in every lease.  Constant for this coordinator's
-        #: lifetime unless :meth:`bump_cache_epoch` invalidates the fleet's
-        #: caches (e.g. after a configuration change).
-        self.cache_epoch = 1
 
         #: Tasks whose lease was torn down and re-queued (the fault
         #: tests and the nightly benchmark assert on this).
@@ -306,11 +252,6 @@ class ClusterCoordinator:
             "auth": 0, "replay": 0, "forbidden": 0}
         #: Total encoded bytes of ``task`` frames sent to workers.
         self.task_bytes_sent = 0
-        #: Token characters not shipped thanks to warm-affinity leases.
-        self.tokens_stripped_chars = 0
-        #: Leases shipped slim (token-stripped) vs full.
-        self.slim_leases = 0
-        self.full_leases = 0
 
         self._started = False
 
@@ -337,6 +278,8 @@ class ClusterCoordinator:
                 return
             self._closed = True
             workers = list(self._workers.values())
+            handshaking = list(self._handshaking)
+            threads = list(self._threads)
             self._state.notify_all()
         for worker in workers:
             try:
@@ -344,6 +287,8 @@ class ClusterCoordinator:
             except (OSError, wire.WireError):
                 pass
             worker.kill_connection()
+        for conn in handshaking:
+            _kill_socket(conn)
         # Wake the accept loop (closing the listener alone does not
         # reliably unblock accept() on every platform).
         try:
@@ -355,7 +300,7 @@ class ClusterCoordinator:
             self._server.close()
         except OSError:
             pass
-        for thread in self._threads:
+        for thread in threads:
             thread.join(timeout=self.CLOSE_JOIN_TIMEOUT)
         leaked = self.leaked_threads()
         if leaked:
@@ -370,15 +315,6 @@ class ClusterCoordinator:
         """Service/handler threads still alive (expected empty once
         :meth:`close` returns; the backend tests assert exactly that)."""
         return [thread for thread in self._threads if thread.is_alive()]
-
-    def bump_cache_epoch(self) -> int:
-        """Invalidate every worker's persistent caches: the new epoch
-        rides the next lease each worker receives, and a worker that sees
-        an unfamiliar epoch wipes before executing."""
-        with self._state:
-            self.cache_epoch += 1
-            self._affinity.clear()
-            return self.cache_epoch
 
     @property
     def worker_count(self) -> int:
@@ -431,8 +367,7 @@ class ClusterCoordinator:
                 states = []
                 for payload in payloads:
                     state = _TaskState(task_id=self._next_task, kind=kind,
-                                       payload=payload,
-                                       affinity=affinity_key(kind, payload))
+                                       payload=payload)
                     self._next_task += 1
                     states.append(state)
                     self._pending.append(state)
@@ -474,15 +409,21 @@ class ClusterCoordinator:
                 conn, address = self._server.accept()
             except OSError:
                 return
+            thread = threading.Thread(
+                target=self._serve_worker, args=(conn, address),
+                name="cluster-conn", daemon=True)
             with self._state:
                 if self._closed:
                     conn.close()
                     return
-            thread = threading.Thread(
-                target=self._serve_worker, args=(conn, address),
-                name="cluster-conn", daemon=True)
-            thread.start()
-            self._threads.append(thread)
+                self._handshaking[conn] = time.monotonic()
+                # Finished handlers are dropped here, so reconnects and
+                # port scans cannot grow the list for the coordinator's
+                # lifetime.  The thread starts under the lock because
+                # close() snapshots the list under it and joins every entry.
+                self._threads = [t for t in self._threads
+                                 if t.is_alive()] + [thread]
+                thread.start()
 
     def _serve_worker(self, conn: socket.socket,
                       address: Tuple[str, int]) -> None:
@@ -503,6 +444,7 @@ class ClusterCoordinator:
                     # handler, socket and worker process past close().
                     conn.close()
                     return
+                del self._handshaking[conn]
                 self._next_worker += 1
                 worker = _WorkerConn(f"w{self._next_worker}", conn, address,
                                      info.get("pid"), codec)
@@ -514,8 +456,7 @@ class ClusterCoordinator:
                         self.worker_count)
             worker.send(("welcome", {
                 "worker_id": worker.worker_id,
-                "heartbeat_timeout_s": self.heartbeat_timeout_s,
-                "epoch": self.cache_epoch}))
+                "heartbeat_timeout_s": self.heartbeat_timeout_s}))
             while True:
                 message = codec.recv(conn)
                 if not (isinstance(message, tuple) and len(message) == 2
@@ -549,10 +490,9 @@ class ClusterCoordinator:
             if worker is not None:
                 self._mark_dead(worker)
             else:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
+                with self._state:
+                    self._handshaking.pop(conn, None)
+                _kill_socket(conn)
 
     def _record_reject(self, category: str, worker: Optional[_WorkerConn],
                        address: Tuple[str, int], exc: Exception) -> None:
@@ -574,7 +514,6 @@ class ClusterCoordinator:
                 task.attempts += 1
                 self._leased[task.task_id] = task
                 worker.batch_tasks += 1
-                payload, stripped_chars = self._lease_payload(task, worker)
         if task is None:
             worker.send(("idle", {}))
             return
@@ -584,16 +523,10 @@ class ClusterCoordinator:
             # lease.
             sent = worker.send(("task", {"task_id": task.task_id,
                                          "kind": task.kind,
-                                         "payload": payload,
-                                         "epoch": self.cache_epoch,
+                                         "payload": task.payload,
                                          "deadline_s": self.task_deadline_s}))
             with self._state:
                 self.task_bytes_sent += sent
-                if stripped_chars:
-                    self.tokens_stripped_chars += stripped_chars
-                    self.slim_leases += 1
-                else:
-                    self.full_leases += 1
         except wire.FrameTooLarge as exc:
             # Local encode failure: no byte hit the socket, the worker is
             # perfectly healthy, and every other worker would fail the
@@ -607,19 +540,6 @@ class ClusterCoordinator:
                     self._state.notify_all()
             worker.send(("idle", {}))
 
-    def _lease_payload(self, task: _TaskState,
-                       worker: _WorkerConn) -> Tuple[Any, int]:
-        """The payload to ship for a lease (lock held): slim — token
-        strings stripped — when this worker served the same partition
-        before in this epoch, full otherwise.  A slim ship is safe because
-        the worker's prepared cache (or, on a miss, the lexer) re-derives
-        the identical tokens from content."""
-        if (self.affinity and task.kind == "partition_map"
-                and task.affinity is not None
-                and self._affinity.get(task.affinity) == worker.worker_id):
-            return strip_tokens(task.payload)
-        return task.payload, 0
-
     def _next_task_for(self, worker: _WorkerConn) -> Optional[_TaskState]:
         """Pop the first pending task this worker should run (lock held).
 
@@ -630,14 +550,7 @@ class ClusterCoordinator:
         than unserved workers — but every live worker is guaranteed a
         first lease, which both spreads the map and makes the
         fault-injection tests deterministic (the faulty worker *will*
-        hold a task when it dies).
-
-        Within the eligible tasks, warmth affinity orders the choice:
-        first a task this worker served last time (its caches are hot and
-        the lease ships slim), then a task with no live owner, then —
-        rather than ever idling a willing worker — any task at all.  A
-        pure preference: it changes which worker computes what, never
-        what is computed (results merge in task order)."""
+        hold a task when it dies)."""
         if not self._pending:
             return None
         unserved = sum(
@@ -645,31 +558,11 @@ class ClusterCoordinator:
             if other.batch_tasks == 0 and other.worker_id != worker.worker_id)
         if worker.batch_tasks > 0 and len(self._pending) <= unserved:
             return None
-        own: Optional[int] = None
-        unowned: Optional[int] = None
-        fallback: Optional[int] = None
         for index, task in enumerate(self._pending):
-            if worker.worker_id in task.excluded:
-                continue
-            if fallback is None:
-                fallback = index
-            if not self.affinity:
-                break  # affinity off: first eligible wins, as before
-            owner = (self._affinity.get(task.affinity)
-                     if task.affinity is not None else None)
-            if owner == worker.worker_id:
-                own = index
-                break
-            if unowned is None and (owner is None
-                                    or owner not in self._workers):
-                unowned = index
-        choice = own if own is not None else (
-            unowned if unowned is not None else fallback)
-        if choice is None:
-            return None
-        task = self._pending[choice]
-        del self._pending[choice]
-        return task
+            if worker.worker_id not in task.excluded:
+                del self._pending[index]
+                return task
+        return None
 
     def _handle_result(self, worker: _WorkerConn, body: Dict) -> None:
         task_id = body.get("task_id")
@@ -689,8 +582,6 @@ class ClusterCoordinator:
             self.remote_results += 1
             self.tasks_by_worker[worker.worker_id] = \
                 self.tasks_by_worker.get(worker.worker_id, 0) + 1
-            if task.affinity is not None:
-                self._affinity[task.affinity] = worker.worker_id
             self._state.notify_all()
 
     def _handle_failed(self, worker: _WorkerConn, body: Dict) -> None:
@@ -776,9 +667,11 @@ class ClusterCoordinator:
                 "onto the survivors", live, self.min_workers)
 
     def _monitor_loop(self) -> None:
-        """Sweep heartbeats and lease deadlines; killing the connection of
-        an expired worker unblocks its handler thread, which re-queues the
-        lease through :meth:`_mark_dead`."""
+        """Sweep heartbeats, lease deadlines and overdue handshakes;
+        killing the connection of an expired worker unblocks its handler
+        thread, which re-queues the lease through :meth:`_mark_dead`.  A
+        peer that connected and has not said ``hello`` within the heartbeat
+        timeout is dropped the same way."""
         while True:
             with self._state:
                 if self._closed:
@@ -792,9 +685,14 @@ class ClusterCoordinator:
                     for state in self._leased.values()
                     if state.lease_worker in self._workers
                     and now > state.lease_deadline]
+                silent = [
+                    conn for conn, since in self._handshaking.items()
+                    if now - since > self.heartbeat_timeout_s]
             for worker in {w.worker_id: w
                            for w in expired + overdue}.values():
                 worker.kill_connection()
+            for conn in silent:
+                _kill_socket(conn)
             time.sleep(self.MONITOR_INTERVAL)
 
 
@@ -874,8 +772,7 @@ class ClusterBackend(InlineBackend):
             heartbeat_timeout_s=config.heartbeat_timeout_s,
             max_task_retries=config.max_task_retries,
             min_workers=min_workers,
-            secret=secret,
-            affinity=config.affinity)
+            secret=secret)
         self.coordinator.start()
         self._procs: List[subprocess.Popen] = [
             spawn_local_worker(

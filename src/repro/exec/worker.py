@@ -22,18 +22,13 @@ Membership is elastic:
   (:class:`ReconnectPolicy`) until the attempt budget runs out; an
   explicit ``shutdown`` from the coordinator ends the worker for good.
 
-Warmth: the worker keeps a persistent :class:`WorkerCaches` — a
-tokenization :class:`~repro.core.prepared.PreparedCache` plus an exact
-pair-distance cache — keyed by the coordinator-issued cache epoch.  A
-repeat partition leased back to this worker ships *slim* (tokens
-stripped); the prepared cache re-derives them, byte-identically, without
-the coordinator re-shipping the same strings every day.
-
-The one task kind is ``partition_map`` — a
+The worker is stateless between leases: the paper partitions each day's
+batch randomly, so nothing a worker computed for yesterday's partition
+``k`` recurs in today's.  The one task kind is ``partition_map`` — a
 :class:`~repro.clustering.partition.PartitionMapTask`; execution is
-``task.run()`` fed with this worker's warm engine and prepared cache — the
-same decision code path the inline and process substrates use, which is
-what keeps cluster execution byte-identical by construction.
+``task.run()`` and nothing else — the same decision code path the inline
+and process substrates use, which is what keeps cluster execution
+byte-identical by construction.
 
 A task that raises, or names any other kind, is reported back as
 ``failed`` (the coordinator re-dispatches it elsewhere); the worker itself
@@ -81,7 +76,6 @@ import socket
 import sys
 import threading
 import time
-from dataclasses import replace
 from typing import Any, Optional, Tuple
 
 from repro.exec import wire
@@ -120,85 +114,11 @@ class ReconnectPolicy:
         return bounded * (0.5 + 0.5 * self.rng.random())
 
 
-class WorkerCaches:
-    """The worker's persistent warm state, keyed by coordinator epoch.
-
-    * ``prepared`` — memoized tokenization/normalization per content
-      string, so a slim (token-stripped) repeat lease re-derives tokens
-      from cache instead of the lexer, and the coordinator stops shipping
-      them at all.
-    * ``distances`` — exact pair-distance results; hits skip the Myers
-      kernel on warm days.  Leased engines wrap it in a
-      :class:`~repro.distance.engine.DeltaCache` so each task still
-      exports only *its own* new entries to the coordinator.
-
-    Both caches survive across tasks and days but never across epochs:
-    the coordinator issues its epoch in the welcome and on every lease,
-    and :meth:`ensure_epoch` wipes everything on a change (e.g. after a
-    coordinator restart or configuration change).  Correctness never
-    depends on the caches — they are exact and content-addressed — so a
-    wipe only costs warmth.
-    """
-
-    def __init__(self, prepared_size: int = 65536,
-                 distance_size: int = 262144) -> None:
-        from repro.core.prepared import PreparedCache
-        from repro.distance.engine import PairDistanceCache
-
-        self.prepared = PreparedCache(max_entries=prepared_size)
-        self.distances = PairDistanceCache(maxsize=distance_size)
-        self.epoch: Optional[int] = None
-        self.wipes = 0
-
-    def ensure_epoch(self, epoch: Optional[int]) -> None:
-        if epoch is None or epoch == self.epoch:
-            return
-        if self.epoch is not None:
-            self.prepared.clear()
-            self.distances.clear()
-            self.wipes += 1
-        self.epoch = epoch
-
-
-def execute_task(kind: str, payload: Any,
-                 caches: Optional[WorkerCaches] = None) -> Any:
-    """Run one leased task; shared by the worker loop and its tests.
-
-    With ``caches``, partition maps run against a warm engine (persistent
-    distance cache behind a delta view, prepared cache for tokenization).
-    Results are byte-identical with or without caches — they are exact and
-    content-addressed — warm just skips recomputation and re-shipping.
-    """
+def execute_task(kind: str, payload: Any) -> Any:
+    """Run one leased task; shared by the worker loop and its tests."""
     if kind == "partition_map":
-        if caches is None:
-            return payload.run()
-        return _run_partition_warm(payload, caches)
+        return payload.run()
     raise ValueError(f"unknown task kind {kind!r}")
-
-
-def _run_partition_warm(task: Any, caches: WorkerCaches) -> Any:
-    """Execute a ``PartitionMapTask`` against this worker's warm caches.
-
-    The engine gets a :class:`DeltaCache` view over the persistent
-    distance cache (so ``export_cache`` ships only this task's new
-    entries, not the whole warm store) and the task gets the prepared
-    cache to re-derive any stripped tokens.  Prepared-cache hit/miss
-    deltas ride home in the result's stats, joining the engine's existing
-    per-worker attribution.
-    """
-    from repro.distance.engine import DeltaCache, DistanceEngine
-
-    before = caches.prepared.stats()
-    config = replace(task.engine_config, shared_cache=False)
-    engine = DistanceEngine(config, cache=DeltaCache(caches.distances))
-    result = task.run(engine=engine, prepared=caches.prepared)
-    after = caches.prepared.stats()
-    if isinstance(result.stats, dict):
-        result.stats["prepared_hits"] = (after["tokens_hits"]
-                                         - before["tokens_hits"])
-        result.stats["prepared_misses"] = (after["tokens_misses"]
-                                           - before["tokens_misses"])
-    return result
 
 
 class Worker:
@@ -208,8 +128,7 @@ class Worker:
                  heartbeat_interval: float = 2.0,
                  fault: Optional[str] = None,
                  secret: Optional[str] = None,
-                 reconnect: Optional[ReconnectPolicy] = None,
-                 warm: bool = True) -> None:
+                 reconnect: Optional[ReconnectPolicy] = None) -> None:
         if fault is not None and fault not in FAULTS:
             raise ValueError(f"unknown fault {fault!r}")
         self.address = address
@@ -218,7 +137,6 @@ class Worker:
         self.secret = secret
         self.reconnect = reconnect if reconnect is not None \
             else ReconnectPolicy()
-        self.caches: Optional[WorkerCaches] = WorkerCaches() if warm else None
         self.worker_id: Optional[str] = None
         self.tasks_done = 0
         self._sock: Optional[socket.socket] = None
@@ -358,8 +276,6 @@ class Worker:
             if kind != "welcome":
                 return 1
             self.worker_id = body["worker_id"]
-            if self.caches is not None:
-                self.caches.ensure_epoch(body.get("epoch"))
             self._welcomed = True
             heartbeat = threading.Thread(
                 target=self._heartbeat_loop,
@@ -380,12 +296,9 @@ class Worker:
                 if kind != "task":
                     return 1
                 task_id = body["task_id"]
-                if self.caches is not None:
-                    self.caches.ensure_epoch(body.get("epoch"))
                 self._inject_on_task(task_id)
                 try:
-                    result = execute_task(body["kind"], body["payload"],
-                                          self.caches)
+                    result = execute_task(body["kind"], body["payload"])
                 except Exception as exc:
                     self._send(("failed", {"task_id": task_id,
                                            "error": f"{type(exc).__name__}: "

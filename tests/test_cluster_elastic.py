@@ -1,13 +1,12 @@
-"""Elastic membership and warmth tests for the cluster coordinator.
+"""Elastic membership tests for the cluster coordinator.
 
 The fleet contract under test: workers may join mid-map (a late
 registration folds into the lease pool immediately), leave gracefully
 (SIGTERM drains the in-flight lease, returns its result exactly once,
 says goodbye — no re-dispatch), and reconnect on a bounded, jittered
-exponential schedule (unit-tested as pure numbers, no sleeps).  Warmth:
-repeat partitions re-lease to the worker that served them before and ship
-*slim* (token-stripped), with the worker's epoch-keyed caches re-deriving
-the tokens byte-identically.
+exponential schedule (unit-tested as pure numbers, no sleeps).  Workers
+are stateless: every lease ships the whole task, whoever served that
+partition index before.
 
 Where the fault-injection suite drives real worker subprocesses, most
 tests here emulate workers over raw authenticated sockets so lease-level
@@ -23,6 +22,7 @@ import random
 import socket
 import threading
 import time
+from unittest import mock
 
 import pytest
 
@@ -31,8 +31,7 @@ from repro.distance.engine import DistanceEngineConfig
 from repro.exec import wire
 from repro.exec.cluster import ClusterCoordinator, SECRET_ENV, \
     spawn_local_worker
-from repro.exec.worker import ReconnectPolicy, Worker, WorkerCaches, \
-    execute_task
+from repro.exec.worker import ReconnectPolicy, Worker, execute_task
 
 #: Secret this run operates under (CI exports it; spawned worker
 #: subprocesses inherit it from the environment, so directly constructed
@@ -68,7 +67,6 @@ class EmulatedWorker:
         kind, body = self.codec.recv(self.sock)
         assert kind == "welcome"
         self.worker_id = body["worker_id"]
-        self.epoch = body["epoch"]
 
     def request(self):
         self.codec.send(self.sock, ("request", {}))
@@ -353,15 +351,15 @@ class TestReconnectPolicy:
 
 
 # ----------------------------------------------------------------------
-# warmth: affinity, slim shipping, epoch-keyed caches
+# stateless workers: every lease is a full lease
 # ----------------------------------------------------------------------
-def _tokenized_samples():
-    return [ClusteredSample.from_content(f"s{i}",
-                                         f"var x{i} = {i} + {i};")
+def _tokenized_samples(day):
+    return [ClusteredSample.from_content(f"d{day}s{i}",
+                                         f"var x{day}_{i} = {i} + {day};")
             for i in range(4)]
 
 
-class TestWarmAffinity:
+class TestFullLeases:
     def _serve_one(self, coordinator, worker, payloads):
         thread, box = _submit_async(coordinator, "partition_map", payloads)
         bodies = []
@@ -378,99 +376,36 @@ class TestWarmAffinity:
         assert "result" in box, box.get("error")
         return bodies
 
-    def test_repeat_partition_ships_slim_to_its_previous_worker(self):
-        coordinator = _coordinator(affinity=True)
+    def test_repeat_partition_index_ships_every_token_again(self):
+        """Day over day the same worker serves partition 0 — of different
+        samples, as the daily shuffle guarantees.  Each lease carries the
+        tokens the driver already derived; the worker holds nothing that
+        could stand in for them."""
+        coordinator = _coordinator()
         worker = None
         try:
             worker = EmulatedWorker(coordinator.address)
-            samples = _tokenized_samples()
-            first = self._serve_one(coordinator, worker,
-                                    [_task(0, samples)])
-            assert all(sample.tokens
-                       for sample in first[0]["payload"].samples), \
-                "cold lease must ship full tokens"
-            second = self._serve_one(coordinator, worker,
-                                     [_task(0, samples)])
-            assert all(not sample.tokens
-                       for sample in second[0]["payload"].samples), \
-                "warm repeat lease to the same worker must ship slim"
-            assert coordinator.slim_leases == 1
-            assert coordinator.tokens_stripped_chars > 0
+            for day in (1, 2):
+                samples = _tokenized_samples(day)
+                bodies = self._serve_one(coordinator, worker,
+                                         [_task(0, samples)])
+                assert [body["payload"].index for body in bodies] == [0]
+                assert bodies[0]["payload"].samples == samples, \
+                    f"day {day}: lease did not ship the task as submitted"
+            assert coordinator.tasks_by_worker == {worker.worker_id: 2}
             assert coordinator.task_bytes_sent > 0
         finally:
             if worker is not None:
                 worker.close()
             coordinator.close()
 
-    def test_affinity_off_always_ships_full(self):
-        coordinator = _coordinator(affinity=False)
-        worker = None
-        try:
-            worker = EmulatedWorker(coordinator.address)
-            samples = _tokenized_samples()
-            for _ in range(2):
-                bodies = self._serve_one(coordinator, worker,
-                                         [_task(0, samples)])
-                assert all(sample.tokens
-                           for sample in bodies[0]["payload"].samples)
-            assert coordinator.slim_leases == 0
-        finally:
-            if worker is not None:
-                worker.close()
-            coordinator.close()
-
-    def test_slim_task_runs_byte_identical_to_full(self):
-        """The correctness core of slim shipping: a token-stripped task,
-        executed against a prepared cache, equals the full task."""
-        from dataclasses import replace
-
-        samples = _tokenized_samples()
-        full = _task(0, samples)
-        slim = replace(full, samples=[replace(s, tokens=())
-                                      for s in samples])
-        caches = WorkerCaches()
-        cold = full.run()
-        warm = execute_task("partition_map", slim, caches)
-        assert warm.clusters == cold.clusters
-        assert warm.comparisons == cold.comparisons
-        assert warm.cost == cold.cost
-
-
-class TestWorkerCaches:
-    def test_epoch_change_wipes_both_caches(self):
-        caches = WorkerCaches()
-        caches.ensure_epoch(1)
-        caches.prepared.abstract_tokens("var x = 1;")
-        caches.distances.put(("a",), ("b",), 1)
-        caches.ensure_epoch(1)  # same epoch: warm state survives
-        assert len(caches.distances) == 1
-        assert caches.wipes == 0
-        caches.ensure_epoch(2)  # new epoch: everything goes
-        assert len(caches.distances) == 0
-        assert caches.wipes == 1
-
-    def test_prepared_hits_reported_in_result_stats(self):
-        """A slim re-lease resolves its tokens from the prepared cache and
-        says so through the stats channel."""
-        from dataclasses import replace
-
-        samples = _tokenized_samples()
-        caches = WorkerCaches()
-        caches.ensure_epoch(1)
-        execute_task("partition_map", _task(0, samples), caches)
-        slim = replace(_task(0, samples),
-                       samples=[replace(s, tokens=()) for s in samples])
-        warm = execute_task("partition_map", slim, caches)
-        assert warm.stats["prepared_hits"] == len(samples)
-        assert warm.stats["prepared_misses"] == 0
-
-    def test_bump_cache_epoch_invalidates_fleet_caches(self):
-        coordinator = _coordinator()
-        try:
-            first = coordinator.cache_epoch
-            assert coordinator.bump_cache_epoch() == first + 1
-        finally:
-            coordinator.close()
+    def test_worker_never_lexes_what_the_driver_already_lexed(self):
+        task = _task(0, _tokenized_samples(1) + _tokenized_samples(2))
+        expected = task.run()
+        with mock.patch("repro.clustering.partition.abstract_token_string",
+                        side_effect=AssertionError("worker ran the lexer")):
+            result = execute_task("partition_map", task)
+        assert result == expected
 
 
 class TestCleanShutdown:
@@ -484,6 +419,66 @@ class TestCleanShutdown:
             coordinator.close()
         assert coordinator.leaked_threads() == [], \
             "coordinator close() left service threads running"
+
+    def test_silent_peer_is_dropped_within_the_heartbeat_timeout(self):
+        """A peer that connects and never says hello is not a registered
+        worker, so no heartbeat covers it; the handshake has its own
+        deadline (the same heartbeat timeout)."""
+        coordinator = _coordinator(heartbeat_timeout_s=0.5)
+        peers = [socket.create_connection(coordinator.address, timeout=5.0)
+                 for _ in range(3)]
+        try:
+            started = time.monotonic()
+            for peer in peers:
+                peer.settimeout(5.0)
+                assert peer.recv(1) == b"", "silent peer was not dropped"
+            assert time.monotonic() - started < 3.0
+            _wait_until(lambda: len(coordinator.leaked_threads()) == 2,
+                        message="the silent peers' handlers to exit")
+            assert coordinator.worker_count == 0
+        finally:
+            for peer in peers:
+                peer.close()
+            coordinator.close()
+
+    def test_close_tears_down_peers_that_never_said_hello(self):
+        coordinator = _coordinator(heartbeat_timeout_s=30.0)
+        peers = [socket.create_connection(coordinator.address, timeout=5.0)
+                 for _ in range(3)]
+        try:
+            _wait_until(lambda: len(coordinator._handshaking) == 3,
+                        message="the silent peers to be accepted")
+            started = time.monotonic()
+            coordinator.close()
+            elapsed = time.monotonic() - started
+            assert coordinator.leaked_threads() == [], \
+                "close() left handlers of unregistered peers running"
+            assert elapsed < coordinator.CLOSE_JOIN_TIMEOUT
+        finally:
+            for peer in peers:
+                peer.close()
+            coordinator.close()
+
+    def test_handler_thread_list_stays_bounded_under_churn(self):
+        """Connect-and-close cycles (a reconnecting worker, a port scan)
+        must not grow the coordinator's thread list for its lifetime."""
+        coordinator = _coordinator()
+        try:
+            for _ in range(40):
+                socket.create_connection(coordinator.address,
+                                         timeout=5.0).close()
+            _wait_until(lambda: len(coordinator.leaked_threads()) == 2,
+                        message="the closed peers' handlers to exit")
+            last = socket.create_connection(coordinator.address, timeout=5.0)
+            try:
+                # accept + monitor + the one live handler
+                _wait_until(lambda: len(coordinator._threads) == 3,
+                            message="finished handlers to be dropped")
+            finally:
+                last.close()
+        finally:
+            coordinator.close()
+        assert coordinator.leaked_threads() == []
 
     def test_fault_armed_worker_never_reconnects(self):
         """Fault scenarios are one-shot: a worker armed with a fault must

@@ -435,6 +435,49 @@ class TestFrameCodec:
             left.close()
             right.close()
 
+    def test_coordinator_frames_carry_no_worker_cache_state(self):
+        """Workers are stateless, so the protocol names nothing for them
+        to key a cache by: ``welcome`` and ``task`` bodies hold exactly
+        the registration and lease fields — in particular no ``epoch``."""
+        import os
+        import threading
+
+        from repro.exec.cluster import ClusterCoordinator, SECRET_ENV
+
+        secret = os.environ.get(SECRET_ENV)
+        task = PartitionMapTask(
+            index=0, samples=[ClusteredSample("s0", "var a = 1;",
+                                              tokens=("var", "Identifier"))],
+            epsilon=0.1, min_points=3, engine_config=DistanceEngineConfig())
+        coordinator = ClusterCoordinator(worker_wait_s=10.0, secret=secret)
+        submission = threading.Thread(
+            target=coordinator.submit, args=("partition_map", [task]),
+            daemon=True)
+        sock = socket.create_connection(coordinator.start(), timeout=5.0)
+        sock.settimeout(15.0)
+        codec = wire.FrameCodec(secret)
+        try:
+            codec.send(sock, ("hello", {"version": wire.WIRE_VERSION,
+                                        "pid": 0}))
+            kind, welcome = codec.recv(sock)
+            assert kind == "welcome"
+            assert set(welcome) == {"worker_id", "heartbeat_timeout_s"}
+            submission.start()
+            kind = "idle"
+            while kind == "idle":
+                codec.send(sock, ("request", {}))
+                kind, body = codec.recv(sock)
+            assert kind == "task"
+            assert set(body) == {"task_id", "kind", "payload", "deadline_s"}
+            assert body["payload"] == task
+            codec.send(sock, ("result", {"task_id": body["task_id"],
+                                         "payload": task.run()}))
+            submission.join(timeout=10.0)
+            assert not submission.is_alive()
+        finally:
+            sock.close()
+            coordinator.close()
+
     def test_mismatched_secrets_cannot_talk(self):
         codec = wire.FrameCodec("alpha")
         eavesdropper = wire.FrameCodec("beta")
