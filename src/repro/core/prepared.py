@@ -1,6 +1,6 @@
 """Once-per-content preparation cache for the daily pipeline.
 
-Profiling the month experiment shows the dominant cost is the Python lexer:
+Profiling the month experiment showed the dominant cost to be the lexer:
 each sample used to be tokenized up to four times per day (abstract token
 string for clustering, scanner normalization in the pipeline's coverage
 check, and once more per scan engine in the evaluation harness).  The

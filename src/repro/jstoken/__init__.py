@@ -10,10 +10,15 @@ This package provides:
 
 * :class:`~repro.jstoken.tokens.Token` and
   :class:`~repro.jstoken.tokens.TokenClass` -- the token model.
-* :class:`~repro.jstoken.lexer.Lexer` / :func:`~repro.jstoken.lexer.tokenize`
-  -- a from-scratch JavaScript lexer that understands comments, string
-  literals (single, double and template), numeric literals, regular
-  expression literals, and the full ECMAScript punctuator set.
+* :func:`~repro.jstoken.lexer.tokenize` (and the
+  :class:`~repro.jstoken.lexer.Lexer` iterator facade over it) -- a
+  table-driven scanner: one compiled alternation matched per token and
+  dispatched on the group that matched, covering comments, string literals
+  (single, double and template), numeric literals, regular expression
+  literals (told from division by the previous significant token) and the
+  full ECMAScript punctuator set.  It never rejects a sample outside strict
+  mode and is linear in the input except for one documented input family;
+  see :mod:`repro.jstoken.lexer` for the tolerance rules.
 * :func:`~repro.jstoken.normalizer.abstract_token_string` -- converts a token
   stream into the abstract token-class string used as clustering input.
 * :func:`~repro.jstoken.normalizer.strip_html` -- extracts inline script

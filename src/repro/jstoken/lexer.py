@@ -1,20 +1,48 @@
-"""A from-scratch JavaScript lexer.
+"""A table-driven JavaScript scanner: one compiled alternation per token.
 
-The lexer is intentionally tolerant: exploit-kit samples are frequently
+Every token is one ``pattern.match(source, pos)`` of :data:`_MASTER` -- leading
+whitespace plus one named alternative per token shape -- dispatched on
+``lastgroup``.  The only token a single pattern cannot decide is ``/``: whether
+it starts a regular-expression literal or is a division operator depends on
+the previous significant token (comments never count).  We use the standard
+heuristic: a regex literal can only appear where an expression is expected,
+i.e. at the start of the input, after a punctuator other than ``)`` ``]``
+``}`` ``++`` ``--``, or after a keyword such as ``return`` or ``typeof``
+(:data:`_REGEX_PRECEDING_KEYWORDS`).  Where one is allowed, the body is
+matched by the second pattern, :data:`_REGEX_BODY`; ``//`` and ``/*`` win
+over a regex literal everywhere.
+
+The scanner is intentionally tolerant: exploit-kit samples are frequently
 mangled, truncated by telemetry capture, or contain syntax that is only valid
 inside an ``eval`` context.  Kizzle only needs a *consistent* tokenization,
-not a validating parser, so unknown characters are skipped (optionally
-recorded) rather than aborting the sample.
+not a validating parser, so nothing aborts a sample outside strict mode:
 
-The tricky part of lexing JavaScript without a parser is deciding whether a
-``/`` starts a regular-expression literal or is a division operator.  We use
-the standard heuristic: a regex literal can only appear where an expression is
-expected, i.e. after an operator, an opening bracket, a keyword such as
-``return`` or ``typeof``, or at the start of the input.
+* whitespace is exactly the eight characters of :data:`_WS` (not ``\\s``);
+  only ``"\\n"`` advances ``Token.line``;
+* a quoted string with no closing quote ends *before* the line terminator;
+  templates, block comments and regex literals end at end of input;
+* a backslash consumes the next character whatever it is -- a line
+  terminator or end of input included -- in strings, templates and regexes;
+* a regex body that meets a line terminator outside an escape was not a
+  regex after all and is re-read as the punctuator ``/=`` or ``/``;
+* any code point above 127 continues an identifier, and starts one unless
+  it is whitespace; digits are ``[0-9]``; ``0x`` / ``0b`` need no digits;
+* any other character is a one-character punctuation token, so the stream
+  stays aligned with the source.
+
+Both patterns succeed on the first greedy attempt (every closer is optional),
+so nothing backtracks and scanning is linear in the input -- with one known
+exception inherited from the regex bail-out rule: in ``"/[" * n + "\\n"``
+every ``/`` is where a regex may start and each body runs to the line
+terminator before bailing, so that input costs O(n^2).  Token identity with
+the previous lexer forbids changing the rule here; ROADMAP item 5(c) tracks
+it.  ``tests/oracle_lexer.py`` is the character-by-character lexer this
+module replaced, kept as the differential oracle.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterator, List, Optional
 
 from repro.jstoken.tokens import KEYWORDS, PUNCTUATORS, Token, TokenClass
@@ -23,8 +51,8 @@ from repro.jstoken.tokens import KEYWORDS, PUNCTUATORS, Token, TokenClass
 class LexerError(Exception):
     """Raised when the lexer encounters an unrecoverable situation.
 
-    In practice only unterminated string/regex/comment constructs at end of
-    input raise in strict mode; the default mode recovers.
+    In practice only unterminated string/regex/comment constructs raise, and
+    only in strict mode; the default mode recovers.
     """
 
     def __init__(self, message: str, position: int, line: int) -> None:
@@ -33,15 +61,6 @@ class LexerError(Exception):
         self.line = line
 
 
-_ID_START = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$"
-)
-_ID_CONT = _ID_START | frozenset("0123456789")
-_DIGITS = frozenset("0123456789")
-_HEX_DIGITS = _DIGITS | frozenset("abcdefABCDEF")
-_WHITESPACE = frozenset(" \t\v\f ﻿")
-_LINE_TERMINATORS = frozenset("\n\r  ")
-
 #: Keywords after which a ``/`` must start a regex literal, not division.
 _REGEX_PRECEDING_KEYWORDS = frozenset(
     {
@@ -49,10 +68,84 @@ _REGEX_PRECEDING_KEYWORDS = frozenset(
         "void", "throw", "case", "do", "else", "yield",
     }
 )
+#: Punctuators that end an expression, so a following ``/`` divides.
+_DIVISION_PRECEDING_PUNCTUATORS = frozenset({")", "]", "}", "++", "--"})
+
+_LT = "\\n\\r\\u2028\\u2029"                        # line terminators
+_WS = " \\t\\v\\f\\u00a0\\ufeff" + _LT               # ... plus the blanks
+_ID = "A-Za-z0-9_$\\u0080-\\U0010ffff"
+#: ``_ID`` minus the digits and minus the four non-ASCII members of ``_WS``,
+#: which continue an identifier but start none.
+_ID_START = ("A-Za-z_$\\u0080-\\u009f\\u00a1-\\u2027\\u202a-\\ufefe"
+             "\\uff00-\\U0010ffff")
+_LONG_PUNCTUATORS = [p for p in PUNCTUATORS if len(p) > 1]
+_LONG_STARTS = re.escape("".join(sorted({p[0] for p in _LONG_PUNCTUATORS})))
 
 
-class Lexer:
-    """Streaming JavaScript lexer.
+def _quoted(quote: str, stop: str, closed: str) -> str:
+    """``quote``, a body of escapes and characters outside ``stop``, and the
+    closing quote -- captured as group ``closed`` -- when it is there."""
+    plain = f"[^{quote}\\\\{stop}]*"
+    return f"{quote}{plain}(?:\\\\.?{plain})*(?P<{closed}>{quote})?"
+
+
+#: Token shapes in match order: group name, token class, pattern.
+_SHAPES = (
+    ("word", None, f"[{_ID_START}][{_ID}]*"),
+    # A character that can start nothing longer is a token on its own.
+    ("single", TokenClass.PUNCTUATION, f"[^{_WS}{_ID}'\"`/{_LONG_STARTS}]"),
+    ("number", TokenClass.NUMBER,
+     "0[xX][0-9a-fA-F]*|0[bBoO][0-9]*"
+     "|(?:[0-9]+\\.?[0-9]*|\\.[0-9]+)(?:[eE][+-]?[0-9]+)?"),
+    ("string", TokenClass.STRING,
+     _quoted("'", _LT, "sq") + "|" + _quoted('"', _LT, "dq")),
+    ("template", TokenClass.TEMPLATE, _quoted("`", "", "bq")),
+    ("line_comment", TokenClass.COMMENT, f"//[^{_LT}]*"),
+    ("block_comment", TokenClass.COMMENT,
+     "/\\*.*?(?:(?P<star_slash>\\*/)|\\Z)"),
+    ("slash", TokenClass.PUNCTUATION, "/=?"),
+    ("punctuator", TokenClass.PUNCTUATION,
+     "|".join(map(re.escape, _LONG_PUNCTUATORS)) + f"|[^{_WS}]"),
+)
+_MASTER = re.compile(
+    f"[{_WS}]*(?:"
+    + "|".join(f"(?P<{name}>{shape})" for name, _, shape in _SHAPES) + ")",
+    re.DOTALL).match
+_CLASS_OF = {name: cls for name, cls, _ in _SHAPES}
+
+#: What follows the opening ``/`` of a regex literal: body characters, escapes
+#: and ``[...]`` classes (where ``/`` does not close), then ``/flags`` as
+#: group 1 when present.  Without it the body stopped at a line terminator
+#: (not a regex after all) or at end of input (a truncated one).
+_REGEX_BODY = re.compile(
+    f"[^\\\\/\\[{_LT}]*"
+    f"(?:(?:\\\\.?|\\[[^\\\\\\]{_LT}]*(?:\\\\.?[^\\\\\\]{_LT}]*)*\\]?)"
+    f"[^\\\\/\\[{_LT}]*)*"
+    "(/[A-Za-z0-9_$]*)?", re.DOTALL).match
+
+#: Strict mode: the group that proves a construct was closed, and what to
+#: call the construct when that group did not take part in the match.
+_CLOSERS = {
+    "string": (("sq", "dq"), "string literal"),
+    "template": (("bq",), "template literal"),
+    "block_comment": (("star_slash",), "block comment"),
+}
+
+
+def _regex_allowed(last: Optional[Token]) -> bool:
+    """Whether a ``/`` after the significant token ``last`` starts a regex."""
+    if last is None:
+        return True
+    if last.cls is TokenClass.PUNCTUATION:
+        return last.value not in _DIVISION_PRECEDING_PUNCTUATORS
+    if last.cls is TokenClass.KEYWORD:
+        return last.value in _REGEX_PRECEDING_KEYWORDS
+    return False
+
+
+def tokenize(source: str, keep_comments: bool = False,
+             strict: bool = False) -> List[Token]:
+    """Tokenize a JavaScript source string into a list of tokens.
 
     Parameters
     ----------
@@ -66,237 +159,60 @@ class Lexer:
         default (false) closes them at end of input, which is the right
         behaviour for truncated telemetry captures.
     """
+    keyword, identifier = TokenClass.KEYWORD, TokenClass.IDENTIFIER
+    comment = TokenClass.COMMENT
+    new = tuple.__new__          # what Token(...) does, minus a Python frame
+    count_newlines = source.count
+    tokens: List[Token] = []
+    emit = tokens.append
+    last: Optional[Token] = None  # last significant token
+    pos = counted = 0
+    line = 1
+    while True:
+        match = _MASTER(source, pos)
+        if match is None:         # only whitespace is left
+            return tokens
+        kind = match.lastgroup
+        value = match.group(kind)
+        pos = match.end()
+        start = pos - len(value)
+        line += count_newlines("\n", counted, start)
+        counted = start
+        if kind == "word":
+            cls = keyword if value in KEYWORDS else identifier
+        else:
+            cls = _CLASS_OF[kind]
+            if kind == "slash" and _regex_allowed(last):
+                body = _REGEX_BODY(source, start + 1)
+                closed = body.lastindex is not None
+                if closed or body.end() == len(source):
+                    if strict and not closed:
+                        raise LexerError("unterminated regex literal",
+                                         start, line)
+                    cls = TokenClass.REGEX
+                    pos = body.end()
+                    value = source[start:pos]
+            elif strict and kind in _CLOSERS:
+                closers, construct = _CLOSERS[kind]
+                if not any(match.group(closer) for closer in closers):
+                    raise LexerError(f"unterminated {construct}", start, line)
+            if cls is comment:
+                if keep_comments:
+                    emit(new(Token, (cls, value, start, line)))
+                continue
+        last = new(Token, (cls, value, start, line))
+        emit(last)
+
+
+class Lexer:
+    """Iterator facade over :func:`tokenize` (same parameters)."""
 
     def __init__(self, source: str, keep_comments: bool = False,
                  strict: bool = False) -> None:
         self.source = source
         self.keep_comments = keep_comments
         self.strict = strict
-        self._pos = 0
-        self._line = 1
-        self._length = len(source)
-        self._last_significant: Optional[Token] = None
 
-    # ------------------------------------------------------------------
-    # public API
-    # ------------------------------------------------------------------
     def tokens(self) -> Iterator[Token]:
         """Yield tokens until the end of input."""
-        while True:
-            token = self._next_token()
-            if token is None:
-                return
-            if token.cls is TokenClass.COMMENT and not self.keep_comments:
-                continue
-            yield token
-
-    # ------------------------------------------------------------------
-    # scanning helpers
-    # ------------------------------------------------------------------
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index >= self._length:
-            return ""
-        return self.source[index]
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._pos < self._length and self.source[self._pos] == "\n":
-                self._line += 1
-            self._pos += 1
-
-    def _make(self, cls: TokenClass, start: int, start_line: int) -> Token:
-        token = Token(cls=cls, value=self.source[start:self._pos],
-                      position=start, line=start_line)
-        if token.is_significant():
-            self._last_significant = token
-        return token
-
-    # ------------------------------------------------------------------
-    # token scanners
-    # ------------------------------------------------------------------
-    def _next_token(self) -> Optional[Token]:
-        self._skip_whitespace()
-        if self._pos >= self._length:
-            return None
-
-        char = self._peek()
-        start = self._pos
-        start_line = self._line
-
-        if char == "/" and self._peek(1) == "/":
-            return self._scan_line_comment(start, start_line)
-        if char == "/" and self._peek(1) == "*":
-            return self._scan_block_comment(start, start_line)
-        if char in ("'", '"'):
-            return self._scan_string(char, start, start_line)
-        if char == "`":
-            return self._scan_template(start, start_line)
-        if char in _DIGITS or (char == "." and self._peek(1) in _DIGITS):
-            return self._scan_number(start, start_line)
-        if char in _ID_START or ord(char) > 127:
-            return self._scan_identifier(start, start_line)
-        if char == "/" and self._regex_allowed():
-            return self._scan_regex(start, start_line)
-        return self._scan_punctuator(start, start_line)
-
-    def _skip_whitespace(self) -> None:
-        while self._pos < self._length:
-            char = self.source[self._pos]
-            if char in _WHITESPACE or char in _LINE_TERMINATORS:
-                self._advance()
-            else:
-                return
-
-    def _scan_line_comment(self, start: int, start_line: int) -> Token:
-        while self._pos < self._length and self._peek() not in _LINE_TERMINATORS:
-            self._advance()
-        return self._make(TokenClass.COMMENT, start, start_line)
-
-    def _scan_block_comment(self, start: int, start_line: int) -> Token:
-        self._advance(2)
-        while self._pos < self._length:
-            if self._peek() == "*" and self._peek(1) == "/":
-                self._advance(2)
-                return self._make(TokenClass.COMMENT, start, start_line)
-            self._advance()
-        if self.strict:
-            raise LexerError("unterminated block comment", start, start_line)
-        return self._make(TokenClass.COMMENT, start, start_line)
-
-    def _scan_string(self, quote: str, start: int, start_line: int) -> Token:
-        self._advance()  # opening quote
-        while self._pos < self._length:
-            char = self._peek()
-            if char == "\\":
-                self._advance(2)
-                continue
-            if char == quote:
-                self._advance()
-                return self._make(TokenClass.STRING, start, start_line)
-            if char in _LINE_TERMINATORS:
-                # Unterminated string on this line; malware frequently does
-                # this inside document.write chunks.  Close it here.
-                if self.strict:
-                    raise LexerError("unterminated string literal",
-                                     start, start_line)
-                return self._make(TokenClass.STRING, start, start_line)
-            self._advance()
-        if self.strict:
-            raise LexerError("unterminated string literal", start, start_line)
-        return self._make(TokenClass.STRING, start, start_line)
-
-    def _scan_template(self, start: int, start_line: int) -> Token:
-        self._advance()  # backtick
-        while self._pos < self._length:
-            char = self._peek()
-            if char == "\\":
-                self._advance(2)
-                continue
-            if char == "`":
-                self._advance()
-                return self._make(TokenClass.TEMPLATE, start, start_line)
-            self._advance()
-        if self.strict:
-            raise LexerError("unterminated template literal", start, start_line)
-        return self._make(TokenClass.TEMPLATE, start, start_line)
-
-    def _scan_number(self, start: int, start_line: int) -> Token:
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            self._advance(2)
-            while self._peek() in _HEX_DIGITS:
-                self._advance()
-            return self._make(TokenClass.NUMBER, start, start_line)
-        if self._peek() == "0" and self._peek(1) in ("b", "B", "o", "O"):
-            self._advance(2)
-            while self._peek() in _DIGITS:
-                self._advance()
-            return self._make(TokenClass.NUMBER, start, start_line)
-        while self._peek() in _DIGITS:
-            self._advance()
-        if self._peek() == ".":
-            self._advance()
-            while self._peek() in _DIGITS:
-                self._advance()
-        if self._peek() in ("e", "E"):
-            lookahead = 1
-            if self._peek(1) in ("+", "-"):
-                lookahead = 2
-            if self._peek(lookahead) in _DIGITS:
-                self._advance(lookahead)
-                while self._peek() in _DIGITS:
-                    self._advance()
-        return self._make(TokenClass.NUMBER, start, start_line)
-
-    def _scan_identifier(self, start: int, start_line: int) -> Token:
-        while self._pos < self._length:
-            char = self._peek()
-            if char in _ID_CONT or ord(char) > 127:
-                self._advance()
-            else:
-                break
-        value = self.source[start:self._pos]
-        cls = TokenClass.KEYWORD if value in KEYWORDS else TokenClass.IDENTIFIER
-        return self._make(cls, start, start_line)
-
-    def _scan_regex(self, start: int, start_line: int) -> Token:
-        self._advance()  # leading slash
-        in_class = False
-        while self._pos < self._length:
-            char = self._peek()
-            if char == "\\":
-                self._advance(2)
-                continue
-            if char == "[":
-                in_class = True
-            elif char == "]":
-                in_class = False
-            elif char == "/" and not in_class:
-                self._advance()
-                # regex flags
-                while self._peek() in _ID_CONT:
-                    self._advance()
-                return self._make(TokenClass.REGEX, start, start_line)
-            elif char in _LINE_TERMINATORS:
-                # Not a regex after all (e.g. stray division); bail out as a
-                # punctuator to stay robust.
-                self._pos = start
-                self._line = start_line
-                return self._scan_punctuator(start, start_line)
-            self._advance()
-        if self.strict:
-            raise LexerError("unterminated regex literal", start, start_line)
-        return self._make(TokenClass.REGEX, start, start_line)
-
-    def _scan_punctuator(self, start: int, start_line: int) -> Token:
-        for punctuator in PUNCTUATORS:
-            if self.source.startswith(punctuator, self._pos):
-                self._advance(len(punctuator))
-                return self._make(TokenClass.PUNCTUATION, start, start_line)
-        # Unknown character (stray unicode, HTML fragment...).  Emit it as a
-        # one-character punctuation token so the stream stays aligned.
-        self._advance()
-        return self._make(TokenClass.PUNCTUATION, start, start_line)
-
-    # ------------------------------------------------------------------
-    # regex / division disambiguation
-    # ------------------------------------------------------------------
-    def _regex_allowed(self) -> bool:
-        last = self._last_significant
-        if last is None:
-            return True
-        if last.cls is TokenClass.PUNCTUATION:
-            return last.value not in (")", "]", "}", "++", "--")
-        if last.cls is TokenClass.KEYWORD:
-            return last.value in _REGEX_PRECEDING_KEYWORDS
-        return False
-
-
-def tokenize(source: str, keep_comments: bool = False,
-             strict: bool = False) -> List[Token]:
-    """Tokenize a JavaScript source string into a list of tokens.
-
-    This is the convenience entry point used throughout the library.
-    """
-    return list(Lexer(source, keep_comments=keep_comments,
-                      strict=strict).tokens())
+        yield from tokenize(self.source, self.keep_comments, self.strict)

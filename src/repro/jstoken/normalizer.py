@@ -13,14 +13,11 @@ import re
 from typing import List, Sequence, Tuple
 
 from repro.jstoken.lexer import tokenize
-from repro.jstoken.tokens import Token, TokenClass
+from repro.jstoken.tokens import Token
 
-_SCRIPT_RE = re.compile(
-    r"<script\b[^>]*>(.*?)</script\s*>",
-    re.IGNORECASE | re.DOTALL,
-)
+_OPEN_RE = re.compile(r"<script\b", re.IGNORECASE)
+_CLOSE_RE = re.compile(r"</script\s*>", re.IGNORECASE)
 _SRC_ATTR_RE = re.compile(r"\bsrc\s*=", re.IGNORECASE)
-_TAG_OPEN_RE = re.compile(r"<script\b[^>]*>", re.IGNORECASE)
 
 
 def strip_html(document: str) -> str:
@@ -33,23 +30,33 @@ def strip_html(document: str) -> str:
     if "<script" not in document.lower():
         return document
     bodies: List[str] = []
-    for match in _SCRIPT_RE.finditer(document):
-        opening_tag = _TAG_OPEN_RE.search(document, match.start(), match.end())
-        if opening_tag is not None and _SRC_ATTR_RE.search(opening_tag.group(0)):
-            # External script reference with an (unexpected) body; skip the
-            # body only if it is empty, otherwise keep the inline content.
-            if not match.group(1).strip():
-                continue
-        bodies.append(match.group(1))
-    if not bodies:
-        return ""
+    position = 0
+    while True:
+        # One forward walk: an opening tag that is never completed, or never
+        # closed, ends it, because no later tag can be either.  (A single
+        # ``<script\b[^>]*>(.*?)</script\s*>`` rescans to the end of input
+        # from every such opener, which is quadratic.)
+        opener = _OPEN_RE.search(document, position)
+        if opener is None:
+            break
+        body_start = document.find(">", opener.end()) + 1
+        closer = _CLOSE_RE.search(document, body_start) if body_start else None
+        if closer is None:
+            break
+        body = document[body_start:closer.start()]
+        position = closer.end()
+        if _SRC_ATTR_RE.search(document[opener.start():body_start]) \
+                and not body.strip():
+            # External script reference; an (unexpected) body is kept.
+            continue
+        bodies.append(body)
     return "\n".join(bodies)
 
 
 def tokenize_sample(document: str) -> List[Token]:
     """Tokenize a sample (HTML document or raw JS) into significant tokens."""
-    source = strip_html(document)
-    return [token for token in tokenize(source) if token.is_significant()]
+    # Without ``keep_comments`` the lexer emits significant tokens only.
+    return tokenize(strip_html(document))
 
 
 def abstract_classes(tokens: Sequence[Token],
@@ -67,14 +74,9 @@ def abstract_classes(tokens: Sequence[Token],
         purposes of structural comparison, templates like strings, and regex
         literals like strings.
     """
-    names: List[str] = []
-    for token in tokens:
-        cls = token.cls
-        if collapse and cls in (TokenClass.NUMBER, TokenClass.REGEX,
-                                TokenClass.TEMPLATE):
-            cls = TokenClass.STRING
-        names.append(cls.value)
-    return tuple(names)
+    if collapse:
+        return tuple(cls.collapsed for cls, _, _, _ in tokens)
+    return tuple(cls.value for cls, _, _, _ in tokens)
 
 
 def abstract_tokens_of(tokens: Sequence[Token],
@@ -85,17 +87,11 @@ def abstract_tokens_of(tokens: Sequence[Token],
     list (e.g. the incremental pipeline's per-content cache) can derive the
     abstract string without re-lexing.
     """
-    parts: List[str] = []
-    for token in tokens:
-        if token.cls in (TokenClass.KEYWORD, TokenClass.PUNCTUATION):
-            parts.append(token.value)
-        else:
-            cls = token.cls
-            if collapse and cls in (TokenClass.NUMBER, TokenClass.REGEX,
-                                    TokenClass.TEMPLATE):
-                cls = TokenClass.STRING
-            parts.append(cls.value)
-    return tuple(parts)
+    if collapse:
+        return tuple(value if cls.concrete else cls.collapsed
+                     for cls, value, _, _ in tokens)
+    return tuple(value if cls.concrete else cls.value
+                 for cls, value, _, _ in tokens)
 
 
 def abstract_token_string(document: str, collapse: bool = True) -> Tuple[str, ...]:

@@ -10,11 +10,18 @@ clustering; see :mod:`repro.jstoken.normalizer`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TokenClass(enum.Enum):
-    """Abstract class of a lexical token."""
+    """Abstract class of a lexical token.
+
+    Each member carries the two facts every consumer loop needs, so those
+    loops read an attribute instead of testing tuple membership per token:
+    ``concrete`` (keywords and punctuation keep their source spelling in the
+    abstract token string) and ``collapsed`` (the paper's Figure 8 class name,
+    with numbers, regex literals and templates folded into ``String``).
+    """
 
     KEYWORD = "Keyword"
     IDENTIFIER = "Identifier"
@@ -26,13 +33,17 @@ class TokenClass(enum.Enum):
     TEMPLATE = "Template"
     EOF = "EOF"
 
+    def __init__(self, label: str) -> None:
+        self.concrete = label in ("Keyword", "Punctuation")
+        self.collapsed = ("String" if label in ("Number", "Regex", "Template")
+                          else label)
+
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexical token.
+class Token(NamedTuple):
+    """A single lexical token (immutable, hashable, tuple-backed).
 
     Attributes
     ----------

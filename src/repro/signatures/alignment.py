@@ -57,12 +57,8 @@ def normalize_token_value(token: Token) -> str:
 def abstract_of(token: Token) -> str:
     """The abstract spelling used for window search (mirrors
     :func:`repro.jstoken.normalizer.abstract_token_string`)."""
-    if token.cls in (TokenClass.KEYWORD, TokenClass.PUNCTUATION):
-        return token.value
     cls = token.cls
-    if cls in (TokenClass.NUMBER, TokenClass.REGEX, TokenClass.TEMPLATE):
-        cls = TokenClass.STRING
-    return cls.value
+    return token.value if cls.concrete else cls.collapsed
 
 
 def align_cluster(contents: Sequence[str],

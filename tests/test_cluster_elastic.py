@@ -172,12 +172,12 @@ class TestMidMapJoinByteIdentity:
         from repro.ekgen import StreamConfig, TelemetryGenerator
         from repro.exec.backend import BackendConfig, create_backend
 
-        # A lexing-heavy day: big enough that the single starting worker
-        # is still mid-map when the late joiner's subprocess finishes
-        # starting up and registers.
+        # A day big enough (640 pages, ~1.6 s of map on one worker) that
+        # the single starting worker is still mid-map when the late
+        # joiner's subprocess finishes starting up and registers.
         generator = TelemetryGenerator(StreamConfig(
-            benign_per_day=30,
-            kit_daily_counts={"angler": 20, "rig": 15, "nuclear": 15},
+            benign_per_day=240,
+            kit_daily_counts={"angler": 160, "rig": 120, "nuclear": 120},
             seed=20140801))
         batch = generator.generate_day(datetime.date(2014, 8, 1))
         samples = [ClusteredSample(sample_id=s.sample_id, content=s.content)

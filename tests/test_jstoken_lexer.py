@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+import time
+
 import pytest
 
 from repro.jstoken import Lexer, LexerError, Token, TokenClass, tokenize
@@ -222,3 +225,74 @@ class TestRobustness:
         ident = Token(cls=TokenClass.IDENTIFIER, value="x")
         assert not comment.is_significant()
         assert ident.is_significant()
+
+
+class TestTokenContract:
+    """What every layer above the lexer relies on from ``Token``."""
+
+    def test_keyword_construction_and_defaults(self):
+        token = Token(cls=TokenClass.STRING, value='"a"', position=4, line=2)
+        assert (token.cls, token.value, token.position, token.line) == (
+            TokenClass.STRING, '"a"', 4, 2)
+        assert token.abstract == "String"
+        default = Token(cls=TokenClass.IDENTIFIER, value="x")
+        assert (default.position, default.line) == (0, 1)
+
+    def test_equality_and_hash_follow_the_fields(self):
+        lexed = tokenize("var a;")[1]
+        rebuilt = Token(cls=TokenClass.IDENTIFIER, value="a", position=4,
+                        line=1)
+        assert lexed == rebuilt
+        assert hash(lexed) == hash(rebuilt)
+        assert {lexed: "seen"}[rebuilt] == "seen"
+        assert lexed != rebuilt._replace(position=5)
+
+    def test_immutable(self):
+        token = tokenize("x")[0]
+        for name in ("cls", "value", "position", "line", "colour"):
+            with pytest.raises(AttributeError):
+                setattr(token, name, 1)
+
+    def test_plain_pickle_round_trip(self):
+        tokens = tokenize("var a = /re/g + `t` + 'it''s';  // c",
+                          keep_comments=True)
+        assert pickle.loads(pickle.dumps(tokens)) == tokens
+
+    def test_tokens_never_travel_in_cluster_frames(self):
+        from repro.exec import wire
+        assert not [entry for entry in wire.ALLOWED_GLOBALS
+                    if "jstoken" in entry[0]]
+
+
+class TestNoHang:
+    """A hang tripwire, not a performance gate: each hostile family takes a
+    fraction of a second at this size, so the ceiling only ever fires on
+    super-linear behaviour (the one known case, ``"/[" * n + "\\n"``, is in
+    the lexer's docstring and is not listed here)."""
+
+    SIZE = 400_000
+    CEILING_SECONDS = 30.0
+    FAMILIES = {
+        "escapes": lambda n: '"' + "\\a" * (n // 2),
+        "escaped quotes": lambda n: "'" + "\\'" * (n // 2),
+        "quotes": lambda n: '"' * n,
+        "alternating quotes": lambda n: "'\"`" * (n // 3),
+        "parentheses": lambda n: "(" * n,
+        "unterminated comment": lambda n: "/*" + "x*" * (n // 2),
+        "comment openers": lambda n: "/*" * (n // 2),
+        "regex classes": lambda n: "x=/" + "[a]" * (n // 3),
+        "regex escapes": lambda n: "x=/" + "\\/" * (n // 2),
+        "templates": lambda n: "`" + "\\`${" * (n // 4),
+        "dots": lambda n: "." * n,
+        "NULs": lambda n: "\x00" * n,
+        "unterminated strings": lambda n: '"abc\n' * (n // 5),
+        "trailing blanks": lambda n: "a" + " \u00a0" * (n // 2),
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_lexes_under_the_ceiling(self, family):
+        source = self.FAMILIES[family](self.SIZE)
+        started = time.perf_counter()
+        tokens = tokenize(source)
+        assert time.perf_counter() - started < self.CEILING_SECONDS
+        assert sum(len(token.value) for token in tokens) <= len(source)

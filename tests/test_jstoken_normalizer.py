@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import time
+
+import pytest
+
 from repro.jstoken import (
     abstract_classes,
     abstract_token_string,
@@ -48,6 +52,20 @@ class TestStripHtml:
         document = ("<html><body><div id='x'>SHOULD-NOT-APPEAR</div>"
                     "<script>var a=1;</script></body></html>")
         assert "SHOULD-NOT-APPEAR" not in strip_html(document)
+
+    @pytest.mark.parametrize("fragment, expected", [
+        ("<script>", ""),                   # never closed
+        ("<script ", ""),                   # tag never completed
+        ("<script></script ", ""),         # closer never completed
+        ("<script src=x></script >", ""),
+        ("<script>a</script\n>", "\n".join("a" * 16000)),
+    ])
+    def test_repeated_fragments_do_not_hang(self, fragment, expected):
+        """A hang tripwire: 16,000 unclosed openers took 11.6 s when one
+        lazy regex rescanned to the end of input from each of them."""
+        started = time.perf_counter()
+        assert strip_html(fragment * 16000) == expected
+        assert time.perf_counter() - started < 10.0
 
 
 class TestAbstraction:
