@@ -36,8 +36,9 @@ class IncrementalConfig:
     scan_mode:
         ``"exact"`` scans with the lexer-based normal form; ``"fast"``
         (the warm default when enabled) scans with
-        :func:`~repro.scanner.normalizer.fast_normalize` plus the
-        literal-anchor prefilter.  Fast mode is verdict-equivalent on the
+        :func:`~repro.scanner.normalizer.fast_normalize` (one C-level
+        ``re.split`` pass, 48-55 MB/s where the lexer manages 4.5-13) plus
+        the literal-anchor prefilter.  Fast mode is verdict-equivalent on the
         synthetic stream (asserted by tests); exact mode is the fallback
         for content the fast normalizer was not designed for.
     anchor_ttl_days:

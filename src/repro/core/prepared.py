@@ -63,8 +63,9 @@ class PreparedCache:
     The lexer runs at most once per content (:meth:`raw_tokens`); the other
     forms — ``abstract_tokens`` for clustering, ``normalized`` for the exact
     scanner, ``fast_normalized`` for the warm scan path — are derived from
-    the raw token list (or, for the fast form, from one C-level regex pass)
-    and memoized separately so repeated consumers pay a dictionary lookup.
+    the raw token list (or, for the fast form, from one C-level ``re.split``
+    pass that never enters the lexer) and memoized separately so repeated
+    consumers pay a dictionary lookup.
     """
 
     def __init__(self, max_entries: int = 8192) -> None:
@@ -91,7 +92,7 @@ class PreparedCache:
             content, lambda text: normalize_tokens(self.raw_tokens(text)))
 
     def fast_normalized(self, content: str) -> str:
-        """The regex-based fast normal form of ``content`` (memoized)."""
+        """The ``re.split``-based fast normal form of ``content`` (memoized)."""
         return self._fast.get(content, fast_normalize)
 
     # ------------------------------------------------------------------

@@ -9,13 +9,15 @@ PR 2 made both scale to paper-size streams:
 * the database keeps per-kit, creation-date-sorted indexes, so
   ``signatures_for``/``latest_for`` are a bisect plus a slice instead of a
   full rescan on every call (behaviour-identical, including tie-breaking);
-* the engine can run in ``fast`` mode, where samples are normalized with the
-  regex-based :func:`~repro.scanner.normalizer.fast_normalize` (no Python
-  lexer) and each signature is gated by its required-literal anchor
+* the engine can run in ``fast`` mode, where samples are normalized with
+  :func:`~repro.scanner.normalizer.fast_normalize` (one C-level
+  ``re.split`` pass, no Python lexer and no Python code per string literal)
+  and each signature is gated by its required-literal anchor
   (:mod:`repro.signatures.anchors`) before the full regex runs.  The anchor
   gate never changes verdicts; the fast normal form is verdict-equivalent on
   the synthetic stream (asserted by tests) and the exact mode remains the
-  default.
+  default.  The per-kit newest-first probe lists are built once per
+  ``(as_of, database.generation)``, not per document.
 """
 
 from __future__ import annotations
@@ -195,6 +197,10 @@ class ScanEngine:
         #: Telemetry: samples scanned and memo short-circuits, for the
         #: stage/backend comparison tooling.
         self.counters = {"scans": 0, "memo_hits": 0}
+        #: Fast mode's probe plan and the ``(as_of, database.generation)``
+        #: it was built for (see :meth:`_probe_plan`).
+        self._plan: List[List[Signature]] = []
+        self._plan_key: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     def normal_form(self, content: str) -> str:
@@ -238,16 +244,35 @@ class ScanEngine:
                 return signature
         return None
 
+    def _probe_plan(self, as_of: Optional[datetime.date]
+                    ) -> List[List[Signature]]:
+        """Each kit's signatures deployed as of ``as_of``, newest first,
+        kits in sorted order.
+
+        Built once per ``(as_of, database.generation)`` rather than per
+        document: a deployment bumps the generation and a new scan date
+        changes ``as_of``, so the plan is never stale, and a day's scans
+        share one.
+        """
+        key = (as_of, self.database.generation)
+        if key != self._plan_key:
+            self._plan = [
+                self.database.signatures_for(kit=kit, as_of=as_of)[::-1]
+                for kit in sorted(self.database.kits())]
+            self._plan_key = key
+        return self._plan
+
     def scan(self, sample_id: str, content: str,
              as_of: Optional[datetime.date] = None) -> ScanResult:
         """Scan one sample with the signatures deployed as of ``as_of``.
 
         In fast mode the deployed set is probed per kit, newest signature
-        first, stopping at the first hit for each kit: the verdict-relevant
-        outputs (``detected`` and ``kits``) are identical to matching every
-        signature, but a sample covered by several generations of a kit's
-        signatures pays for one regex instead of all of them.  The exact
-        mode keeps the original exhaustive matching.
+        first (:meth:`_probe_plan`), stopping at the first hit for each kit:
+        the verdict-relevant outputs (``detected`` and ``kits``) are
+        identical to matching every signature, but a sample covered by
+        several generations of a kit's signatures pays for one regex instead
+        of all of them.  The exact mode keeps the original exhaustive
+        matching.
         """
         self.counters["scans"] += 1
         if self.mode != "fast":
@@ -269,10 +294,8 @@ class ScanEngine:
                                   matched_signatures=list(cached))
         normalized = self.normal_form(content)
         matches: List[Signature] = []
-        for kit in sorted(self.database.kits()):
-            hit = self.first_match(
-                normalized,
-                reversed(self.database.signatures_for(kit=kit, as_of=as_of)))
+        for signatures in self._probe_plan(as_of):
+            hit = self.first_match(normalized, signatures)
             if hit is not None:
                 matches.append(hit)
         if self.memo is not None:

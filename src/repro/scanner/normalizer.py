@@ -16,8 +16,11 @@ consistent with tokenization by construction.
 
 For the incremental warm path (PR 2) there is also :func:`fast_normalize`, a
 regex-based approximation of the same normal form that is cheaper because it
-never tokenizes: one regex match per string literal (17-19 MB/s) where the
-lexer spends one per token (4.5-13 MB/s).  It differs from
+never tokenizes: one C-level ``re.split`` pass over the whole sample, with no
+Python code per string literal (48-55 MB/s traced on the ``bench/``
+workloads; the ``finditer`` loop it replaced, one match object and four
+Python operations per literal, ran at 16-18 MB/s) where the lexer spends one
+regex match per token (4.5-13 MB/s).  It differs from
 :func:`normalize_for_scan` only on content it was not designed for (comments
 outside string literals, markup interleaved mid-expression); on the synthetic
 telemetry stream the two produce verdict-identical signature matches, which
@@ -63,26 +66,33 @@ def normalize_for_scan(content: str) -> str:
     return normalize_tokens(tokenize_sample(content))
 
 
-#: String/template literals (single-line for quotes, multi-line for
-#: backticks), with backslash escapes honoured so an escaped quote does not
-#: terminate the literal early.
-_STRING_LITERAL_RE = re.compile(
-    r"\"(?:[^\"\\\n]|\\.)*\""
-    r"|'(?:[^'\\\n]|\\.)*'"
-    r"|`(?:[^`\\]|\\.)*`", re.DOTALL)
-
-#: Whitespace deleted between tokens (never inside string literals).
-_WHITESPACE_TABLE = {ord(character): None for character in " \t\n\r\f\v"}
+#: One alternative per literal kind (single-line for quotes, multi-line for
+#: backticks), each capturing the literal's interior, plus an uncaptured run
+#: of the whitespace deleted between tokens.  Backslash escapes are honoured
+#: so an escaped quote does not terminate the literal early.  Each literal is
+#: *unrolled* -- ``[^"\\\n]*(?:\\.[^"\\\n]*)*`` instead of
+#: ``(?:[^"\\\n]|\\.)*`` -- so an interior is consumed in a few C-level
+#: character-class runs rather than one alternation step per character.  No
+#: alternative can match the empty string, and no possessive quantifier or
+#: atomic group is used (Python 3.9 / 3.10 reject them; CI checks).
+_SPLIT_RE = re.compile(
+    r"\"([^\"\\\n]*(?:\\.[^\"\\\n]*)*)\""
+    r"|'([^'\\\n]*(?:\\.[^'\\\n]*)*)'"
+    r"|`([^`\\]*(?:\\.[^`\\]*)*)`"
+    r"|[ \t\n\r\f\v]+", re.DOTALL)
 
 
 def fast_normalize(content: str) -> str:
     """Cheap approximation of :func:`normalize_for_scan`.
 
-    Splits the content on string/template literals with one C-level regex
-    pass, strips all whitespace *outside* literals, and drops the surrounding
-    quotes of each literal while preserving its interior verbatim (including
-    any whitespace — the lexer keeps string bodies intact too, which is why
-    plain whole-text whitespace stripping is *not* verdict-equivalent).
+    One C-level ``re.split`` pass: the content is split on string/template
+    literals and on whitespace runs *outside* literals.  A literal leaves
+    its interior behind as the capture group of its kind -- verbatim,
+    including any whitespace (the lexer keeps string bodies intact too,
+    which is why plain whole-text whitespace stripping is *not*
+    verdict-equivalent) -- and a whitespace run leaves nothing; ``filter``
+    drops the ``None`` / empty groups and ``join`` concatenates the rest, so
+    no Python-level code runs per literal.
 
     Unlike the exact normalizer this keeps markup outside inline scripts and
     would keep comment text; both only ever *add* characters relative to the
@@ -91,12 +101,15 @@ def fast_normalize(content: str) -> str:
     neighbouring tokens.  The generated telemetry stream has no such content
     and the incremental scan path checks its equivalence in tests before
     relying on it.
+
+    Cost is linear except on one hostile shape: a quote character that does
+    not open a terminated literal is retried as an opener wherever it
+    occurs, and each failed attempt scans to the end of the line (``"`` /
+    ``'``) or of the input (backtick).  Escaped quotes *outside* a literal
+    are exactly that, so ``'\\"' * n`` on one line and ``'\\`' * n`` are
+    O(n^2) (about 1.4 s each at n = 8,000, 1.1 s before the split form;
+    ROADMAP item 5(c)).
+    ``tests/test_fast_normalize_differential.py`` pins the output on every
+    input to the pre-split loop kept in ``tests/oracle_fast_normalize.py``.
     """
-    parts = []
-    last = 0
-    for match in _STRING_LITERAL_RE.finditer(content):
-        parts.append(content[last:match.start()].translate(_WHITESPACE_TABLE))
-        parts.append(match.group(0)[1:-1])
-        last = match.end()
-    parts.append(content[last:].translate(_WHITESPACE_TABLE))
-    return "".join(parts)
+    return "".join(filter(None, _SPLIT_RE.split(content)))

@@ -3,9 +3,9 @@
 A Kizzle signature is a concatenation of per-column fragments: constant
 columns become ``re.escape``-d literals, varying columns become character
 classes with quantifiers (:mod:`repro.signatures.regexgen`).  There is no
-top-level alternation, so every *unconditionally present* literal run is a
-**required substring**: any text the pattern matches must contain that run
-contiguously.
+alternation -- a ``|`` in the constant text arrives escaped, as the literal
+``\\|`` -- so every *unconditionally present* literal run is a **required
+substring**: any text the pattern matches must contain that run contiguously.
 
 The scan prefilter exploits this: before paying for a full regex evaluation
 (or, worse, for normalizing a sample at all), the scanner checks whether the
@@ -15,13 +15,16 @@ falls through to the real regex, so the prefilter never changes verdicts.
 
 Extraction is deliberately conservative: anything that is not provably a
 required literal (group constructs, classes, quantified atoms, anchors,
-backreferences) simply breaks the current run, and any alternation anywhere
-disables extraction for the whole pattern.  A pattern with no sufficiently
-long run yields no anchor and is always evaluated in full.
+backreferences) simply breaks the current run, and an alternation -- an
+unescaped ``|`` outside a character class -- anywhere disables extraction for
+the whole pattern.  A pattern with no sufficiently long run yields no anchor
+and is always evaluated in full.  Patterns are assumed to be written without
+verbose mode and ``(?#...)`` comments, as every pattern in this repository is.
 """
 
 from __future__ import annotations
 
+import re
 from typing import List, Optional
 
 #: Characters with special meaning outside character classes.
@@ -32,6 +35,11 @@ _META = set("\\^$.|?*+()[]{}")
 #: and numeric backreferences are deliberately absent.
 _LITERAL_ESCAPES = set("\\^$.|?*+()[]{}-/ #&~\"'`!%,:;<=>@_")
 
+#: A brace quantifier.  Anything else after ``{`` is literal text to ``re``
+#: and may hold structure (``a{x|y}`` is an alternation), so it is walked,
+#: not skipped.
+_BRACE_QUANTIFIER = re.compile(r"\{[0-9,]*\}")
+
 
 def required_literals(pattern: str, min_length: int = 1) -> List[str]:
     """Literal runs that every match of ``pattern`` must contain.
@@ -40,12 +48,12 @@ def required_literals(pattern: str, min_length: int = 1) -> List[str]:
     ``min_length``.  The extraction walks the pattern once; any construct it
     does not positively recognize as a required single character ends the
     current run, so the result errs toward fewer/shorter anchors, never
-    toward an unsound one.  A pattern containing ``|`` anywhere returns no
-    literals at all (without tracking group nesting, nothing around an
-    alternation is provably required).
+    toward an unsound one.  A pattern in which the walk meets an alternation
+    returns no literals at all (without tracking group nesting, nothing
+    around an alternation is provably required); ``\\|`` and ``[|]`` are
+    literal bars, not alternations, and are stepped over like any other
+    escape or class.
     """
-    if "|" in pattern:
-        return []
     runs: List[str] = []
     current: List[str] = []
     #: Stack of (runs-length-at-open, body_required) per open group; if the
@@ -115,6 +123,8 @@ def required_literals(pattern: str, min_length: int = 1) -> List[str]:
                 if quantified or not body_required:
                     del runs[mark:]
             continue
+        if character == "|":
+            return []
         # ``.``, ``^``, ``$``, stray quantifiers: break the run.  A stray
         # quantifier here follows a non-literal atom, already excluded.
         flush()
@@ -129,11 +139,8 @@ def required_literals(pattern: str, min_length: int = 1) -> List[str]:
 
 def _skip_quantifier(pattern: str, index: int) -> int:
     """Index just past the quantifier starting at ``index``."""
-    if pattern[index] == "{":
-        closing = pattern.find("}", index)
-        index = (closing + 1) if closing != -1 else len(pattern)
-    else:
-        index += 1
+    braces = _BRACE_QUANTIFIER.match(pattern, index)
+    index = braces.end() if braces else index + 1
     if index < len(pattern) and pattern[index] == "?":  # non-greedy suffix
         index += 1
     return index
@@ -163,8 +170,9 @@ def _skip_group_header(pattern: str, start: int) -> "tuple":
     construct is consumed (the returned index points past its ``)``).  For
     ordinary, ``(?P<name>`` and ``(?:`` groups only the header is skipped
     and ``body_required`` is true: the body is unconditionally present in
-    any match (the pattern has no alternation by the time this runs), so its
-    literals remain required unless the group turns out to be quantified.
+    any match (an alternation inside it makes the walk return no literals
+    at all), so its literals remain required unless the group turns out to
+    be quantified.
     Assertions (``(?=``, ``(?!``, lookbehinds) and anything unrecognized
     return ``body_required = False`` — their body text is not part of the
     match.

@@ -106,6 +106,16 @@ class TestAnchors:
         (r"ab(?P=var0)cd", ["ab", "cd"]),
         (r"abc+de", ["ab", "de"]),
         (r"ab(?=zz)cd", ["ab", "cd"]),
+        # Only an unescaped bar outside a class is an alternation: regexgen
+        # emits JS ``||`` as ``\|\|`` (every Sweet Orange signature).
+        (r"a\|\|bcdefghij", ["a||bcdefghij"]),
+        (r"(?:abcdefgh|ijklmnop)", []),
+        (r"abcdefgh|x", []),
+        (r"[|]abcdefgh", ["abcdefgh"]),
+        (r"abcdefgh[^|]x\|", ["abcdefgh", "x|"]),
+        # Braces that are not a quantifier are text and may hold structure.
+        (r"abcdefghi{x|y}", []),
+        (r"abcdefghi{2,3}jk", ["abcdefgh", "jk"]),
     ])
     def test_required_literals(self, pattern, expected):
         assert required_literals(pattern) == expected

@@ -26,6 +26,7 @@ import test_failure_injection as failure_injection
 from repro.ekgen import StreamConfig, TelemetryGenerator
 from repro.jstoken import (LexerError, TokenClass, abstract_token_string,
                            concrete_values, lexer, strip_html, tokenize)
+from repro.scanner import normalizer
 from repro.scanner.normalizer import normalize_for_scan
 
 MODES = list(itertools.product((False, True), repeat=2))
@@ -201,7 +202,8 @@ class TestNamedRules:
 
     def test_patterns_need_nothing_newer_than_python_39(self):
         for pattern in (lexer._MASTER.__self__.pattern,
-                        lexer._REGEX_BODY.__self__.pattern):
+                        lexer._REGEX_BODY.__self__.pattern,
+                        normalizer._SPLIT_RE.pattern):
             for newer in ("*+", "++", "?+", "}+", "(?>"):
                 assert newer not in pattern
 

@@ -25,7 +25,9 @@ from repro.ekgen.sweetorange import insert_junk, remove_junk
 from repro.ekgen.identifiers import random_crypt_key
 from repro.jstoken import tokenize
 from repro.scanner.normalizer import normalize_for_scan
-from repro.signatures.regexgen import generalize_column
+from repro.signatures.alignment import TokenColumn
+from repro.signatures.anchors import best_anchor, required_literals
+from repro.signatures.regexgen import build_pattern, generalize_column
 from repro.winnowing.fingerprint import Fingerprint, kgram_hashes, winnow
 
 DEFAULT_SETTINGS = settings(max_examples=60, deadline=None,
@@ -184,3 +186,48 @@ class TestRegexGeneralizationProperties:
     @given(observed_values)
     def test_fragment_is_valid_regex(self, values):
         re.compile(generalize_column(values))
+
+
+class TestAnchorSoundnessProperties:
+    """An anchor is a *required* substring: whatever the pattern matches
+    contains it, also when the constant text is full of characters that mean
+    something to ``re`` (JS ``||`` is why: it arrives as ``\\|\\|``)."""
+
+    SETTINGS = settings(max_examples=300, deadline=None,
+                        suppress_health_check=[HealthCheck.too_slow])
+    HOSTILE = "|([\\)]{}*+?.^$-,01ab "
+    regex_hostile = st.text(alphabet=HOSTILE, min_size=1, max_size=12)
+
+    @staticmethod
+    def assert_anchors_required(pattern, text):
+        assert re.compile(pattern, re.DOTALL).search(text), (pattern, text)
+        for literal in required_literals(pattern):
+            assert literal in text, (pattern, literal, text)
+        for floor in (1, 8):
+            anchor = best_anchor(pattern, min_length=floor)
+            assert anchor is None or anchor in text, (pattern, anchor, text)
+
+    @SETTINGS
+    @given(st.text(alphabet=HOSTILE + "\n", min_size=1, max_size=12))
+    def test_escaped_text(self, text):
+        self.assert_anchors_required(re.escape(text), text)
+        # Not vacuous: all of it is required, bars included (an escaped
+        # newline is the one escape the walk does not read as a literal).
+        assert "".join(required_literals(re.escape(text))) \
+            == text.replace("\n", "")
+
+    @SETTINGS
+    @given(st.lists(st.lists(regex_hostile, min_size=3, max_size=3),
+                    min_size=1, max_size=6),
+           st.booleans())
+    def test_built_patterns(self, rows, use_backreferences):
+        # Three samples; a row whose values agree is a constant column,
+        # equal varying rows become a named group and its backreference.
+        columns = [TokenColumn(offset=offset, token_class="String",
+                               values=values)
+                   for offset, values in enumerate(rows)]
+        pattern = build_pattern(columns,
+                                use_backreferences=use_backreferences)
+        for sample in range(3):
+            self.assert_anchors_required(
+                pattern, "".join(values[sample] for values in rows))

@@ -107,6 +107,41 @@ class TestScanEngine:
         results = engine.scan_many({"bad": "var mal = 1;", "good": "var ok = 2;"})
         assert results[0].detected and not results[1].detected
 
+    def test_fast_probe_plan_follows_deploys_and_dates(self):
+        """The fast mode's cached per-kit probe lists are rebuilt on every
+        deployment and for every ``as_of``: each scan agrees with matching
+        the signatures deployed at that moment, reduced per kit."""
+        documents = {"rig": "var a = 42;", "angler": "var b = 'x y';",
+                     "both": "var a = 42; var b = 'x y';", "none": "var c;"}
+        database = SignatureDatabase([
+            Signature(kit="rig", pattern="vara=4", created=D(2014, 8, 1)),
+            Signature(kit="rig", pattern="vara=42;", created=D(2014, 8, 10))])
+        engine = ScanEngine(database, mode="fast")
+
+        def assert_scans_match_deployed(as_of):
+            deployed = database.signatures_for(as_of=as_of)
+            for sample_id, content in documents.items():
+                expected = engine.matching_signatures(
+                    engine.normal_form(content), deployed)
+                result = engine.scan(sample_id, content, as_of=as_of)
+                assert result.kits == {s.kit for s in expected}
+                assert result.detected == bool(expected)
+                assert set(map(id, result.matched_signatures)) \
+                    <= set(map(id, deployed))
+
+        dates = (None, D(2014, 7, 31), D(2014, 8, 5), D(2014, 8, 15))
+        for as_of in dates + dates[::-1]:
+            assert_scans_match_deployed(as_of)
+        database.add(Signature(kit="angler", pattern="varb=x y;",
+                               created=D(2014, 8, 12)))
+        database.add(Signature(kit="rig", pattern="varc;",
+                               created=D(2014, 8, 3)))
+        for as_of in dates:
+            assert_scans_match_deployed(as_of)
+        assert engine.scan("none", documents["none"]).kits == {"rig"}
+        assert engine.scan("both", documents["both"],
+                           as_of=D(2014, 8, 15)).kits == {"rig", "angler"}
+
 
 class TestAVBaseline:
     def test_rules_built_for_every_kit(self):
