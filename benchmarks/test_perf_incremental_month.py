@@ -15,9 +15,9 @@ The per-run timings and their ratio are still recorded as ungated benchmark
 extra info so the nightly ``BENCH_<date>.json`` artifact tracks the speedup
 PR over PR.
 
-A second test re-runs the warm month on each execution backend (serial /
-process / distsim) and asserts byte-identical per-day FP/FN and deployed
-signatures — the month-scale version of ``tests/test_backends.py``.
+A second test re-runs the warm month on the serial and process backends
+and asserts byte-identical per-day FP/FN and deployed signatures — the
+month-scale version of ``tests/test_backends.py``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ MAX_LEXED_FRACTION = 0.75
 
 
 def _month_config(incremental: bool,
-                  backend: str = "distsim") -> ExperimentConfig:
+                  backend: str = "process") -> ExperimentConfig:
     return ExperimentConfig(
         start=AUGUST_START, end=AUGUST_END, seed_days=3,
         stream=StreamConfig(
@@ -112,13 +112,12 @@ def test_backend_equivalence_on_seeded_month(benchmark):
 
     reference_report, reference_signatures = benchmark.pedantic(
         lambda: run("serial"), rounds=1, iterations=1)
-    for backend in ("process", "distsim"):
-        report, signatures = run(backend)
-        assert signatures == reference_signatures, \
-            f"{backend} signatures diverged from serial"
-        for serial_day, other_day in zip(reference_report.days, report.days):
-            assert _day_metrics(serial_day) == _day_metrics(other_day), \
-                f"{backend} metrics diverged on {serial_day.date}"
-        assert report.overall_rates() == reference_report.overall_rates()
-    benchmark.extra_info["backends"] = "serial,process,distsim"
+    report, signatures = run("process")
+    assert signatures == reference_signatures, \
+        "process signatures diverged from serial"
+    for serial_day, other_day in zip(reference_report.days, report.days):
+        assert _day_metrics(serial_day) == _day_metrics(other_day), \
+            f"process metrics diverged on {serial_day.date}"
+    assert report.overall_rates() == reference_report.overall_rates()
+    benchmark.extra_info["backends"] = "serial,process"
     benchmark.extra_info["days"] = len(reference_report.days)

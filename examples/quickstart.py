@@ -56,8 +56,8 @@ def main() -> None:
     print(f"  clusters found:          {result.cluster_count}")
     print(f"  malicious clusters:      {len(result.malicious_clusters)}")
     print(f"  noise samples:           {result.noise_count}")
-    print(f"  simulated cluster time:  {result.timing.total_time / 60:.1f} "
-          f"minutes on {kizzle.config.machines} machines")
+    print(f"  virtual cluster time:    {result.timing.total_time / 60:.1f} "
+          f"minutes on {result.timing.machine_count} modelled machines")
     print()
     for report in result.clusters:
         verdict = report.kit or "benign"

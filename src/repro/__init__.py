@@ -6,7 +6,7 @@ needs: the :class:`~repro.core.pipeline.Kizzle` driver and its configuration,
 the synthetic telemetry generator used in place of the paper's proprietary
 IE telemetry, and the simulated commercial AV baseline.  The substrates
 (tokenizer, clustering, winnowing, unpackers, signatures, scanner, cluster
-simulator) live in their own subpackages; see DESIGN.md for the map.
+timing model) live in their own subpackages; see DESIGN.md for the map.
 """
 
 from repro.core.config import KizzleConfig

@@ -89,18 +89,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=20140801,
                         help="stream seed")
     parser.add_argument("--backend", choices=BACKEND_KINDS,
-                        default="distsim",
+                        default="process",
                         help="execution backend: 'serial' runs everything "
-                             "inline in one process, 'process' runs whole "
-                             "partitions on a local process pool, "
-                             "'distsim' (default) additionally "
-                             "simulates the paper's machine cluster for "
-                             "makespan/utilization reports, 'cluster' "
-                             "executes on real worker processes over TCP "
-                             "(see --listen/--spawn-workers; external "
-                             "workers join with `python -m "
+                             "in one process, 'process' (default) runs "
+                             "whole partitions on a local process pool, "
+                             "'cluster' executes on real worker processes "
+                             "over TCP (see --listen/--spawn-workers; "
+                             "external workers join with `python -m "
                              "repro.exec.worker --connect host:port`); "
-                             "results are identical across all of them")
+                             "results and the reported virtual timeline "
+                             "are identical across all of them")
     parser.add_argument("--listen", metavar="HOST:PORT", type=_host_port,
                         default=None,
                         help="with --backend cluster: address the "
@@ -123,8 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--machines", type=int, default=10,
                         help="logical machine count, wired through the "
                              "backend config: sets the clustering "
-                             "partition default for every backend and the "
-                             "simulated pool size for --backend distsim")
+                             "partition default and the size of the "
+                             "modelled machine pool behind every report's "
+                             "virtual timeline, whatever the backend")
     parser.add_argument("--workers", type=_nonnegative_int, default=0,
                         help="width of the partition-level map pool "
                              "(0 = auto-detect CPU count, 1 = inline; "
@@ -136,8 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default on; results are byte-identical "
                              "either way, and batches with a single "
                              "partition or worker stay inline; with "
-                             "--no-partition-parallel the process and "
-                             "distsim backends run in one process)")
+                             "--no-partition-parallel the process "
+                             "backend runs in one process)")
     parser.add_argument("--no-length-filter", action="store_true",
                         help="disable the length-gap distance prefilter")
     parser.add_argument("--no-bag-filter", action="store_true",

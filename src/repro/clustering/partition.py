@@ -20,7 +20,7 @@ from repro.clustering.dbscan import DBSCAN, NOISE
 from repro.clustering.merge import merge_clusters
 from repro.clustering.prototypes import select_prototype
 from repro.distance.engine import DistanceEngine, DistanceEngineConfig
-from repro.distsim.mapreduce import MapReduceReport
+from repro.distsim import MapReduceReport
 from repro.jstoken.normalizer import abstract_token_string
 
 if TYPE_CHECKING:
@@ -120,7 +120,7 @@ def cluster_partition(samples: Sequence[ClusteredSample],
     fresh default engine when not supplied, so standalone callers keep
     working).  Returns the clusters found in this partition (noise points
     dropped) and the number of distance comparisons performed (the work
-    accounting used by the simulator).
+    accounting the timing model charges).
     """
     prepared = [sample.ensure_tokens() for sample in samples]
     if not prepared:
@@ -147,7 +147,7 @@ def partition_map_cost(samples: Sequence[ClusteredSample],
                        comparisons: int, epsilon: float) -> float:
     """Abstract work units of one partition's map: comparisons weighted by
     the typical banded-DP cost per pair.  Recorded in the task's result, so
-    the simulated machine time a backend charges never depends on where the
+    the virtual machine time a report charges never depends on where the
     map actually ran."""
     average_length = (sum(len(sample.tokens) for sample in samples)
                       / max(1, len(samples)))
@@ -259,9 +259,9 @@ class DistributedClusterer:
         step reuses distances the map phase already computed.
     backend:
         The :class:`~repro.exec.backend.ExecutionBackend` the map/reduce
-        structure runs through.  Defaults to a distsim backend simulating
-        ``machines`` machines (the paper's 50 when unset) — the seed
-        reproduction's behaviour.
+        structure runs through.  Defaults to the process backend, with
+        the timeline modelled over ``machines`` machines (the paper's 50
+        when unset).
     machines:
         Logical machine count governing the *default partition count*.
         Deliberately independent of the backend: partitioning shapes the
@@ -286,8 +286,7 @@ class DistributedClusterer:
         self.epsilon = epsilon
         self.min_points = min_points
         if backend is None:
-            backend = create_backend(BackendConfig(kind="distsim",
-                                                   machines=machines or 50))
+            backend = create_backend(BackendConfig(machines=machines or 50))
         self.backend = backend
         # The logical machine count must not depend on the backend kind:
         # without an explicit value, every backend reads the same

@@ -109,11 +109,11 @@ class KizzleConfig:
         Day-over-day warm-path settings (shedding, carry-forward, fast
         scanning); disabled by default.  See :class:`IncrementalConfig`.
     backend:
-        Execution-backend selection (``serial`` / ``process`` / ``distsim``
-        / ``cluster``) and its substrate knobs.  Unset fields inherit the
+        Execution-backend selection (``serial`` / ``process`` /
+        ``cluster``) and its transport knobs.  Unset fields inherit the
         pipeline-level values (``machines``, ``distance.workers``) via
-        :meth:`resolved_backend`.  Backends never change results — only
-        where work runs and what the timing report looks like.
+        :meth:`resolved_backend`.  Backends never change results or the
+        virtual timeline of a report — only where work runs.
     """
 
     epsilon: float = 0.10

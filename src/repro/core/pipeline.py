@@ -11,10 +11,11 @@ The loop is an explicit **stage graph** (:mod:`repro.core.stages`)::
     shed -> prepare -> cluster -> label -> compile -> finalize
 
 executed through a pluggable **execution backend** (:mod:`repro.exec`):
-serial inline, a local process pool, the distsim cluster simulator (the
-default, reproducing the paper's 50-machine timing model), or real worker
-processes over TCP.  Backends never change results — labels, signatures and
-FP/FN are byte-identical across all four (``tests/test_backends.py``).
+serial in process, a local process pool (the default), or real worker
+processes over TCP.  Backends never change results — labels, signatures,
+FP/FN and the paper's 50-machine virtual timeline every day's report carries
+(:mod:`repro.distsim`) are identical across all three
+(``tests/test_backends.py``).
 
 Two execution modes share the graph *shape* and substitute stage
 implementations:
@@ -420,7 +421,7 @@ class Kizzle:
 
         Every labeled real content enters the exact-repeat shedding ledger,
         the carry-forward anchors advance, and the shed/carry work is
-        simulated on the backend's machine pool so the virtual daily
+        charged to the modelled machine pool so the virtual daily
         wall-clock stays honest: every byte the shedding stage *scanned* is
         charged (survivors that failed the scan cost real work too — the
         warm path only gets credit for work it truly sheds), and anchor

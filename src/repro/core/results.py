@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.clustering.partition import Cluster
-from repro.distsim.mapreduce import MapReduceReport
+from repro.distsim import MapReduceReport
 from repro.labeling.labeler import ClusterLabel
 from repro.signatures.signature import Signature
 

@@ -1,13 +1,13 @@
 """Pluggable execution backends for the stage-graph pipeline.
 
-One interface (:class:`~repro.exec.backend.ExecutionBackend`), four
-substrates: inline serial execution, real process-pool fan-out, the
-discrete-event cluster simulator, and a true multi-machine cluster over
-TCP sockets.  Backends change where work runs and what the timing reports
-look like — never the pipeline's results.
+One interface (:class:`~repro.exec.backend.ExecutionBackend`), three
+transports: in the driver process, a local process pool, and a true
+multi-machine cluster over TCP sockets.  Backends change where work runs —
+never the pipeline's results, and never the virtual 50-machine timeline
+every report carries (:mod:`repro.distsim` computes it from recorded costs).
 
 Only the interface module loads eagerly; the backend implementations (and
-their multiprocessing/simulator dependencies) resolve lazily on first
+their multiprocessing/socket dependencies) resolve lazily on first
 attribute access, so the configuration layer can import
 :class:`~repro.exec.backend.BackendConfig` without paying for them.
 """
@@ -22,7 +22,6 @@ __all__ = [
     "create_backend",
     "SerialBackend",
     "ProcessBackend",
-    "DistsimBackend",
     "ClusterBackend",
     "ClusterCoordinator",
     "ClusterError",
@@ -33,7 +32,6 @@ __all__ = [
 #: Lazily-resolved names -> defining submodule (PEP 562).
 _LAZY = {
     "ProcessBackend": "repro.exec.process",
-    "DistsimBackend": "repro.exec.distsim",
     "PartitionPoolExecutor": "repro.exec.partition",
     "ClusterBackend": "repro.exec.cluster",
     "ClusterCoordinator": "repro.exec.cluster",

@@ -6,18 +6,14 @@ The clustering stage is one map over partitions plus one reduce (paper,
 Section III-A, Figure 7), and there is one seam for it: every partition is a
 :class:`~repro.clustering.partition.PartitionMapTask`, and
 :meth:`ExecutionBackend.run_partition_map` is the only thing that differs
-between substrates.  Four implementations share the interface:
+between the three transports:
 
 * :class:`SerialBackend` — every task runs in the driver process on the
-  clusterer's shared engine; the reference substrate every other backend
+  clusterer's shared engine; the reference transport every other backend
   must match byte for byte.
-* :class:`~repro.exec.process.ProcessBackend` — batches worth shipping run
-  on a persistent :mod:`multiprocessing` pool; the rest run in process.
-* :class:`~repro.exec.distsim.DistsimBackend` — the same pool transport,
-  reported on the paper's 50-machine timeline, which is computed *after*
-  the map and reduce ran from the costs they recorded
-  (:func:`~repro.distsim.mapreduce.virtual_timeline`).  This is the
-  default, and it is what the seed reproduction always did.
+* :class:`~repro.exec.process.ProcessBackend` (the default) — batches worth
+  shipping run on a persistent :mod:`multiprocessing` pool; the rest run in
+  process.
 * :class:`~repro.exec.cluster.ClusterBackend` — true multi-machine
   execution: a TCP coordinator leases the tasks to
   :mod:`repro.exec.worker` processes on this or other hosts, with
@@ -25,24 +21,29 @@ between substrates.  Four implementations share the interface:
   (``tests/test_cluster_faults.py`` proves byte-identity under injected
   failures).
 
+Every report carries the paper's 50-machine timeline, computed *after* the
+map and reduce ran from the costs they recorded
+(:func:`repro.distsim.virtual_timeline`) — the timing model observes a
+transport, it is not one — with the seconds the run measurably took beside
+it.
+
 Backends only change *where and how fast* work executes, never its result:
 results merge in task order whatever the completion order, so cluster
-labels, signatures and per-day FP/FN are byte-identical across all of them
-(asserted in ``tests/test_backends.py``).  Anything that affects results —
-partition counts, shuffle seeds, epsilon — stays in
+labels, signatures, per-day FP/FN and the virtual timeline are identical
+across all of them (asserted in ``tests/test_backends.py``).  Anything that
+affects results — partition counts, shuffle seeds, epsilon — stays in
 :class:`~repro.core.config.KizzleConfig` and is shared by every backend.
 """
 
 from __future__ import annotations
 
-import abc
 import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable, List, Optional, Sequence, Tuple, \
     TYPE_CHECKING
 
-from repro.distsim.machine import MachineSpec
-from repro.distsim.mapreduce import MapReduceReport
+from repro.distsim import MapReduceReport, SimCluster, stage_seconds, \
+    virtual_timeline
 
 if TYPE_CHECKING:
     from repro.clustering.partition import PartitionMapResult, \
@@ -50,34 +51,35 @@ if TYPE_CHECKING:
     from repro.distance.engine import DistanceEngine
 
 #: Recognized backend kinds, in CLI/help order.
-BACKEND_KINDS = ("serial", "process", "distsim", "cluster")
+BACKEND_KINDS = ("serial", "process", "cluster")
 
 
 @dataclass(frozen=True)
 class BackendConfig:
-    """Execution-substrate settings, resolved by the pipeline.
+    """Execution-transport settings, resolved by the pipeline.
 
     Attributes
     ----------
     kind:
-        ``"serial"``, ``"process"``, ``"distsim"`` (the default; it
-        reproduces the seed behaviour, including the simulated timing
-        model, and runs partitions on the process pool) or ``"cluster"``
-        (real multi-machine execution over TCP workers; see
-        :mod:`repro.exec.cluster`).
+        ``"serial"``, ``"process"`` (the default: whole partitions on a
+        local process pool) or ``"cluster"`` (real multi-machine execution
+        over TCP workers; see :mod:`repro.exec.cluster`).  The legacy
+        spelling ``"distsim"`` — the timing model used to be a backend kind
+        of its own, running on the pool transport — is stored as
+        ``"process"``.
     machines:
-        Size of the simulated machine pool (distsim) and the unit count
-        extra stages are charged over.  ``None`` inherits
+        Size of the modelled machine pool every report's virtual timeline
+        is computed over (:mod:`repro.distsim`).  ``None`` inherits
         ``KizzleConfig.machines``.  Note the *partition* count of the
         clustering stage always comes from ``KizzleConfig.machines`` so
         that clustering output never depends on the backend.
     workers:
-        Width of the partition pool (process/distsim backends).  ``0``
+        Width of the partition pool (process backend).  ``0``
         auto-detects; ``None`` inherits ``DistanceEngineConfig.workers``.
     partition_parallel:
-        Let the process/distsim backends ship the partition map (tokenize
-        + DBSCAN per partition) to a persistent worker pool.  On by default
-        — results are byte-identical either way, and batches not worth
+        Let the process backend ship the partition map (tokenize + DBSCAN
+        per partition) to a persistent worker pool.  On by default —
+        results are byte-identical either way, and batches not worth
         shipping (one partition, one worker, small pre-tokenized
         partitions) run in process automatically.
     listen:
@@ -101,7 +103,7 @@ class BackendConfig:
         under a public default key (single-host development mode).
     """
 
-    kind: str = "distsim"
+    kind: str = "process"
     machines: Optional[int] = None
     workers: Optional[int] = None
     partition_parallel: bool = True
@@ -113,6 +115,8 @@ class BackendConfig:
     secret: Optional[str] = None
 
     def __post_init__(self) -> None:
+        if self.kind == "distsim":
+            object.__setattr__(self, "kind", "process")
         if self.kind not in BACKEND_KINDS:
             raise ValueError(
                 f"unknown backend kind {self.kind!r}; "
@@ -136,21 +140,26 @@ class BackendConfig:
             workers=self.workers if self.workers is not None else workers)
 
 
-class ExecutionBackend(abc.ABC):
+class ExecutionBackend:
     """Where stage work runs: in process, on a process pool, or remotely.
 
-    The interface has three load-bearing methods:
+    The interface has three load-bearing methods, and subclasses override
+    only the first:
 
     * :meth:`run_partition_map` is the transport seam: it executes a batch
       of partition map tasks somewhere and returns their results in task
       order;
     * :meth:`run_mapreduce` is the one driver of the clustering stage — map
       through the seam, fold remote engine state back, reduce, report — and
-      returns a :class:`~repro.distsim.mapreduce.MapReduceReport` (with
+      returns a :class:`~repro.distsim.MapReduceReport` (with
       ``reduce_value`` holding the merged clusters);
     * :meth:`simulate_stage` accounts an extra perfectly-parallel stage
-      (shedding, carry-forward probes) against the backend's notion of the
-      machine pool, recording virtual seconds in the report.
+      (shedding, carry-forward probes) against the modelled machine pool,
+      recording virtual seconds in the report.
+
+    The modelled pool (:attr:`virtual_pool`, ``config.machines`` machines,
+    the paper's 50 when unset) is the same on every transport, so the
+    virtual numbers in a report never depend on where the work ran.
     """
 
     #: Short identifier, also the CLI ``--backend`` value.
@@ -158,29 +167,19 @@ class ExecutionBackend(abc.ABC):
 
     def __init__(self, config: BackendConfig) -> None:
         self.config = config
+        self.virtual_pool = SimCluster(machine_count=config.machines or 50)
 
-    # -- substrate ------------------------------------------------------
-    @property
-    def machine_spec(self) -> MachineSpec:
-        """The machine model stage costs are converted with."""
-        return MachineSpec()
-
-    @property
-    def charge_units(self) -> int:
-        """Parallel width extra stage costs are spread over."""
-        return 1
-
+    # -- transport ------------------------------------------------------
     @property
     def ship_width(self) -> int:
         """Real worker width a shipped map runs with (reported as
         ``map_workers``; an in-process map always reports 1)."""
-        return self.charge_units
+        return 1
 
     def close(self) -> None:
         """Release pooled resources (idempotent).  Backends without
-        persistent substrate state have nothing to do."""
+        persistent transport state have nothing to do."""
 
-    # -- execution ------------------------------------------------------
     def run_partition_map(self, tasks: Sequence["PartitionMapTask"],
                           engine: "DistanceEngine"
                           ) -> List["PartitionMapResult"]:
@@ -197,6 +196,7 @@ class ExecutionBackend(abc.ABC):
         """
         return [task.run(engine=engine, export=False) for task in tasks]
 
+    # -- driver and timing model ----------------------------------------
     def run_mapreduce(self, tasks: Sequence["PartitionMapTask"],
                       reduce_function: Callable[[List[Any]],
                                                 Tuple[Any, float]],
@@ -208,7 +208,9 @@ class ExecutionBackend(abc.ABC):
         ``engine``.  Results of shipped tasks are absorbed into ``engine``
         first, in task order, so the per-layer stats stay whole and the
         reduce reuses the distances the map already paid for — exactly
-        what an in-process map gets from sharing the engine.
+        what an in-process map gets from sharing the engine.  The report's
+        four phases are the virtual timeline of the recorded costs; the
+        measured map and reduce seconds sit beside them.
         """
         started = time.perf_counter()
         results = self.run_partition_map(tasks, engine)
@@ -223,59 +225,34 @@ class ExecutionBackend(abc.ABC):
             [result.clusters for result in results])
         reduce_seconds = time.perf_counter() - started
 
-        phases = self._timeline(tasks, results, reduce_cost,
-                                map_seconds, reduce_seconds)
-        report = MapReduceReport(self.charge_units, max(1, len(tasks)),
-                                 *phases, reduce_value=reduce_value,
-                                 backend=self.name)
-        if shipped:
-            report.map_workers = self.ship_width
-            report.map_wall_seconds = map_seconds
-        return report
+        phases = virtual_timeline(
+            self.virtual_pool,
+            [task.input_bytes for task in tasks],
+            [result.cost for result in results],
+            [result.output_bytes for result in results],
+            reduce_cost)
+        return MapReduceReport(
+            self.virtual_pool.machine_count, max(1, len(tasks)), *phases,
+            reduce_value=reduce_value, backend=self.name,
+            map_workers=self.ship_width if shipped else 1,
+            map_wall_seconds=map_seconds, reduce_wall_seconds=reduce_seconds)
 
-    @abc.abstractmethod
-    def _timeline(self, tasks: Sequence["PartitionMapTask"],
-                  results: Sequence["PartitionMapResult"],
-                  reduce_cost: float, map_seconds: float,
-                  reduce_seconds: float) -> Tuple[float, float, float, float]:
-        """``(scatter, map, gather, reduce)`` seconds of a finished job:
-        measured wall clock, or a virtual timeline over recorded costs."""
-
-    @abc.abstractmethod
     def simulate_stage(self, report: MapReduceReport, name: str,
                        cost: float) -> float:
         """Account an extra perfectly-parallel stage of ``cost`` work units.
 
-        Records the stage's virtual seconds in ``report.stage_seconds`` (and,
-        for the simulator backend, per-stage utilization from the real
-        scheduled tasks).  Returns the seconds charged.
+        Adds the stage's virtual seconds on the modelled pool
+        (:func:`repro.distsim.stage_seconds`) to ``report.stage_seconds``
+        and returns them.
         """
+        seconds = stage_seconds(self.virtual_pool, cost)
+        report.stage_seconds[name] = report.stage_seconds.get(name, 0.0) \
+            + seconds
+        return seconds
 
 
-class InlineBackend(ExecutionBackend):
-    """Shared substrate for backends that report measured wall clock.
-
-    The report's map/reduce times are the driver's wall clock around the
-    map seam and the reduce, and the network phases are zero (no transfer
-    is modelled).  Extra stages charge through
-    :meth:`MapReduceReport.charge_stage` — the one place the
-    cost-to-seconds formula lives — spread over :attr:`charge_units`.
-    """
-
-    def _timeline(self, tasks, results, reduce_cost, map_seconds,
-                  reduce_seconds) -> Tuple[float, float, float, float]:
-        return 0.0, map_seconds, 0.0, reduce_seconds
-
-    def simulate_stage(self, report: MapReduceReport, name: str,
-                       cost: float) -> float:
-        return report.charge_stage(name, cost,
-                                   machine_count=self.charge_units,
-                                   spec=self.machine_spec)
-
-
-class SerialBackend(InlineBackend):
-    """Run every stage in the current process — the reference substrate.
-    Report times are the measured wall clock."""
+class SerialBackend(ExecutionBackend):
+    """Run every stage in the current process — the reference transport."""
 
     name = "serial"
 
@@ -291,9 +268,6 @@ def create_backend(config: BackendConfig) -> ExecutionBackend:
     if config.kind == "process":
         from repro.exec.process import ProcessBackend
         return ProcessBackend(config)
-    if config.kind == "distsim":
-        from repro.exec.distsim import DistsimBackend
-        return DistsimBackend(config)
     if config.kind == "cluster":
         from repro.exec.cluster import ClusterBackend
         return ClusterBackend(config)

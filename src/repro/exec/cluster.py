@@ -71,7 +71,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.exec import wire
-from repro.exec.backend import BackendConfig, InlineBackend
+from repro.exec.backend import BackendConfig, ExecutionBackend
 from repro.exec.partition import worth_shipping
 
 logger = logging.getLogger("repro.exec.cluster")
@@ -742,7 +742,7 @@ def spawn_local_worker(address: Tuple[str, int], *,
 # ----------------------------------------------------------------------
 # the backend
 # ----------------------------------------------------------------------
-class ClusterBackend(InlineBackend):
+class ClusterBackend(ExecutionBackend):
     """Real multi-machine execution behind the standard backend seam.
 
     The coordinator starts (and binds) at construction, so callers can
@@ -751,8 +751,7 @@ class ClusterBackend(InlineBackend):
     that many localhost worker subprocesses for single-host use (the CI
     and example path).  The wire secret resolves from ``config.secret``
     or the ``REPRO_CLUSTER_SECRET`` environment variable and is handed to
-    spawned workers through their environment.  Report times are measured
-    wall clock, like every inline backend; :attr:`redispatch_count`,
+    spawned workers through their environment.  :attr:`redispatch_count`,
     :attr:`reject_counts` and the per-worker task counts surface the
     failure-handling telemetry the fault tests and the nightly benchmark
     assert on.
@@ -781,14 +780,16 @@ class ClusterBackend(InlineBackend):
                 secret=secret)
             for _ in range(config.spawn_workers)]
 
-    # -- substrate ------------------------------------------------------
+    # -- transport ------------------------------------------------------
     @property
     def address(self) -> Tuple[str, int]:
         """Where workers should ``--connect``."""
         return self.coordinator.address
 
     @property
-    def charge_units(self) -> int:
+    def ship_width(self) -> int:
+        """Workers connected right now — telemetry only (``map_workers``);
+        no reported time is derived from the fleet's momentary size."""
         return max(1, self.coordinator.worker_count)
 
     @property

@@ -8,8 +8,9 @@ long-lived :mod:`multiprocessing` pool and ships whole
 child process tokenizes (a no-op for pre-prepared samples), runs DBSCAN and
 selects prototypes for its partition on a task-private engine, then sends
 the clusters back together with that engine's stats and exact-distance cache
-so the driver can merge both.  :class:`PoolTransport` puts the pool behind
-``ExecutionBackend.run_partition_map`` for the process and distsim backends.
+so the driver can merge both.
+:class:`~repro.exec.process.ProcessBackend` puts the pool behind
+``ExecutionBackend.run_partition_map``.
 
 The pool is created lazily on the first batch that is worth shipping
 (:func:`worth_shipping` — the one copy of that rule, shared with the cluster
@@ -35,8 +36,6 @@ if TYPE_CHECKING:
 
     from repro.clustering.partition import PartitionMapResult, \
         PartitionMapTask
-    from repro.distance.engine import DistanceEngine
-    from repro.exec.backend import BackendConfig
 
 #: Minimum partition size (samples) before *pre-tokenized* partitions are
 #: worth shipping: below this the per-partition DBSCAN is so cheap that
@@ -112,32 +111,3 @@ class PartitionPoolExecutor:
             self._pool.join()
             self._pool = None
             atexit.unregister(self.close)
-
-
-class PoolTransport:
-    """Backend mixin: ``run_partition_map`` over a persistent fork pool.
-
-    ``pool`` is ``None`` when ``config.partition_parallel`` is off; every
-    batch then takes the in-process transport, as does any batch that is
-    not :func:`worth_shipping`.
-    """
-
-    def __init__(self, config: "BackendConfig") -> None:
-        super().__init__(config)
-        self.pool = PartitionPoolExecutor(config.workers or 0) \
-            if config.partition_parallel else None
-
-    @property
-    def ship_width(self) -> int:
-        return self.pool.pool_width() if self.pool is not None else 1
-
-    def run_partition_map(self, tasks: Sequence["PartitionMapTask"],
-                          engine: "DistanceEngine"
-                          ) -> List["PartitionMapResult"]:
-        if worth_shipping(tasks, self.ship_width):
-            return self.pool.run(tasks)
-        return super().run_partition_map(tasks, engine)
-
-    def close(self) -> None:
-        if self.pool is not None:
-            self.pool.close()

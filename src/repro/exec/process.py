@@ -7,24 +7,46 @@ are byte-identical for any ``N`` (asserted in ``tests/test_backends.py``).
 
 from __future__ import annotations
 
-import multiprocessing
+from typing import List, Sequence, TYPE_CHECKING
 
-from repro.exec.backend import InlineBackend
-from repro.exec.partition import PoolTransport
+from repro.exec.backend import BackendConfig, ExecutionBackend
+from repro.exec.partition import PartitionPoolExecutor, worth_shipping
+
+if TYPE_CHECKING:
+    from repro.clustering.partition import PartitionMapResult, \
+        PartitionMapTask
+    from repro.distance.engine import DistanceEngine
 
 
-class ProcessBackend(PoolTransport, InlineBackend):
-    """Real process-pool parallelism, no simulation.
+class ProcessBackend(ExecutionBackend):
+    """Real process-pool parallelism (the default transport).
 
     The partition map fans out over a persistent
     :class:`~repro.exec.partition.PartitionPoolExecutor` — whole partitions
     ship to child processes and per-partition clusters ship back — while
-    batches not worth shipping run the same tasks in process.  Report times
-    are measured wall clock, as with the serial backend.
+    batches not :func:`~repro.exec.partition.worth_shipping` run the same
+    tasks in process.  ``pool`` is ``None`` when
+    ``config.partition_parallel`` is off; every batch then stays in process.
     """
 
     name = "process"
 
+    def __init__(self, config: BackendConfig) -> None:
+        super().__init__(config)
+        self.pool = PartitionPoolExecutor(config.workers or 0) \
+            if config.partition_parallel else None
+
     @property
-    def charge_units(self) -> int:
-        return self.config.workers or multiprocessing.cpu_count()
+    def ship_width(self) -> int:
+        return self.pool.pool_width() if self.pool is not None else 1
+
+    def run_partition_map(self, tasks: Sequence["PartitionMapTask"],
+                          engine: "DistanceEngine"
+                          ) -> List["PartitionMapResult"]:
+        if worth_shipping(tasks, self.ship_width):
+            return self.pool.run(tasks)
+        return super().run_partition_map(tasks, engine)
+
+    def close(self) -> None:
+        if self.pool is not None:
+            self.pool.close()

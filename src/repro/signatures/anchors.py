@@ -17,9 +17,14 @@ Extraction is deliberately conservative: anything that is not provably a
 required literal (group constructs, classes, quantified atoms, anchors,
 backreferences) simply breaks the current run, and an alternation -- an
 unescaped ``|`` outside a character class -- anywhere disables extraction for
-the whole pattern.  A pattern with no sufficiently long run yields no anchor
-and is always evaluated in full.  Patterns are assumed to be written without
-verbose mode and ``(?#...)`` comments, as every pattern in this repository is.
+the whole pattern.  So do the two constructs that change what the text
+around them means: a conditional group ``(?(1)...)``, whose body is required
+only when the group it names took part, and a global inline flag group that
+sets ``i`` (the literals match in either case) or ``x`` (blanks in the
+pattern are not text).  A pattern with no sufficiently long run yields no
+anchor and is always evaluated in full.  Patterns are assumed to be compiled
+without ``re.IGNORECASE`` / ``re.VERBOSE`` and written without ``(?#...)``
+comments, as every pattern in this repository is.
 """
 
 from __future__ import annotations
@@ -52,7 +57,8 @@ def required_literals(pattern: str, min_length: int = 1) -> List[str]:
     returns no literals at all (without tracking group nesting, nothing
     around an alternation is provably required); ``\\|`` and ``[|]`` are
     literal bars, not alternations, and are stepped over like any other
-    escape or class.
+    escape or class.  A conditional group or a global ``(?i)`` / ``(?x)``
+    likewise returns no literals.
     """
     runs: List[str] = []
     current: List[str] = []
@@ -103,10 +109,15 @@ def required_literals(pattern: str, min_length: int = 1) -> List[str]:
             continue
         if character == "(":
             flush()
+            if pattern.startswith("(?(", index):
+                return []
             next_index, body_required = _skip_group_header(pattern, index)
             if next_index > index + 1 and pattern[next_index - 1] == ")":
-                # Whole construct consumed (e.g. a (?P=name) backreference):
-                # nothing to track.
+                # Whole construct consumed: a (?P=name) backreference, which
+                # leaves nothing to track, or a global inline flag group.
+                if not pattern.startswith("(?P=", index) \
+                        and set("ix") & set(pattern[index + 2:next_index - 1]):
+                    return []
                 index = next_index
                 continue
             group_stack.append([len(runs), body_required])

@@ -32,9 +32,10 @@ class RegexTemplate:
     character_class: str
 
     def accepts(self, values: Sequence[str]) -> bool:
-        pattern = re.compile(f"^{self.character_class}+$")
-        return all(bool(pattern.match(value)) for value in values if value != "") \
-            and all(value != "" for value in values)
+        # fullmatch: a ``$`` anchor would also accept a value with a trailing
+        # newline, which the emitted ``class{m,n}`` cannot match.
+        pattern = re.compile(f"{self.character_class}+")
+        return all(pattern.fullmatch(value) is not None for value in values)
 
 
 #: The predefined template set, tried in order (most specific first).

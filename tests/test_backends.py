@@ -2,13 +2,14 @@
 
 The load-bearing property: backends change *where* work runs, never *what*
 comes out.  On a seeded multi-day stream — warm and cold — the serial,
-process and distsim backends must produce byte-identical cluster labels,
+process and cluster backends must produce byte-identical cluster labels,
 signatures and per-day FP/FN.  The process pool must additionally be
 deterministic across worker counts, and must not be forked at all for
 partitions too small to be worth shipping.  Every backend runs the map
 through the one ``run_partition_map`` seam, so the transports (in process,
-fork pool, TCP) are also compared directly, and the distsim timeline — now
-computed after the fact from recorded costs — is pinned to golden values.
+fork pool, TCP) are also compared directly, and the virtual timeline every
+report carries — computed after the fact from recorded costs, the same on
+every transport — is pinned to golden values.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from repro.ekgen import StreamConfig, TelemetryGenerator
 from repro.exec import (
     BACKEND_KINDS,
     BackendConfig,
-    DistsimBackend,
     ProcessBackend,
     SerialBackend,
     create_backend,
@@ -64,7 +64,7 @@ class TestBackendConfig:
         config = KizzleConfig(machines=12, seed=3,
                               distance=DistanceEngineConfig(workers=2))
         resolved = config.resolved_backend()
-        assert resolved.kind == "distsim"
+        assert resolved.kind == "process"
         assert resolved.machines == 12
         assert resolved.workers == 2
 
@@ -77,11 +77,21 @@ class TestBackendConfig:
             assert {kind: type(b) for kind, b in backends.items()} == {
                 "serial": SerialBackend,
                 "process": ProcessBackend,
-                "distsim": DistsimBackend,
                 "cluster": ClusterBackend}
         finally:
             for backend in backends.values():
                 backend.close()
+
+    def test_legacy_distsim_spelling_is_the_process_kind(self):
+        """``kind="distsim"`` (still spelled by ``bench/workloads.py``) is
+        stored as ``"process"``, so nothing downstream can branch on it."""
+        legacy = BackendConfig(kind="distsim", workers=1,
+                               partition_parallel=False)
+        assert legacy == BackendConfig(kind="process", workers=1,
+                                       partition_parallel=False)
+        assert "distsim" not in BACKEND_KINDS
+        backend = create_backend(legacy)
+        assert type(backend) is ProcessBackend and backend.pool is None
 
     def test_cluster_config_validation(self):
         with pytest.raises(ValueError):
@@ -122,40 +132,35 @@ class TestBackendConfig:
                 backend.close()
 
     def test_zero_cost_stage_charges_nothing(self):
-        """A stage that did no work must not bill scheduler startup
-        latency on the simulated pool (matching charge_stage semantics)."""
-        from repro.distsim.mapreduce import MapReduceReport
+        """A stage that did no work must not bill per-task startup
+        latency on the modelled pool."""
+        from repro.distsim import MapReduceReport
 
-        backend = create_backend(BackendConfig(kind="distsim", machines=4))
+        backend = create_backend(BackendConfig(kind="serial", machines=4))
         report = MapReduceReport(machine_count=4, partitions=1,
                                  scatter_time=0.0, map_time=0.0,
                                  gather_time=0.0, reduce_time=0.0)
         assert backend.simulate_stage(report, "shed", 0.0) == 0.0
         assert report.stage_seconds["shed"] == 0.0
-        assert "shed" not in report.stage_utilization
         assert backend.simulate_stage(report, "shed", 1e6) > 0.0
 
     def test_negative_cost_stage_charges_nothing(self):
         """A (buggy or rounded-below-zero) negative cost takes the same
-        short-circuit as zero: no virtual seconds, no utilization entry."""
-        from repro.distsim.mapreduce import MapReduceReport
+        short-circuit as zero: no virtual seconds."""
+        from repro.distsim import MapReduceReport
 
-        backend = create_backend(BackendConfig(kind="distsim", machines=4))
+        backend = create_backend(BackendConfig(kind="serial", machines=4))
         report = MapReduceReport(machine_count=4, partitions=1,
                                  scatter_time=0.0, map_time=0.0,
                                  gather_time=0.0, reduce_time=0.0)
         assert backend.simulate_stage(report, "shed", -5.0) == 0.0
         assert report.stage_seconds["shed"] == 0.0
-        assert "shed" not in report.stage_utilization
 
-    def test_stage_seconds_accumulate_and_utilization_averages(self):
-        """Repeated charges to one stage accumulate virtual seconds, and
-        the recorded utilization is the machine pool's mean (a perfectly
-        parallel stage keeps every machine busy most of the makespan)."""
-        from repro.distsim.mapreduce import MapReduceReport
-        from repro.distsim.scheduler import Scheduler, Task
+    def test_stage_seconds_accumulate(self):
+        """Repeated charges to one stage accumulate virtual seconds."""
+        from repro.distsim import MapReduceReport
 
-        backend = create_backend(BackendConfig(kind="distsim", machines=3))
+        backend = create_backend(BackendConfig(kind="serial", machines=3))
         report = MapReduceReport(machine_count=3, partitions=1,
                                  scatter_time=0.0, map_time=0.0,
                                  gather_time=0.0, reduce_time=0.0)
@@ -163,39 +168,16 @@ class TestBackendConfig:
         second = backend.simulate_stage(report, "shed", 3e6)
         assert first > 0.0 and second > 0.0
         assert report.stage_seconds["shed"] == pytest.approx(first + second)
-        # The recorded value matches an identical schedule's mean
-        # utilization exactly (equal shares, same machine count).
-        scheduler = Scheduler(3, spec=backend.machine_spec)
-        scheduler.run_tasks([
-            Task(name=f"shed-{i}", callable=lambda: None, cost=1e6)
-            for i in range(3)])
-        utilization = scheduler.utilization()
-        expected = sum(utilization.values()) / len(utilization)
-        assert report.stage_utilization["shed"] == pytest.approx(expected)
-        assert 0.0 < report.stage_utilization["shed"] <= 1.0
-
-    def test_distsim_rejects_mismatched_injected_cluster(self):
-        """An injected simulated cluster whose size disagrees with the
-        config must be rejected, not silently adopted (charge_units would
-        desynchronize from the configured machine count)."""
-        from repro.distsim.mapreduce import SimCluster
-
-        with pytest.raises(ValueError, match="machines"):
-            DistsimBackend(BackendConfig(kind="distsim", machines=10),
-                           sim_cluster=SimCluster(machine_count=4))
+        assert report.total_time == pytest.approx(first + second)
 
     def test_distsim_accepts_matching_or_unset_machines(self):
-        from repro.distsim.mapreduce import SimCluster
-
-        cluster = SimCluster(machine_count=4)
-        matching = DistsimBackend(
-            BackendConfig(kind="distsim", machines=4), sim_cluster=cluster)
-        assert matching.sim_cluster is cluster
-        # machines unset: the backend adopts the injected cluster's size.
-        adopted = DistsimBackend(BackendConfig(kind="distsim"),
-                                 sim_cluster=cluster)
-        assert adopted.charge_units == 4
-        assert adopted.config.machines == 4
+        """The modelled pool is ``config.machines`` wide on every kind (the
+        legacy spelling included), the paper's 50 when unset."""
+        for kind in ("serial", "process", "distsim"):
+            sized = create_backend(BackendConfig(kind=kind, machines=4))
+            unset = create_backend(BackendConfig(kind=kind))
+            assert sized.virtual_pool.machine_count == 4
+            assert unset.virtual_pool.machine_count == 50
 
 
 # ----------------------------------------------------------------------
@@ -297,11 +279,10 @@ class TestBackendEquivalence:
                              ids=["cold", "warm"])
     def test_all_backends_byte_identical(self, incremental):
         reference = _run_stream("serial", incremental)
-        for kind in ("process", "distsim"):
-            labels, fpfn, signatures = _run_stream(kind, incremental)
-            assert labels == reference[0], f"{kind} cluster labels diverged"
-            assert fpfn == reference[1], f"{kind} FP/FN diverged"
-            assert signatures == reference[2], f"{kind} signatures diverged"
+        labels, fpfn, signatures = _run_stream("process", incremental)
+        assert labels == reference[0], "process cluster labels diverged"
+        assert fpfn == reference[1], "process FP/FN diverged"
+        assert signatures == reference[2], "process signatures diverged"
 
     @pytest.mark.slow
     def test_worker_count_does_not_change_signatures(self):
@@ -384,19 +365,6 @@ class TestBackendEquivalence:
 # ----------------------------------------------------------------------
 # the one map seam: transports compared directly, timeline as an observer
 # ----------------------------------------------------------------------
-class _DistsimOver(DistsimBackend):
-    """The distsim report over another backend's transport: the timeline
-    observes recorded costs, so it must not care which transport ran."""
-
-    def __init__(self, transport):
-        super().__init__(BackendConfig(kind="distsim", machines=6,
-                                       partition_parallel=False))
-        self.transport = transport
-
-    def run_partition_map(self, tasks, engine):
-        return self.transport.run_partition_map(tasks, engine)
-
-
 def _cluster_day(backend, samples):
     """Cluster one day's samples (floor dropped so pre-tokenized partitions
     ship too); returns (labels, report, clusterer)."""
@@ -416,25 +384,52 @@ def _phases(report):
             report.reduce_time)
 
 
+def _golden_stream_timings(backend, incremental, days):
+    """Timing reports of the first ``days`` August days of the stream the
+    golden timeline was captured on (6 machines, 4 partitions)."""
+    generator = TelemetryGenerator(StreamConfig(
+        benign_per_day=20,
+        kit_daily_counts={"angler": 24, "nuclear": 16,
+                          "sweetorange": 16, "rig": 12},
+        seed=20140801))
+    config = KizzleConfig(
+        machines=6, min_points=3, partitions=4,
+        distance=DistanceEngineConfig(workers=1, shared_cache=False),
+        incremental=IncrementalConfig(enabled=incremental), backend=backend)
+    timings = []
+    with Kizzle(config) as kizzle:
+        for kit in KITS:
+            kizzle.seed_known_kit(
+                kit, [generator.reference_core(kit, D(2014, 7, 31))])
+        for offset in range(days):
+            date = D(2014, 8, 1) + datetime.timedelta(days=offset)
+            batch = generator.generate_day(date)
+            timings.append(kizzle.process_day(
+                [(s.sample_id, s.content) for s in batch.samples],
+                date).timing)
+    return timings
+
+
 class TestOneMapSeam:
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     def test_transports_agree_on_clusters_stats_and_timeline(self, warm):
         """The same day through the three transports — in process, fork
         pool, TCP lease — gives equal clusters, equal engine accounting
-        and, observed by the distsim report, equal virtual phases."""
+        and equal virtual phases in the report."""
         make = ClusteredSample.from_content if warm else ClusteredSample
         samples = [make(sample_id, content)
                    for sample_id, content in _family_samples(12)]
         outcomes = {}
         for name, config in (
-                ("in-process", BackendConfig(kind="serial")),
-                ("fork-pool", BackendConfig(kind="process", workers=2)),
-                ("tcp", BackendConfig(kind="cluster", spawn_workers=2,
+                ("in-process", BackendConfig(kind="serial", machines=6)),
+                ("fork-pool", BackendConfig(kind="process", machines=6,
+                                            workers=2)),
+                ("tcp", BackendConfig(kind="cluster", machines=6,
+                                      spawn_workers=2,
                                       heartbeat_timeout_s=4.0))):
             transport = create_backend(config)
             try:
-                labels, report, _ = _cluster_day(_DistsimOver(transport),
-                                                 samples)
+                labels, report, _ = _cluster_day(transport, samples)
                 outcomes[name] = (labels, report.distance_stats,
                                   _phases(report))
                 if name == "fork-pool":
@@ -478,11 +473,6 @@ class TestOneMapSeam:
         """The virtual timeline is computed after the fact from recorded
         costs; these values were captured from the commit that still drove
         the map through the simulator's scheduler, to the last digit."""
-        generator = TelemetryGenerator(StreamConfig(
-            benign_per_day=20,
-            kit_daily_counts={"angler": 24, "nuclear": 16,
-                              "sweetorange": 16, "rig": 12},
-            seed=20140801))
         golden = {
             False: [((0.05635402666666667, 6.084152290816327,
                       0.059758240000000004, 22.613830737500002), {})],
@@ -495,66 +485,69 @@ class TestOneMapSeam:
                      "carry_forward": 2.0451316901041667})],
         }
         for incremental, days in golden.items():
-            config = KizzleConfig(
-                machines=6, min_points=3, partitions=4,
-                distance=DistanceEngineConfig(workers=1, shared_cache=False),
-                incremental=IncrementalConfig(enabled=incremental),
-                backend=BackendConfig(kind="distsim", workers=1))
-            with Kizzle(config) as kizzle:
-                for kit in KITS:
-                    kizzle.seed_known_kit(
-                        kit, [generator.reference_core(kit, D(2014, 7, 31))])
-                for offset, (phases, stage_seconds) in enumerate(days):
-                    date = D(2014, 8, 1) + datetime.timedelta(days=offset)
-                    batch = generator.generate_day(date)
-                    timing = kizzle.process_day(
-                        [(s.sample_id, s.content) for s in batch.samples],
-                        date).timing
-                    assert _phases(timing) == phases
-                    assert timing.stage_seconds == stage_seconds
-                    assert (timing.machine_count, timing.partitions) == (6, 4)
+            timings = _golden_stream_timings(
+                BackendConfig(kind="distsim", workers=1), incremental,
+                len(days))
+            for timing, (phases, stage_seconds) in zip(timings, days):
+                assert _phases(timing) == phases
+                assert timing.stage_seconds == stage_seconds
+                assert (timing.machine_count, timing.partitions) == (6, 4)
+
+    def test_every_kind_reports_the_same_virtual_timeline(self):
+        """One warm day 2 reports one timeline, whatever ran it: the phases,
+        the charged stages and the pool size come from the recorded costs
+        and the configured machine count — never from the transport, its
+        pool width, or how many cluster workers happen to be connected."""
+        def observed(**backend):
+            with mock.patch.object(exec_partition, "POOLED_PARTITION_MIN", 1):
+                timing = _golden_stream_timings(
+                    BackendConfig(**backend), True, 2)[1]
+            return (_phases(timing), timing.stage_seconds,
+                    timing.machine_count, timing.total_time)
+
+        reference = observed(kind="serial")
+        assert all(seconds > 0 for seconds in reference[0])
+        assert reference[1]["shed"] > 0 and reference[1]["carry_forward"] > 0
+        assert observed(kind="process", workers=2) == reference
+        assert observed(kind="distsim") == reference
+        for spawned in (1, 2):
+            assert observed(kind="cluster", spawn_workers=spawned,
+                            heartbeat_timeout_s=4.0) == reference
 
 
 # ----------------------------------------------------------------------
 # backend-specific reporting
 # ----------------------------------------------------------------------
 class TestBackendReports:
-    def _warm_result(self, backend_kind):
-        generator = _generator()
-        config = KizzleConfig(
-            machines=6, min_points=3,
-            incremental=IncrementalConfig(enabled=True),
-            backend=BackendConfig(kind=backend_kind))
-        kizzle = Kizzle(config)
-        for kit in KITS:
-            kizzle.seed_known_kit(
-                kit, [generator.reference_core(kit, D(2014, 7, 31))])
-        day = D(2014, 8, 5)
-        samples = [(s.sample_id, s.content)
-                   for s in generator.generate_day(day).samples]
-        kizzle.process_day(samples, day)
-        return kizzle.process_day(samples, day + datetime.timedelta(days=1))
-
-    def test_distsim_stage_tasks_report_utilization(self):
-        result = self._warm_result("distsim")
-        timing = result.timing
-        assert timing.backend == "distsim"
-        assert timing.stage_seconds["shed"] > 0
-        # Simulated via real scheduled tasks: utilization is observable.
-        assert 0.0 < timing.stage_utilization["shed"] <= 1.0
-        assert "util_shed" in timing.summary()
+    def _warm_timing(self, **backend):
+        """The report of a warm day 2 (it sheds and carries forward)."""
+        return _golden_stream_timings(BackendConfig(**backend), True, 2)[1]
 
     def test_serial_report_has_no_simulated_network(self):
-        result = self._warm_result("serial")
-        timing = result.timing
-        assert timing.backend == "serial"
-        assert timing.machine_count == 1
-        assert timing.scatter_time == 0.0 and timing.gather_time == 0.0
-        # Stage charging still records virtual seconds for telemetry.
-        assert "shed" in timing.stage_seconds
-        assert timing.stage_utilization == {}
+        """The serial report carries the same modelled network and machine
+        phases the default's does; what this host measurably took sits
+        beside them, outside the virtual total."""
+        timing = self._warm_timing(kind="serial")
+        default = self._warm_timing()
+        assert (timing.backend, default.backend) == ("serial", "process")
+        assert timing.machine_count == 6
+        assert timing.scatter_time > 0.0 and timing.gather_time > 0.0
+        assert _phases(timing) == _phases(default)
+        assert timing.stage_seconds == default.stage_seconds
+        assert timing.stage_seconds["shed"] > 0
+        assert timing.map_workers == 1
+        assert timing.map_wall_seconds > 0.0
+        assert timing.reduce_wall_seconds > 0.0
+        assert set(timing.wall_stage_seconds) >= {"shed", "cluster"}
+        assert timing.total_time == default.total_time
 
     def test_process_report_scales_charge_by_workers(self):
-        result = self._warm_result("process")
-        assert result.timing.backend == "process"
-        assert result.timing.machine_count >= 1
+        """The pool width changes what a run measures, never what it
+        reports on the modelled pool."""
+        narrow = self._warm_timing(kind="process", workers=1)
+        wide = self._warm_timing(kind="process", workers=3)
+        assert wide.backend == "process"
+        assert wide.machine_count == narrow.machine_count == 6
+        assert wide.stage_seconds == narrow.stage_seconds
+        assert _phases(wide) == _phases(narrow)
+        assert wide.map_wall_seconds > 0.0

@@ -78,8 +78,8 @@ class TestCommands:
 
     def test_backend_flag_parsed(self):
         assert build_parser().parse_args(
-            ["process-day"]).backend == "distsim"
-        for kind in ("serial", "process", "distsim", "cluster"):
+            ["process-day"]).backend == "process"
+        for kind in ("serial", "process", "cluster"):
             args = build_parser().parse_args(
                 ["--backend", kind, "process-day"])
             assert args.backend == kind
@@ -99,7 +99,7 @@ class TestCommands:
         from repro.cli import _backend_config
 
         args = build_parser().parse_args(
-            ["--backend", "distsim", "process-day"])
+            ["--backend", "process", "process-day"])
         assert _backend_config(args).spawn_workers == 0
         args = build_parser().parse_args(
             ["--backend", "cluster", "process-day"])
@@ -118,7 +118,7 @@ class TestCommands:
 
     def test_backends_print_identical_clusters(self):
         outputs = []
-        for kind in ("serial", "distsim"):
+        for kind in ("serial", "process"):
             code, output = run_cli(SMALL_STREAM + ["--backend", kind,
                                                    "process-day",
                                                    "--date", "2014-08-05"])

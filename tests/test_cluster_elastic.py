@@ -467,15 +467,25 @@ class TestCleanShutdown:
             for _ in range(40):
                 socket.create_connection(coordinator.address,
                                          timeout=5.0).close()
-            _wait_until(lambda: len(coordinator.leaked_threads()) == 2,
-                        message="the closed peers' handlers to exit")
-            last = socket.create_connection(coordinator.address, timeout=5.0)
-            try:
-                # accept + monitor + the one live handler
-                _wait_until(lambda: len(coordinator._threads) == 3,
-                            message="finished handlers to be dropped")
-            finally:
-                last.close()
+            def only_the_live_handler_is_listed():
+                # Finished handlers are dropped at the next accept, and some
+                # of the 40 may still sit in the listen backlog, so keep
+                # offering one live peer until the list is exactly
+                # accept + monitor + that peer's handler.
+                live = socket.create_connection(coordinator.address,
+                                                timeout=5.0)
+                try:
+                    deadline = time.monotonic() + 0.5
+                    while time.monotonic() < deadline:
+                        if len(coordinator._threads) == 3:
+                            return True
+                        time.sleep(0.01)
+                    return False
+                finally:
+                    live.close()
+
+            _wait_until(only_the_live_handler_is_listed,
+                        message="finished handlers to be dropped")
         finally:
             coordinator.close()
         assert coordinator.leaked_threads() == []

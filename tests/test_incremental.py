@@ -21,7 +21,7 @@ from repro.clustering.dbscan import DBSCAN
 from repro.core.config import IncrementalConfig, KizzleConfig
 from repro.core.pipeline import Kizzle
 from repro.core.prepared import PreparedCache
-from repro.distsim.mapreduce import MapReduceReport
+from repro.distsim import MapReduceReport
 from repro.ekgen import StreamConfig, TelemetryGenerator
 from repro.evalharness import ExperimentConfig, MonthExperiment
 from repro.scanner.avbaseline import SimulatedCommercialAV
@@ -116,6 +116,14 @@ class TestAnchors:
         # Braces that are not a quantifier are text and may hold structure.
         (r"abcdefghi{x|y}", []),
         (r"abcdefghi{2,3}jk", ["abcdefgh", "jk"]),
+        # A conditional's body is required only if its group took part, and
+        # under a global (?i) / (?x) the pattern's text is not the match's.
+        (r"(x)?(?(1)abcdefgh)", []),
+        (r"(?(1)abcdefgh)", []),
+        (r"(?i)ABCDEFGH", []),
+        (r"(?sx)abcd efgh", []),
+        (r"(?s)abcdefgh", ["abcdefgh"]),
+        (r"(?P<ix>[a-z]{2})(?P=ix)abcdefgh", ["abcdefgh"]),
     ])
     def test_required_literals(self, pattern, expected):
         assert required_literals(pattern) == expected

@@ -12,7 +12,7 @@ import random
 import re
 import string
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.distance import banded_edit_distance, edit_distance, \
@@ -187,6 +187,19 @@ class TestRegexGeneralizationProperties:
     def test_fragment_is_valid_regex(self, values):
         re.compile(generalize_column(values))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(alphabet="09azAZ_$#/. \n", min_size=0,
+                            max_size=6),
+                    min_size=1, max_size=5))
+    @example(["0", "0\n"])
+    @example(["a$", "b$\n", "c"])
+    def test_fragment_fullmatches_every_observed_value(self, values):
+        """As the scanner compiles it (DOTALL), and with the values that
+        break ``^...$`` validation: a trailing newline, blanks, ``$``."""
+        fragment = generalize_column(values)
+        for value in values:
+            assert re.fullmatch(fragment, value, re.DOTALL), (fragment, value)
+
 
 class TestAnchorSoundnessProperties:
     """An anchor is a *required* substring: whatever the pattern matches
@@ -231,3 +244,17 @@ class TestAnchorSoundnessProperties:
         for sample in range(3):
             self.assert_anchors_required(
                 pattern, "".join(values[sample] for values in rows))
+
+    @SETTINGS
+    @given(st.text(alphabet="abAB01|.", min_size=1, max_size=12))
+    def test_conditionals_and_global_flags(self, text):
+        escaped = re.escape(text)
+        self.assert_anchors_required("(?i)" + escaped, text.swapcase())
+        self.assert_anchors_required(
+            "(?x)" + " ".join(re.escape(character) for character in text),
+            text)
+        for matched in ("zz", "q" + text + "zz"):
+            self.assert_anchors_required(f"(q)?(?(1){escaped})zz", matched)
+        # A flag that leaves literal text alone keeps the whole anchor.
+        self.assert_anchors_required("(?s)" + escaped, text)
+        assert "".join(required_literals("(?s)" + escaped)) == text

@@ -9,7 +9,7 @@ import pytest
 
 from repro.clustering import Cluster, ClusteredSample
 from repro.core.results import ClusterReport, DailyResult
-from repro.distsim.mapreduce import MapReduceReport
+from repro.distsim import MapReduceReport
 from repro.labeling.labeler import ClusterLabel
 from repro.signatures import Signature
 

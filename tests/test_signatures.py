@@ -112,6 +112,14 @@ class TestGeneralization:
         fragment = generalize_column(["", "abc"])
         assert fragment == ".{0,3}"
 
+    def test_trailing_newline_is_not_a_digit(self):
+        """``$`` matches before a trailing newline; the template check must
+        not (it used to pick ``[0-9]{1,2}``, which misses ``'0\\n'``)."""
+        fragment = generalize_column(["0", "0\n"])
+        assert fragment == ".{1,2}"
+        for value in ("0", "0\n"):
+            assert re.fullmatch(fragment, value, re.DOTALL)
+
     def test_generated_fragment_matches_all_observed(self):
         values = ["Euur1V", "jkb0hA", "QB0Xk"]
         fragment = generalize_column(values)
