@@ -115,13 +115,10 @@ class Kizzle:
         incremental = self.config.incremental
         self.prepared = PreparedCache(
             max_entries=incremental.prepared_cache_entries)
-        # On the warm path the compiler reads tokens from the shared cache,
-        # so compiling a signature from already-clustered members costs no
-        # extra lexing; the cold path keeps the plain lexer.
-        self.compiler = SignatureCompiler(
-            self.config.signature,
-            tokenizer=self.prepared.raw_tokens if incremental.enabled
-            else None)
+        # Cold or warm, the compiler is handed the abstract token strings
+        # its cluster was built from (``_report_for``) and lexes each member
+        # only as far as the signature window; it shares no cache.
+        self.compiler = SignatureCompiler(self.config.signature)
         self.carry = CarryForwardIndex(
             epsilon=self.config.epsilon,
             engine=self.clusterer.engine,
@@ -482,7 +479,8 @@ class Kizzle:
             if label.kit is None:
                 return ClusterReport(cluster=cluster, label=label)
         report = ClusterReport(cluster=cluster, label=label)
-        signature = self.compiler.compile_cluster(contents, label.kit, date)
+        signature = self.compiler.compile_cluster(
+            contents, label.kit, date, token_strings=cluster.token_strings())
         if signature is not None:
             report.signature = signature
             self.database.add(signature)

@@ -21,6 +21,10 @@ This package provides:
   see :mod:`repro.jstoken.lexer` for the tolerance rules.
 * :func:`~repro.jstoken.normalizer.abstract_token_string` -- converts a token
   stream into the abstract token-class string used as clustering input.
+* :func:`~repro.jstoken.normalizer.leading_tokens` -- the first *n*
+  significant tokens of a sample from a scanner run that stops there, for the
+  signature generator, which reads concrete values no further than the end
+  of the signature window.
 * :func:`~repro.jstoken.normalizer.strip_html` -- extracts inline script
   bodies from an HTML document, since a Kizzle "sample" is a complete HTML
   document including all inline script elements.
@@ -32,6 +36,7 @@ from repro.jstoken.normalizer import (
     abstract_token_string,
     abstract_classes,
     concrete_values,
+    leading_tokens,
     strip_html,
     tokenize_sample,
 )
@@ -47,6 +52,7 @@ __all__ = [
     "abstract_token_string",
     "abstract_classes",
     "concrete_values",
+    "leading_tokens",
     "strip_html",
     "tokenize_sample",
 ]

@@ -144,7 +144,7 @@ def _regex_allowed(last: Optional[Token]) -> bool:
 
 
 def tokenize(source: str, keep_comments: bool = False,
-             strict: bool = False) -> List[Token]:
+             strict: bool = False, limit: Optional[int] = None) -> List[Token]:
     """Tokenize a JavaScript source string into a list of tokens.
 
     Parameters
@@ -158,6 +158,10 @@ def tokenize(source: str, keep_comments: bool = False,
         When true, unterminated constructs raise :class:`LexerError`.  The
         default (false) closes them at end of input, which is the right
         behaviour for truncated telemetry captures.
+    limit:
+        Stop after this many emitted tokens: the result is exactly the first
+        ``limit`` tokens of the unbounded run in the same mode, and nothing
+        past them is read (nor, in strict mode, raised for).
     """
     keyword, identifier = TokenClass.KEYWORD, TokenClass.IDENTIFIER
     comment = TokenClass.COMMENT
@@ -168,9 +172,13 @@ def tokenize(source: str, keep_comments: bool = False,
     last: Optional[Token] = None  # last significant token
     pos = counted = 0
     line = 1
+    scan = _MASTER
+    if limit is not None:
+        def scan(source, pos):    # an unbounded run pays nothing for the bound
+            return _MASTER(source, pos) if len(tokens) < limit else None
     while True:
-        match = _MASTER(source, pos)
-        if match is None:         # only whitespace is left
+        match = scan(source, pos)
+        if match is None:         # only whitespace is left, or enough tokens
             return tokens
         kind = match.lastgroup
         value = match.group(kind)

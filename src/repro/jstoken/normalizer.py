@@ -59,6 +59,12 @@ def tokenize_sample(document: str) -> List[Token]:
     return tokenize(strip_html(document))
 
 
+def leading_tokens(document: str, count: int) -> List[Token]:
+    """The first ``count`` significant tokens of a sample --
+    ``tokenize_sample(document)[:count]`` -- lexing no further than that."""
+    return tokenize(strip_html(document), limit=count)
+
+
 def abstract_classes(tokens: Sequence[Token],
                      collapse: bool = True) -> Tuple[str, ...]:
     """Map a token sequence to its abstract class-name sequence.

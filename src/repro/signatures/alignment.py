@@ -1,10 +1,13 @@
 """Aligning cluster samples on the common window and collecting per-offset
 concrete values (paper, Figure 9).
 
-Once the common token window is known, every sample contributes its concrete
-source text at each token offset of the window.  String-literal quotes are
-stripped at this point because AV scanners normalize them away before
-matching (Section III-C), and the signature must match the normalized form.
+The window is searched over the members' abstract token strings -- the
+cluster stage's own, when the caller passes them on.  Once it is known, every
+sample contributes its concrete source text at each token offset of the
+window, read from a lex that stops where the window ends (no member's full
+token list is ever held).  String-literal quotes are stripped at this point
+because AV scanners normalize them away before matching (Section III-C), and
+the signature must match the normalized form.
 """
 
 from __future__ import annotations
@@ -12,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.jstoken.normalizer import tokenize_sample
+from repro.jstoken.normalizer import abstract_token_string, \
+    abstract_tokens_of, leading_tokens
 from repro.jstoken.tokens import Token, TokenClass
-from repro.signatures.subsequence import CommonWindow, common_token_window
+from repro.signatures.subsequence import common_token_window
 
 
 @dataclass
@@ -27,11 +31,7 @@ class TokenColumn:
 
     @property
     def distinct_values(self) -> List[str]:
-        seen = []
-        for value in self.values:
-            if value not in seen:
-                seen.append(value)
-        return seen
+        return list(dict.fromkeys(self.values))
 
     @property
     def is_constant(self) -> bool:
@@ -55,34 +55,32 @@ def normalize_token_value(token: Token) -> str:
 
 
 def abstract_of(token: Token) -> str:
-    """The abstract spelling used for window search (mirrors
-    :func:`repro.jstoken.normalizer.abstract_token_string`)."""
+    """The abstract spelling used for window search (one token of
+    :func:`repro.jstoken.normalizer.abstract_tokens_of`, which
+    ``tests/test_lexer_differential.py`` holds it equal to)."""
     cls = token.cls
     return token.value if cls.concrete else cls.collapsed
 
 
-def align_cluster(contents: Sequence[str],
-                  max_tokens: int = 200,
-                  window: Optional[CommonWindow] = None,
-                  tokenizer=None
+def align_cluster(contents: Sequence[str], max_tokens: int = 200,
+                  token_strings: Optional[Sequence[Sequence[str]]] = None
                   ) -> Optional[List[TokenColumn]]:
-    """Tokenize the cluster's samples, find the common window and build the
-    per-offset value columns.
+    """Find the cluster's common window and build its per-offset value
+    columns.  Returns ``None`` when no common unique window exists.
 
-    Returns ``None`` when no common unique window exists.  A pre-computed
-    ``window`` may be supplied (e.g. by the compiler, which also needs the
-    window metadata); it must have been computed over the same contents.
-    ``tokenizer`` overrides :func:`tokenize_sample` — the incremental
-    pipeline passes its per-content token cache so cluster members that were
-    already tokenized for clustering are not lexed a second time here.
+    ``token_strings`` are the members' abstract token strings, which a caller
+    that clustered them already holds; without them every member is lexed
+    once for its abstract string.  The concrete values then come from a lex
+    of each member that stops at the end of its window, checked token for
+    token against the abstract string the window was found in: a
+    ``ValueError`` means the caller's strings are not these contents'.
     """
-    tokenizer = tokenizer or tokenize_sample
-    token_lists: List[List[Token]] = [tokenizer(content)
-                                      for content in contents]
-    abstract_strings = [[abstract_of(token) for token in tokens]
-                        for tokens in token_lists]
-    if window is None:
-        window = common_token_window(abstract_strings, max_tokens=max_tokens)
+    if token_strings is None:
+        token_strings = [abstract_token_string(content)
+                         for content in contents]
+    elif len(token_strings) != len(contents):
+        raise ValueError("one abstract token string per cluster member")
+    window = common_token_window(token_strings, max_tokens=max_tokens)
     if window is None:
         return None
 
@@ -90,9 +88,11 @@ def align_cluster(contents: Sequence[str],
         TokenColumn(offset=offset, token_class=window.window[offset])
         for offset in range(window.length)
     ]
-    for sample_index, start in enumerate(window.positions):
-        tokens = token_lists[sample_index]
-        for offset in range(window.length):
-            token = tokens[start + offset]
-            columns[offset].values.append(normalize_token_value(token))
+    for content, start in zip(contents, window.positions):
+        tokens = leading_tokens(content, start + window.length)[start:]
+        if abstract_tokens_of(tokens) != window.window:
+            raise ValueError("abstract token string does not belong to the "
+                             "cluster member it was supplied for")
+        for column, token in zip(columns, tokens):
+            column.values.append(normalize_token_value(token))
     return columns

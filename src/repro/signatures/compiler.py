@@ -1,4 +1,6 @@
-"""End-to-end signature compilation from a malicious cluster."""
+"""End-to-end signature compilation from a malicious cluster: common window
+over the members' abstract token strings, per-offset value columns from a lex
+bounded by that window, regex generalization of the columns."""
 
 from __future__ import annotations
 
@@ -34,37 +36,34 @@ class SignatureConfig:
 
 
 class SignatureCompiler:
-    """Compiles a signature from the packed samples of one cluster.
+    """Compiles a signature from the packed samples of one cluster."""
 
-    ``tokenizer`` optionally replaces the default lexer call with a cached
-    one (the incremental pipeline passes its
-    :class:`~repro.core.prepared.PreparedCache` token table, so compiling a
-    signature from already-clustered members costs no extra lexing).
-    """
-
-    def __init__(self, config: Optional[SignatureConfig] = None,
-                 tokenizer=None) -> None:
+    def __init__(self, config: Optional[SignatureConfig] = None) -> None:
         self.config = config or SignatureConfig()
-        self.tokenizer = tokenizer
         #: Telemetry for the compile stage: signatures emitted versus
         #: clusters rejected for lacking a long-enough common window.
         self.compiled_count = 0
         self.rejected_count = 0
 
     def compile_cluster(self, contents: Sequence[str], kit: str,
-                        created: datetime.date) -> Optional[Signature]:
+                        created: datetime.date,
+                        token_strings: Optional[Sequence[Sequence[str]]] = None
+                        ) -> Optional[Signature]:
         """Generate a signature for a cluster labeled as ``kit``.
 
         Returns ``None`` when the cluster has no sufficiently long common
         unique token window (the paper discards short sequences rather than
-        emit an imprecise signature).
+        emit an imprecise signature).  ``token_strings`` hands over the
+        members' abstract token strings when the caller has them (the day
+        loop does: it clustered them); see
+        :func:`~repro.signatures.alignment.align_cluster`.
         """
         if not contents:
             self.rejected_count += 1
             return None
-        columns = align_cluster(list(contents),
+        columns = align_cluster(contents,
                                 max_tokens=self.config.max_window_tokens,
-                                tokenizer=self.tokenizer)
+                                token_strings=token_strings)
         if columns is None or len(columns) < self.config.min_window_tokens:
             self.rejected_count += 1
             return None

@@ -84,10 +84,7 @@ def generalize_column(values: Sequence[str], length_slack: float = 0.0) -> str:
     observed (the compiler default is 0.25, see
     :class:`~repro.signatures.compiler.SignatureConfig`).
     """
-    distinct = []
-    for value in values:
-        if value not in distinct:
-            distinct.append(value)
+    distinct = list(dict.fromkeys(values))
     if len(distinct) == 1:
         return re.escape(distinct[0])
     minimum, maximum = _length_bounds(distinct, slack=length_slack)
@@ -126,6 +123,8 @@ def build_pattern(columns: Sequence[TokenColumn],
                   length_slack: float = 0.0) -> str:
     """Assemble the full signature pattern from the aligned columns."""
     backreferences = _covarying_groups(columns) if use_backreferences else {}
+    # Group targets are non-constant columns by construction.
+    targets = set(backreferences.values())
     group_names: Dict[int, str] = {}
     next_group = 0
     fragments: List[str] = []
@@ -139,11 +138,7 @@ def build_pattern(columns: Sequence[TokenColumn],
             # backreference target created later); fall through to a plain
             # fragment.
         fragment = generalize_column(column.values, length_slack=length_slack)
-        is_target = (use_backreferences
-                     and not column.is_constant
-                     and any(target == column.offset
-                             for target in backreferences.values()))
-        if is_target:
+        if column.offset in targets:
             name = f"var{next_group}"
             next_group += 1
             group_names[column.offset] = name

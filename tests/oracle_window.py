@@ -1,46 +1,19 @@
-"""Finding the longest common unique token window across a cluster.
+"""The per-member window search, kept as the test oracle.
 
-The paper's algorithm: binary search over the window length ``N`` (capped at
-200 tokens), where a length is feasible if some consecutive token sequence of
-that length appears in *every* sample of the cluster and is *unique* within
-each sample (Section III-C).  The search is done over abstract token strings
-(class names plus concrete keywords/punctuation), since identifier spellings
-differ between samples -- and over the cluster's *distinct* strings only:
-members that share an abstract string share every n-gram table, so each probe
-costs one table per distinct string, not one per member.
-``tests/oracle_window.py`` is the per-member search this replaced, kept as
-the differential oracle.
+This was the body of ``repro.signatures.subsequence`` until the search started
+running over the cluster's *distinct* abstract strings; the rolling hash, the
+bisection, its probe order and the short linear fallback are unchanged below
+and are what ``tests/test_window_differential.py`` compares that search with,
+whole ``CommonWindow`` for whole ``CommonWindow``.  Nothing under ``src/``
+imports it.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-#: Hard cap on the window length, from the paper.
-MAX_WINDOW_TOKENS = 200
-
-
-@dataclass
-class CommonWindow:
-    """A common unique token window.
-
-    Attributes
-    ----------
-    length:
-        Number of tokens in the window.
-    positions:
-        For each sample (in input order), the start offset of the window's
-        unique occurrence in that sample's token string.
-    window:
-        The abstract token sequence of the window itself.
-    """
-
-    length: int
-    positions: List[int]
-    window: Tuple[str, ...]
-
+from repro.signatures.subsequence import MAX_WINDOW_TOKENS, CommonWindow
 
 #: Rolling-hash parameters (61-bit Mersenne prime modulus keeps products in
 #: native int range while making cross-n-gram collisions vanishingly rare).
@@ -158,23 +131,13 @@ def common_token_window(token_strings: Sequence[Sequence[str]],
     if any(len(tokens) == 0 for tokens in token_strings):
         return None
 
-    # Duplicated members add no constraint -- same n-gram table, same unique
-    # position -- and the first distinct string is the first sample's, so the
-    # search runs over the distinct strings in first-occurrence order and the
-    # positions are replicated: the identical window, in O(distinct) work.
-    # (Generated kit clusters almost always hold one distinct string.)
-    group_of: Dict[Tuple[str, ...], int] = {}
-    groups = [group_of.setdefault(tuple(tokens), len(group_of))
-              for tokens in token_strings]
-    distinct = list(group_of)
-
-    upper_bound = min(max_tokens, min(len(tokens) for tokens in distinct))
-    id_strings = _token_ids(distinct)
+    upper_bound = min(max_tokens, min(len(tokens) for tokens in token_strings))
+    id_strings = _token_ids(token_strings)
     low, high = 1, upper_bound
     best: Optional[CommonWindow] = None
     while low <= high:
         middle = (low + high) // 2
-        found = _find_window_of_length(distinct, middle,
+        found = _find_window_of_length(token_strings, middle,
                                        id_strings=id_strings)
         if found is not None:
             best = found
@@ -186,10 +149,9 @@ def common_token_window(token_strings: Sequence[Sequence[str]],
         # Linear probe over small lengths in case the binary search was
         # unlucky with non-monotonicity near the bottom.
         for length in range(min(8, upper_bound), 0, -1):
-            best = _find_window_of_length(distinct, length,
-                                          id_strings=id_strings)
-            if best is not None:
-                break
-    if best is not None:
-        best.positions = [best.positions[group] for group in groups]
+            found = _find_window_of_length(token_strings, length,
+                                           id_strings=id_strings)
+            if found is not None:
+                return found
+        return None
     return best

@@ -8,6 +8,11 @@ text included, and the consumer loops that were rewritten with the scanner
 (``abstract_token_string``, ``normalize_for_scan``, ``concrete_values``,
 ``strip_html``) are compared with values derived the old way from the oracle's
 tokens.
+
+The bounded lex the signature generator reads concrete values from
+(``tokenize(..., limit=n)`` / ``leading_tokens``) is held to its definition
+here too: the first ``n`` tokens of the unbounded run, whatever sits at the
+cut.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import datetime
 import itertools
 import random
 import re
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,11 +29,15 @@ from hypothesis import strategies as st
 
 import oracle_lexer
 import test_failure_injection as failure_injection
+from test_jstoken_lexer import TestNoHang as LexerNoHang
 from repro.ekgen import StreamConfig, TelemetryGenerator
 from repro.jstoken import (LexerError, TokenClass, abstract_token_string,
-                           concrete_values, lexer, strip_html, tokenize)
+                           concrete_values, leading_tokens, lexer, strip_html,
+                           tokenize, tokenize_sample)
+from repro.jstoken.normalizer import abstract_tokens_of
 from repro.scanner import normalizer
 from repro.scanner.normalizer import normalize_for_scan
+from repro.signatures.alignment import abstract_of
 
 MODES = list(itertools.product((False, True), repeat=2))
 SETTINGS = settings(max_examples=400, deadline=None,
@@ -124,6 +134,23 @@ def assert_same_derived_forms(document):
                                               for token in significant)
 
 
+def assert_prefixes(document, every_cut=False):
+    """``limit=n`` is ``[:n]`` of the unbounded run, comments kept or not,
+    and ``leading_tokens`` is that over ``tokenize_sample``."""
+    source = strip_html(document)
+    for keep_comments in (False, True):
+        full = tokenize(source, keep_comments=keep_comments)
+        cuts = range(len(full) + 2) if every_cut \
+            else {0, 1, len(full) // 2, len(full), len(full) + 1}
+        for count in cuts:
+            assert tokenize(source, keep_comments=keep_comments,
+                            limit=count) == full[:count], (count, source[:120])
+    significant = tokenize_sample(document)
+    for count in {0, 1, len(significant) // 2, len(significant),
+                  len(significant) + 1}:
+        assert leading_tokens(document, count) == significant[:count]
+
+
 # ----------------------------------------------------------------------
 # hypothesis: a JavaScript-shaped alphabet
 # ----------------------------------------------------------------------
@@ -161,6 +188,20 @@ class TestGeneratedStrings:
     @given(html_shaped)
     def test_strip_html(self, document):
         assert strip_html(document) == oracle_strip_html(document)
+
+    @SETTINGS
+    @given(st.one_of(js_shaped, st.text(max_size=60), html_shaped))
+    def test_bounded_lex_is_a_prefix(self, document):
+        assert_prefixes(document)
+
+    @SETTINGS
+    @given(js_shaped)
+    def test_one_spelling_of_abstract_token(self, source):
+        # ``signatures/alignment.py`` and ``jstoken/normalizer.py`` each
+        # spell "abstract token"; the window check compares across the two.
+        tokens = tokenize(source)
+        assert tuple(abstract_of(token) for token in tokens) \
+            == abstract_tokens_of(tokens) == abstract_token_string(source)
 
 
 # ----------------------------------------------------------------------
@@ -200,6 +241,17 @@ class TestNamedRules:
     def test_rule(self, source):
         assert_same_tokens(source)
 
+    @pytest.mark.parametrize("source", RULES + [
+        # the cut falls on a ``/`` whose reading hangs on the token before it
+        "a / b / c", "x = /re/ / 2 / /re/", ") /re/ 1", "return /re/ / 2",
+        # comments never count towards the bound
+        "/* c */ a // d\n /* e */ b /* f */", "// only\n/* comments */",
+        # an unterminated literal is the last token wanted
+        "a = 'abc", 'a = "abc\nb', "a = `abc", "a = /abc", "a = /[abc",
+        "<script>a = 1</script><script>b = /re/</script>"])
+    def test_bounded_lex_at_every_cut(self, source):
+        assert_prefixes(source, every_cut=True)
+
     def test_patterns_need_nothing_newer_than_python_39(self):
         for pattern in (lexer._MASTER.__self__.pattern,
                         lexer._REGEX_BODY.__self__.pattern,
@@ -218,6 +270,7 @@ class TestFailureInjectionInputs:
         assert_same_tokens(content)
         assert_same_tokens(strip_html(content))
         assert_same_derived_forms(content)
+        assert_prefixes(content)
 
     @pytest.mark.parametrize("fraction", [0.9, 0.6, 0.5, 0.3, 0.1, 0.01])
     def test_truncated_kit_sample(self, kits, fraction):
@@ -226,6 +279,21 @@ class TestFailureInjectionInputs:
         content = failure_injection.truncate(sample, fraction)
         assert_same_tokens(strip_html(content))
         assert_same_derived_forms(content)
+
+
+# ----------------------------------------------------------------------
+# the hostile families: a bound changes neither the tokens nor the ceiling
+# ----------------------------------------------------------------------
+class TestNoHang:
+    @pytest.mark.parametrize("family", sorted(LexerNoHang.FAMILIES))
+    def test_bounded_lex_under_the_ceiling(self, family):
+        source = LexerNoHang.FAMILIES[family](LexerNoHang.SIZE)
+        full = tokenize(source)
+        count = len(full) // 2 + 1
+        started = time.perf_counter()
+        bounded = tokenize(source, limit=count)
+        assert time.perf_counter() - started < LexerNoHang.CEILING_SECONDS
+        assert bounded == full[:count]
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import datetime
+import hashlib
 import random
 import re
+import string
+import time
 
 import pytest
 
@@ -170,6 +173,67 @@ class TestGeneralization:
         pattern = build_pattern(columns, use_backreferences=False)
         assert "(?P=" not in pattern
         assert re.search(pattern, "aaa(bbb)")
+
+
+def seeded_columns(members, width=200, seed=20160628):
+    """Randomized identifiers (five of them reused across offsets, as a packer
+    reuses its variable names), numbers, strings with blanks and empties, and
+    constants."""
+    rng = random.Random(seed)
+    names = [["".join(rng.choice(string.ascii_letters)
+                      for _ in range(rng.randint(3, 9)))
+              for _ in range(members)] for _ in range(5)]
+    columns = []
+    for offset in range(width):
+        kind = offset % 5
+        if kind == 0:
+            values = [";"] * members
+        elif kind in (1, 2):
+            values = list(names[rng.randrange(5)])
+        elif kind == 3:
+            values = [str(rng.randrange(10 ** rng.randint(1, 6)))
+                      for _ in range(members)]
+        else:
+            values = [rng.choice(["", "a b", "x", "#fff", "http://a/b?c=1"])
+                      for _ in range(members)]
+        columns.append(TokenColumn(offset, "Identifier", values))
+    return columns
+
+
+class TestBuildPatternAtClusterSize:
+    """``build_pattern`` deduplicated with ``value not in list`` and scanned
+    every backreference per column: quadratic in the cluster size (3.8 s for
+    these columns at 2,000 members; the paper's clusters hold hundreds).  The
+    digests are of the patterns that implementation emitted for them."""
+
+    PARENT = {
+        (3, True, 0.25): "04a7eed89076d373",
+        (3, False, 0.0): "6580fabbc7d2d2d8",
+        (50, True, 0.25): "e4dc3a73bddced51",
+        (50, False, 0.0): "71c50d790f7744b0",
+        (2000, True, 0.25): "d324dded2aa5e6a9",
+        (2000, False, 0.0): "71c50d790f7744b0",
+    }
+    #: A hang tripwire, not a performance gate: linear work takes ~0.1 s.
+    CEILING_SECONDS = 30.0
+
+    @pytest.mark.parametrize("members,backreferences,slack", sorted(PARENT))
+    def test_pattern_is_the_parents_under_the_ceiling(self, members,
+                                                      backreferences, slack):
+        columns = seeded_columns(members)
+        started = time.perf_counter()
+        pattern = build_pattern(columns, use_backreferences=backreferences,
+                                length_slack=slack)
+        assert time.perf_counter() - started < self.CEILING_SECONDS
+        assert hashlib.sha256(pattern.encode()).hexdigest()[:16] \
+            == self.PARENT[members, backreferences, slack]
+        re.compile(pattern)
+
+    def test_distinct_values_keep_first_occurrence_order(self):
+        column = TokenColumn(0, "Identifier", ["b", "a", "b", "c", "a"])
+        assert column.distinct_values == ["b", "a", "c"]
+        assert not column.is_constant
+        assert TokenColumn(0, ";", [";"] * 4).is_constant
 
 
 class TestAlignment:
