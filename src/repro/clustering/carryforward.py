@@ -14,6 +14,13 @@ carried *kit* cluster for real before compiling a signature from it (see
 ``Kizzle._report_for``), so a wrong inheritance can never ship a signature;
 it can only cost one extra labeling pass.
 
+An anchor probe that reaches the exact kernel is a prototype that moved a
+little — a kit update inserts a block, it does not rewrite the page — and
+the kernel strips the prefix and suffix the two prototypes share before it
+runs (:mod:`repro.distance.bitparallel`): the probe costs the changed block,
+not the page, and yields the same integer, so ``comparisons``, the pair
+cache and the charged ``carry_forward`` seconds do not depend on it.
+
 Anchors age out: one not re-observed (and whose kit is not being shed
 upstream by deployed signatures) for ``ttl_days`` is dropped, and the anchor
 set is capped at ``max_anchors`` keeping the most recently refreshed.  With

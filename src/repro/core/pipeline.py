@@ -182,7 +182,8 @@ class Kizzle:
                   self._stage_shed if shedding else self._stage_intake,
                   requires=("samples", "date"),
                   provides=("survivors", "sentinels", "shed_records",
-                            "shed_kits", "scanned_bytes")),
+                            "shed_kits", "scanned_bytes",
+                            "content_digests")),
             Stage("prepare",
                   self._stage_prepare_warm if warm
                   else self._stage_prepare_cold,
@@ -204,7 +205,8 @@ class Kizzle:
                   self._stage_finalize_warm if warm
                   else self._stage_finalize_cold,
                   requires=("date", "result", "timing", "prepared",
-                            "sentinel_ids", "shed_kits", "scanned_bytes")),
+                            "sentinel_ids", "shed_kits", "scanned_bytes",
+                            "content_digests")),
         ])
 
     def day_graph(self) -> StageGraph:
@@ -245,6 +247,7 @@ class Kizzle:
         context["shed_records"] = []
         context["shed_kits"] = set()
         context["scanned_bytes"] = 0
+        context["content_digests"] = {}
 
     def _stage_shed(self, context: Dict[str, Any]) -> None:
         """Known-sample shedding (before any tokenization).
@@ -264,8 +267,13 @@ class Kizzle:
         survivors: List[Tuple[str, str]] = []
         sentinels: "OrderedDict[object, _SentinelGroup]" = OrderedDict()
         any_deployed = len(self.database) > 0
+        # Keyed by content, not sample id: finalize reads a sample's digest
+        # back, and two samples may share an id without sharing a page.
+        digests: Dict[str, bytes] = {}
         for sample_id, content in context["samples"]:
-            digest = PreparedCache.content_key(content)
+            digest = digests.get(content)
+            if digest is None:
+                digest = digests[content] = PreparedCache.content_key(content)
             known = self._recall_content(digest, date)
             if known is not None:
                 kit = known[0]
@@ -279,7 +287,8 @@ class Kizzle:
                 continue
             if any_deployed:
                 scanned_bytes += len(content)
-                verdict = engine.scan(sample_id, content, as_of=date)
+                verdict = engine.scan(sample_id, content, as_of=date,
+                                      digest=digest)
                 if verdict.detected:
                     matched = verdict.matched_signatures[0]
                     kit = matched.kit
@@ -297,6 +306,7 @@ class Kizzle:
         context["shed_records"] = shed
         context["shed_kits"] = shed_kits
         context["scanned_bytes"] = scanned_bytes
+        context["content_digests"] = digests
 
     @staticmethod
     def _note_sentinel(sentinels: "OrderedDict[object, _SentinelGroup]",
@@ -429,13 +439,15 @@ class Kizzle:
         result: DailyResult = context["result"]
         timing = context["timing"]
         sentinel_ids = context["sentinel_ids"]
+        digests = context["content_digests"]
         for report in result.clusters:
             for sample in report.cluster.samples:
                 if sample.sample_id in sentinel_ids:
                     continue
-                self._remember_content(
-                    PreparedCache.content_key(sample.content),
-                    report.label.kit, date)
+                digest = digests.get(sample.content)
+                if digest is None:
+                    digest = PreparedCache.content_key(sample.content)
+                self._remember_content(digest, report.label.kit, date)
         if incremental.carry_forward:
             if context["shed_kits"]:
                 self.carry.refresh_kits(sorted(context["shed_kits"]), date)
@@ -484,7 +496,8 @@ class Kizzle:
         if signature is not None:
             report.signature = signature
             self.database.add(signature)
-            self.corpus.add(label.kit, label.unpacked, collected=date)
+            self.corpus.add(label.kit, label.unpacked, collected=date,
+                            histogram=label.histogram)
         return report
 
     def _remember_content(self, digest: bytes, kit: Optional[str],

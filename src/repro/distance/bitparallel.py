@@ -19,11 +19,25 @@ edit_distance` (property-tested in ``tests/test_distance_engine.py``).
 Because the exact distance (rather than a thresholded verdict) comes out,
 the value can be memoized once and answer *every* epsilon query about the
 pair — which is what :class:`repro.distance.engine.DistanceEngine` does.
+
+The loop only runs over the part of the two sequences that differs.
+Levenshtein distance is invariant under removing a common prefix and a
+common suffix (an optimal alignment can match them symbol for symbol), so
+both are stripped first — O(min(m, n)) symbol compares at C level — and an
+empty remainder answers with the other side's length.  That is the usual
+case where the day loop calls the kernel: yesterday's prototype against
+today's differs by one inserted block (5-160 of 6.9-8.5k tokens in 22 of the
+23 kernel calls of ``bench/``'s ``month_replay``).  A mask built for the
+whole pattern stays usable — column ``i`` of the trimmed pattern is column
+``prefix + i`` of the whole — and a pair with no common affix pays two scans
+that stop at their first symbol, then the same loop as ever.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Sequence, TypeVar
+import operator
+from itertools import islice, takewhile
+from typing import Dict, Hashable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T", bound=Hashable)
 
@@ -46,27 +60,40 @@ def build_pattern_mask(pattern: Sequence[T]) -> PatternMask:
     return peq
 
 
+def _leading_matches(a: Iterable[T], b: Iterable[T]) -> int:
+    """How many leading positions of two iterables hold equal symbols
+    (the compares, the stop and the count all run in C)."""
+    return sum(takewhile(bool, map(operator.eq, a, b)))
+
+
 def bitparallel_edit_distance(pattern: Sequence[T], text: Sequence[T],
                               pattern_mask: PatternMask = None) -> int:
     """Exact Levenshtein distance via Myers' bit-parallel algorithm.
 
     Equivalent to ``edit_distance(pattern, text)`` for any hashable symbols.
     ``pattern_mask`` may be supplied to reuse a precomputed
-    :func:`build_pattern_mask` result for ``pattern``.
+    :func:`build_pattern_mask` result for (the whole of) ``pattern``; it is
+    read, never modified.
     """
-    m = len(pattern)
-    n = len(text)
-    if m == 0:
-        return n
-    if n == 0:
-        return m
-    if pattern == text or (m == n and tuple(pattern) == tuple(text)):
-        return 0
+    prefix = _leading_matches(pattern, text)
+    suffix = _leading_matches(
+        islice(reversed(pattern), len(pattern) - prefix),
+        islice(reversed(text), len(text) - prefix))
+    m = len(pattern) - prefix - suffix
+    text = text[prefix:len(text) - suffix]
+    if m == 0 or not text:
+        return max(m, len(text))
 
-    peq = pattern_mask if pattern_mask is not None else \
-        build_pattern_mask(pattern)
     mask = (1 << m) - 1
     high = 1 << (m - 1)
+    if pattern_mask is None:
+        peq = build_pattern_mask(pattern[prefix:prefix + m])
+    elif prefix or suffix:
+        # Column i of the trimmed pattern is column prefix + i of the whole.
+        peq = {symbol: (bits >> prefix) & mask
+               for symbol, bits in pattern_mask.items()}
+    else:
+        peq = pattern_mask
 
     pv = mask          # vertical positive deltas: column 0 is 0,1,2,...,m
     mv = 0             # vertical negative deltas

@@ -150,6 +150,16 @@ class PointProfile:
         return self._mask
 
 
+def _kernel_distance(profile_a: PointProfile, profile_b: PointProfile) -> int:
+    """The exact distance of two profiles, iterating the kernel over the
+    longer side so the bit vectors cover the shorter one (smaller ints, same
+    result)."""
+    if profile_a.length > profile_b.length:
+        profile_a, profile_b = profile_b, profile_a
+    return bitparallel_edit_distance(profile_a.tokens, profile_b.tokens,
+                                     profile_a.mask)
+
+
 def _bag_surplus(a: Counter, b: Counter) -> int:
     """``max`` over both directions of the multiset difference size."""
     surplus_a = sum((a - b).values())
@@ -256,14 +266,7 @@ def decide_profiles(profile_a: PointProfile, profile_b: PointProfile,
         stats.qgram_pruned += 1
         return False, None
     stats.kernel_calls += 1
-    # Iterate the kernel over the longer side so the bit vectors cover the
-    # shorter one (smaller ints, same result).
-    if profile_a.length <= profile_b.length:
-        distance = bitparallel_edit_distance(
-            profile_a.tokens, profile_b.tokens, profile_a.mask)
-    else:
-        distance = bitparallel_edit_distance(
-            profile_b.tokens, profile_a.tokens, profile_b.mask)
+    distance = _kernel_distance(profile_a, profile_b)
     if cache is not None:
         cache.put(profile_a.tokens, profile_b.tokens, distance)
     return distance <= threshold, distance
@@ -347,12 +350,7 @@ class DistanceEngine:
             self.stats.cache_hits += 1
             return cached
         self.stats.kernel_calls += 1
-        if profile_a.length <= profile_b.length:
-            distance = bitparallel_edit_distance(
-                profile_a.tokens, profile_b.tokens, profile_a.mask)
-        else:
-            distance = bitparallel_edit_distance(
-                profile_b.tokens, profile_a.tokens, profile_b.mask)
+        distance = _kernel_distance(profile_a, profile_b)
         self.cache.put(profile_a.tokens, profile_b.tokens, distance)
         return distance
 

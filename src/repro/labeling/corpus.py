@@ -47,10 +47,21 @@ class KnownKitCorpus:
     entries: List[CorpusEntry] = field(default_factory=list)
 
     def add(self, kit: str, unpacked_text: str,
-            collected: Optional[object] = None) -> CorpusEntry:
-        """Add a known unpacked sample for a kit."""
-        histogram = WinnowHistogram.of(unpacked_text, label=kit,
-                                       k=self.k, window=self.window)
+            collected: Optional[object] = None,
+            histogram: Optional[WinnowHistogram] = None) -> CorpusEntry:
+        """Add a known unpacked sample for a kit.
+
+        ``histogram`` is one already built from ``unpacked_text`` (the
+        labeler's, which reads ``k``/``window`` from this corpus): its
+        fingerprint is taken as is when the parameters are the corpus's.
+        """
+        if histogram is not None and \
+                (histogram.fingerprint.k, histogram.fingerprint.window) \
+                == (self.k, self.window):
+            histogram = WinnowHistogram(histogram.fingerprint, label=kit)
+        else:
+            histogram = WinnowHistogram.of(unpacked_text, label=kit,
+                                           k=self.k, window=self.window)
         entry = CorpusEntry(kit=kit, histogram=histogram, collected=collected)
         self.entries.append(entry)
         return entry

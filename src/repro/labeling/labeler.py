@@ -17,7 +17,10 @@ class ClusterLabel:
     ``kit`` is ``None`` for benign clusters.  ``overlap`` is the winnow
     overlap with the best-matching corpus family (reported even when below
     threshold, which is how the Figure 15 false-positive analysis quotes a
-    79% overlap for a benign library).
+    79% overlap for a benign library).  ``histogram`` is the winnow
+    histogram of ``unpacked`` that the verdict was computed from (``None``
+    for an inherited label, which unpacked nothing), so feeding the cluster
+    back into the corpus does not fingerprint the same text again.
     """
 
     kit: Optional[str]
@@ -25,6 +28,7 @@ class ClusterLabel:
     best_family: Optional[str]
     unpacked: str
     layers: int = 0
+    histogram: Optional[WinnowHistogram] = None
 
     @property
     def is_malicious(self) -> bool:
@@ -57,7 +61,7 @@ class ClusterLabeler:
             kit = best_family
         return ClusterLabel(kit=kit, overlap=best_overlap,
                             best_family=best_family, unpacked=unpacked,
-                            layers=len(applied))
+                            layers=len(applied), histogram=histogram)
 
     def label_cluster(self, cluster) -> ClusterLabel:
         """Label a :class:`~repro.clustering.partition.Cluster` by its

@@ -263,7 +263,8 @@ class ScanEngine:
         return self._plan
 
     def scan(self, sample_id: str, content: str,
-             as_of: Optional[datetime.date] = None) -> ScanResult:
+             as_of: Optional[datetime.date] = None,
+             digest: Optional[bytes] = None) -> ScanResult:
         """Scan one sample with the signatures deployed as of ``as_of``.
 
         In fast mode the deployed set is probed per kit, newest signature
@@ -272,7 +273,8 @@ class ScanEngine:
         identical to matching every signature, but a sample covered by
         several generations of a kit's signatures pays for one regex instead
         of all of them.  The exact mode keeps the original exhaustive
-        matching.
+        matching.  ``digest`` is ``PreparedCache.content_key(content)`` when
+        the caller already holds it (the memo key; computed here otherwise).
         """
         self.counters["scans"] += 1
         if self.mode != "fast":
@@ -285,8 +287,9 @@ class ScanEngine:
         if self.memo is not None:
             from repro.core.prepared import PreparedCache
 
-            key = (PreparedCache.content_key(content), as_of,
-                   self.database.generation)
+            if digest is None:
+                digest = PreparedCache.content_key(content)
+            key = (digest, as_of, self.database.generation)
             cached = self.memo.get(key)
             if cached is not None:
                 self.counters["memo_hits"] += 1

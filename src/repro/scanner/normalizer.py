@@ -108,7 +108,7 @@ def fast_normalize(content: str) -> str:
     ``'``) or of the input (backtick).  Escaped quotes *outside* a literal
     are exactly that, so ``'\\"' * n`` on one line and ``'\\`' * n`` are
     O(n^2) (about 1.4 s each at n = 8,000, 1.1 s before the split form;
-    ROADMAP item 5(c)).
+    ROADMAP item 4(c)).
     ``tests/test_fast_normalize_differential.py`` pins the output on every
     input to the pre-split loop kept in ``tests/oracle_fast_normalize.py``.
     """

@@ -11,6 +11,15 @@ We fingerprint the *normalized text* of unpacked samples: whitespace is
 removed and the text is lower-cased, which mirrors how plagiarism detectors
 neutralize layout noise and how the paper's Figure 15 false positive shows
 overlap being computed on code text.
+
+Fingerprint values decide every cluster label, so the two shortcuts taken
+here produce the plain definition's values, not approximations:
+:func:`kgram_hashes` slices the k-grams of ASCII text out of one encoded
+buffer (same bytes, same ``blake2b(digest_size=8)``, read big-endian), and
+:func:`winnow` carries the rightmost window minimum along and rescans a
+window only when the minimum has left it.  The per-gram hashing and the
+rescan-every-window loop live on as ``tests/oracle_winnow.py``, which
+``tests/test_winnow_differential.py`` holds these equal to.
 """
 
 from __future__ import annotations
@@ -51,8 +60,30 @@ def _hash_kgram(gram: str) -> int:
 
 
 def kgram_hashes(text: str, k: int = DEFAULT_K) -> List[int]:
-    """Hash every k-gram of the (already normalized) text."""
-    return [_hash_kgram(gram) for gram in kgrams(text, k)]
+    """Hash every k-gram of the (already normalized) text.
+
+    In ASCII text a character is a byte, so the k-grams are slices of one
+    encoded buffer; elsewhere a k-gram of characters is not a fixed-width
+    slice of the encoded text and each gram is encoded by itself.
+    """
+    if k <= 0:
+        raise ValueError("k must be positive")
+    if not text.isascii():
+        return [_hash_kgram(gram) for gram in kgrams(text, k)]
+    data = text.encode("ascii")
+    blake2b, from_bytes = hashlib.blake2b, int.from_bytes
+    return [from_bytes(blake2b(data[index:index + k], digest_size=8).digest(),
+                       "big")
+            for index in range(len(data) - k + 1)]
+
+
+def _rightmost_minimum(hashes: Sequence[int], start: int,
+                       stop: int) -> Tuple[int, int]:
+    """``(hash, position)`` of the rightmost minimum of ``hashes[start:stop]``."""
+    window_slice = hashes[start:stop]
+    min_value = min(window_slice)
+    offset = len(window_slice) - 1 - window_slice[::-1].index(min_value)
+    return min_value, start + offset
 
 
 def winnow(hashes: Sequence[int], window: int = DEFAULT_WINDOW) -> List[Tuple[int, int]]:
@@ -61,30 +92,28 @@ def winnow(hashes: Sequence[int], window: int = DEFAULT_WINDOW) -> List[Tuple[in
     Returns ``(hash, position)`` pairs.  Within each window the minimum hash
     is selected; when the same minimum persists across consecutive windows it
     is only recorded once (the standard "record rightmost minimum only when
-    it changes" rule).
+    it changes" rule).  A document no longer than one window records its
+    single global minimum.
+
+    The rightmost minimum is kept while the window slides: an entering hash
+    ``<=`` the minimum replaces it, a larger one changes nothing until the
+    minimum leaves the window, and only then is the window rescanned.
     """
     if window <= 0:
         raise ValueError("window must be positive")
     if not hashes:
         return []
-    if len(hashes) <= window:
-        # Degenerate short document: record the single global minimum.
-        min_value = min(hashes)
-        # rightmost occurrence of the minimum
-        position = len(hashes) - 1 - hashes[::-1].index(min_value)
-        return [(min_value, position)]
-
-    selected: List[Tuple[int, int]] = []
-    last_recorded_position = -1
-    for start in range(0, len(hashes) - window + 1):
-        window_slice = hashes[start:start + window]
-        min_value = min(window_slice)
-        # rightmost occurrence inside the window
-        offset = window - 1 - window_slice[::-1].index(min_value)
-        position = start + offset
-        if position != last_recorded_position:
-            selected.append((min_value, position))
-            last_recorded_position = position
+    min_value, position = _rightmost_minimum(hashes, 0, window)
+    selected = [(min_value, position)]
+    for entering in range(window, len(hashes)):
+        if hashes[entering] <= min_value:
+            min_value, position = hashes[entering], entering
+        elif position <= entering - window:
+            min_value, position = _rightmost_minimum(
+                hashes, entering - window + 1, entering + 1)
+        else:
+            continue
+        selected.append((min_value, position))
     return selected
 
 
@@ -133,13 +162,11 @@ class Fingerprint:
     def intersection_size(self, other: "Fingerprint") -> int:
         """Size of the multiset intersection of two fingerprints."""
         self._check_compatible(other)
-        smaller, larger = (self, other) if len(self.hashes) <= len(other.hashes) \
-            else (other, self)
+        mine, theirs = self.hashes, other.hashes
         total = 0
-        for value, count in smaller.hashes.items():
-            other_count = larger.hashes.get(value, 0)
-            if other_count:
-                total += min(count, other_count)
+        for value in mine.keys() & theirs.keys():
+            count, other_count = mine[value], theirs[value]
+            total += count if count < other_count else other_count
         return total
 
     def _check_compatible(self, other: "Fingerprint") -> None:

@@ -46,9 +46,10 @@ class WinnowHistogram:
         value is in ``[0, 1]``; an empty histogram has overlap 0 with
         everything.
         """
-        if self.size == 0:
+        size = self.size
+        if size == 0:
             return 0.0
-        return self.fingerprint.intersection_size(other.fingerprint) / self.size
+        return self.fingerprint.intersection_size(other.fingerprint) / size
 
     def symmetric_overlap(self, other: "WinnowHistogram") -> float:
         """Symmetric similarity: intersection over the smaller histogram.

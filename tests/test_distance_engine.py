@@ -82,6 +82,71 @@ class TestBitParallelKernel:
         assert bitparallel_edit_distance(a, b) == edit_distance(a, b)
 
 
+#: ``prefix + middle_a + suffix`` against ``prefix + middle_b + suffix`` over
+#: 1-3-symbol alphabets: with so few symbols the middles keep sharing ends
+#: with the affixes, so what the kernel trims is rarely what was glued on.
+affix_alphabets = st.integers(min_value=1, max_value=3).map(
+    lambda size: st.lists(st.sampled_from(["var", "(", ";"][:size]),
+                          max_size=12).map(tuple))
+affixed_pairs = affix_alphabets.flatmap(
+    lambda symbols: st.tuples(symbols, symbols, symbols, symbols)).map(
+    lambda parts: (parts[0] + parts[1] + parts[3],
+                   parts[0] + parts[2] + parts[3]))
+#: The carry-forward shape: one side's middle is empty (an inserted block).
+inserted_blocks = affix_alphabets.flatmap(
+    lambda symbols: st.tuples(symbols, symbols, symbols)).map(
+    lambda parts: (parts[0] + parts[2], parts[0] + parts[1] + parts[2]))
+
+
+class TestKernelAffixTrimming:
+    """The kernel runs Myers' loop on what is left after the common prefix
+    and suffix; the distance must not notice, with or without a mask that
+    was built for the whole pattern."""
+
+    @staticmethod
+    def assert_exact(a, b):
+        expected = edit_distance(a, b)
+        assert bitparallel_edit_distance(a, b) == expected
+        assert bitparallel_edit_distance(b, a) == expected
+        assert bitparallel_edit_distance(a, b, build_pattern_mask(a)) == \
+            expected
+        assert bitparallel_edit_distance(b, a, build_pattern_mask(b)) == \
+            expected
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(affixed_pairs)
+    def test_shared_prefix_and_suffix(self, pair):
+        self.assert_exact(*pair)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(inserted_blocks)
+    def test_one_sided_middle(self, pair):
+        self.assert_exact(*pair)
+
+    def test_inserted_block_is_its_length(self):
+        page = tuple("abcdefghij" * 50)
+        block = tuple("XYZ" * 7)
+        updated = page[:123] + block + page[123:]
+        assert bitparallel_edit_distance(page, updated,
+                                         build_pattern_mask(page)) == 21
+        assert bitparallel_edit_distance(updated, page,
+                                         build_pattern_mask(updated)) == 21
+
+    def test_supplied_mask_is_not_modified(self):
+        a, b = tuple("aabcbb"), tuple("aaddcbb")
+        mask = build_pattern_mask(a)
+        before = dict(mask)
+        assert bitparallel_edit_distance(a, b, mask) == edit_distance(a, b)
+        assert mask == before
+
+    def test_lists_and_strings_are_accepted_as_before(self):
+        assert bitparallel_edit_distance(list("kitten"), list("sitting")) == 3
+        assert bitparallel_edit_distance("kitten", "sitting") == 3
+        assert bitparallel_edit_distance(list("abc"), tuple("abc")) == 0
+
+
 class TestPrefilterLowerBounds:
     """Every pruning layer must be a true lower bound of the normalized
     distance — otherwise pruning could flip clustering decisions."""

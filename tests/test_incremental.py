@@ -24,11 +24,13 @@ from repro.core.prepared import PreparedCache
 from repro.distsim import MapReduceReport
 from repro.ekgen import StreamConfig, TelemetryGenerator
 from repro.evalharness import ExperimentConfig, MonthExperiment
+from repro.labeling.corpus import CorpusEntry
 from repro.scanner.avbaseline import SimulatedCommercialAV
 from repro.scanner.engine import ScanEngine, SignatureDatabase
 from repro.scanner.normalizer import fast_normalize, normalize_for_scan
 from repro.signatures.anchors import best_anchor, required_literals
 from repro.signatures.signature import Signature
+from repro.winnowing.histogram import WinnowHistogram
 
 D = datetime.date
 KITS = ("nuclear", "angler", "rig", "sweetorange")
@@ -444,6 +446,84 @@ class TestWarmPipeline:
                                     as_of=day)
             assert exact.detected == fast.detected
             assert exact.kits == fast.kits
+
+    @pytest.mark.parametrize("incremental", [None, _warm_config()],
+                             ids=["cold", "warm"])
+    def test_each_unpacked_text_is_fingerprinted_once(self, generator,
+                                                      monkeypatch,
+                                                      incremental):
+        """A day that compiles signatures builds one winnow histogram per
+        labelled prototype and none for the corpus feedback, and the entry
+        fed back is the one fingerprinting the text would have built."""
+        day = D(2014, 8, 5)
+        batch = generator.generate_day(day)
+        kizzle = _seeded_kizzle(generator, incremental=incremental)
+        seeded = len(kizzle.corpus)
+
+        fingerprinted = []
+        original = WinnowHistogram.of.__func__
+
+        def counting(cls, text, *args, **kwargs):
+            fingerprinted.append(text)
+            return original(cls, text, *args, **kwargs)
+
+        monkeypatch.setattr(WinnowHistogram, "of", classmethod(counting))
+        result = kizzle.process_day(
+            [(s.sample_id, s.content) for s in batch.samples], day)
+        monkeypatch.undo()
+
+        compiled = [report for report in result.clusters
+                    if report.signature is not None]
+        assert compiled
+        assert result.carried_cluster_count == 0
+        assert fingerprinted == [report.label.unpacked
+                                 for report in result.clusters]
+        fed_back = kizzle.corpus.entries[seeded:]
+        assert fed_back == [
+            CorpusEntry(kit=report.label.kit,
+                        histogram=WinnowHistogram.of(
+                            report.label.unpacked, label=report.label.kit,
+                            k=kizzle.corpus.k, window=kizzle.corpus.window),
+                        collected=day)
+            for report in compiled]
+
+    def test_same_id_samples_keep_their_own_digests(self, generator):
+        """Two samples that share an id but not a page: the digests the
+        shed stage hands to finalize are keyed by content, so each page
+        enters the known-content ledger under its own digest and kit."""
+        day = D(2014, 8, 5)
+        by_kit = generator.generate_day(day).by_kit()
+        angler, nuclear = by_kit["angler"], by_kit["nuclear"]
+        samples = [("dup", angler[0].content), ("dup", nuclear[0].content)]
+        samples += [(s.sample_id, s.content)
+                    for s in angler[1:] + nuclear[1:]]
+        warm = _seeded_kizzle(generator, incremental=_warm_config())
+        warm.process_day(samples, day)
+        for sample, kit in ((angler[0], "angler"), (nuclear[0], "nuclear")):
+            digest = PreparedCache.content_key(sample.content)
+            assert warm._known_contents[digest] == (kit, day)
+
+        second = warm.process_day(samples, day + datetime.timedelta(days=1))
+        assert sorted(record.kit for record in second.shed
+                      if record.sample_id == "dup") == ["angler", "nuclear"]
+
+    def test_scan_takes_the_digest_its_caller_holds(self, generator):
+        """The verdict memo is keyed by content digest: a caller-supplied
+        digest and one computed inside ``scan`` name the same entry."""
+        day = D(2014, 8, 5)
+        batch = generator.generate_day(day)
+        warm = _seeded_kizzle(generator, incremental=_warm_config())
+        warm.process_day(
+            [(s.sample_id, s.content) for s in batch.samples], day)
+        engine = ScanEngine(warm.database, mode="fast", memo={})
+        sample = batch.malicious[0]
+        first = engine.scan(sample.sample_id, sample.content, as_of=day)
+        second = engine.scan(
+            sample.sample_id, sample.content, as_of=day,
+            digest=PreparedCache.content_key(sample.content))
+        assert first.detected
+        assert second.matched_signatures == first.matched_signatures
+        assert engine.counters == {"scans": 2, "memo_hits": 1}
 
     def test_disabled_incremental_unchanged(self, generator):
         """With the feature off, the result carries no warm-path fields."""

@@ -10,6 +10,7 @@ import pytest
 from repro.clustering import Cluster, ClusteredSample
 from repro.labeling import ClusterLabeler, KnownKitCorpus
 from repro.labeling.corpus import DEFAULT_THRESHOLDS, FALLBACK_THRESHOLD
+from repro.winnowing.histogram import WinnowHistogram
 
 D = datetime.date(2014, 8, 5)
 
@@ -27,6 +28,26 @@ class TestCorpus:
         corpus = KnownKitCorpus()
         corpus.add_many("rig", ["var a = 1;" * 30, "var b = 2;" * 30])
         assert len(corpus) == 2
+
+    def test_add_takes_a_histogram_built_with_its_parameters(self):
+        text = "function f() { return 1; }" * 20
+        corpus = KnownKitCorpus()
+        built = WinnowHistogram.of(text, k=corpus.k, window=corpus.window)
+        entry = corpus.add("nuclear", text, histogram=built)
+        assert entry.histogram.fingerprint is built.fingerprint
+        assert entry == KnownKitCorpus().add("nuclear", text)
+        assert built.label is None       # the caller's object is not relabelled
+
+    def test_add_fingerprints_the_text_when_parameters_differ(self):
+        text = "function f() { return 1; }" * 20
+        corpus = KnownKitCorpus()
+        foreign = WinnowHistogram.of(text, k=corpus.k + 1,
+                                     window=corpus.window)
+        entry = corpus.add("nuclear", text, histogram=foreign)
+        assert entry == KnownKitCorpus().add("nuclear", text)
+        assert (entry.histogram.fingerprint.k,
+                entry.histogram.fingerprint.window) == (corpus.k,
+                                                        corpus.window)
 
     def test_thresholds(self):
         corpus = KnownKitCorpus()

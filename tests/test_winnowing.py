@@ -95,6 +95,12 @@ class TestFingerprint:
         b = Fingerprint.of("bbbbbbbbbbbbbbbbbbbbbbbbbbbbb")
         assert a.intersection_size(b) == 0
 
+    def test_intersection_is_the_multiset_intersection(self):
+        a = Fingerprint(hashes={1: 3, 2: 1, 3: 2, 4: 5})
+        b = Fingerprint(hashes={1: 1, 3: 4, 4: 5, 9: 7})
+        assert a.intersection_size(b) == b.intersection_size(a) == 1 + 2 + 5
+        assert a.intersection_size(Fingerprint()) == 0
+
     def test_merge(self):
         a = Fingerprint.of("first document body" * 5)
         b = Fingerprint.of("second document body" * 5)
