@@ -69,9 +69,7 @@ def test_paper_scale_day_end_to_end(benchmark):
     benchmark.extra_info["virtual_minutes"] = round(
         result.timing.total_time / 60.0, 2)
     benchmark.extra_info["backend"] = result.backend
-    # Preparation-cache telemetry: lexer runs are the day's real cost.
-    benchmark.extra_info["prepared_lexer_runs"] = \
-        result.prepared_stats.get("raw_misses", 0)
+    # Normal-form cache telemetry.
     benchmark.extra_info["prepared_hits"] = sum(
         count for name, count in result.prepared_stats.items()
         if name.endswith("_hits"))

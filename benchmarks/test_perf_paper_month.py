@@ -88,8 +88,6 @@ def test_paper_scale_month_end_to_end(benchmark):
     benchmark.extra_info["signatures"] = len(list(kizzle.database))
     benchmark.extra_info["carried_clusters"] = sum(
         result.carried_cluster_count for result in results)
-    benchmark.extra_info["prepared_lexer_runs"] = sum(
-        result.prepared_stats.get("raw_misses", 0) for result in results)
     # Month-aggregated per-stage walls, gated stage by stage nightly.
     stage_totals = {}
     for result in results:

@@ -38,8 +38,8 @@ class ClusteredSample:
     content:
         The raw sample (HTML document or JavaScript source).
     tokens:
-        The abstract token string; computed lazily by the pipeline if not
-        supplied.
+        The abstract token string; computed in the partition map
+        (:meth:`ensure_tokens`) if not supplied.
     weight:
         Multiplicity of the sample.  Ordinary samples weigh 1; the
         incremental pipeline collapses a group of shed near-duplicates into
@@ -143,14 +143,14 @@ def cluster_partition(samples: Sequence[ClusteredSample],
     return clusters, result.comparisons
 
 
-def partition_map_cost(samples: Sequence[ClusteredSample],
-                       comparisons: int, epsilon: float) -> float:
+def partition_map_cost(tokens: int, samples: int, comparisons: int,
+                       epsilon: float) -> float:
     """Abstract work units of one partition's map: comparisons weighted by
-    the typical banded-DP cost per pair.  Recorded in the task's result, so
-    the virtual machine time a report charges never depends on where the
-    map actually ran."""
-    average_length = (sum(len(sample.tokens) for sample in samples)
-                      / max(1, len(samples)))
+    the typical banded-DP cost per pair, from the partition's token total
+    and sample count.  Recorded in the task's result, so the virtual
+    machine time a report charges never depends on where the map actually
+    ran."""
+    average_length = tokens / max(1, samples)
     return comparisons * max(1.0, epsilon * average_length) * average_length
 
 
@@ -172,6 +172,10 @@ class PartitionMapResult:
     comparisons: int
     cost: float
     output_bytes: float
+    #: Abstract tokens over the partition's samples (sentinels count once):
+    #: the pipeline sums them into the day's average token length, which
+    #: prices the warm path's carry-forward probes.
+    tokens: int = 0
     stats: Dict[str, int] = field(default_factory=dict)
     cache_entries: List[Tuple[Tuple[str, ...], Tuple[str, ...], int]] = \
         field(default_factory=list)
@@ -185,9 +189,9 @@ class PartitionMapResult:
 class PartitionMapTask:
     """One whole per-partition map, shippable to a child process.
 
-    Self-contained and picklable: the samples (raw on a cold day,
-    pre-tokenized on the warm path), the DBSCAN parameters, and a worker-safe
-    engine configuration travel with the task, so a persistent pool needs no
+    Self-contained and picklable: the samples (raw from the day loop, so the
+    map lexes them), the DBSCAN parameters, and a worker-safe engine
+    configuration travel with the task, so a persistent pool needs no
     per-day re-initialization.  :meth:`run` is the single execution path —
     the driver process, pool workers and cluster workers call exactly the
     same code, which is what makes every transport byte-identical by
@@ -225,20 +229,22 @@ class PartitionMapTask:
         if engine is None:
             engine = self.worker_engine()
         # Tokenization is part of the map (the paper's per-machine work):
-        # partitions arrive raw from a cold start and prepared from the
-        # warm path's cache, and either way the tokenized forms feed both
-        # DBSCAN below and the cost accounting.
+        # the day loop ships partitions raw, and the tokenized forms feed
+        # both DBSCAN below and the cost accounting.
         ready = [sample.ensure_tokens() for sample in self.samples]
         clusters, comparisons = cluster_partition(
             ready, epsilon=self.epsilon, min_points=self.min_points,
             engine=engine)
+        tokens = sum(len(sample.tokens) for sample in ready)
         return PartitionMapResult(
             index=self.index,
             clusters=clusters,
             comparisons=comparisons,
-            cost=partition_map_cost(ready, comparisons, self.epsilon),
+            cost=partition_map_cost(tokens, len(ready), comparisons,
+                                    self.epsilon),
             output_bytes=float(sum(len(cluster.prototype.content)
                                    for cluster in clusters)),
+            tokens=tokens,
             stats=engine.stats.as_dict() if export else {},
             cache_entries=engine.export_cache() if export else [])
 
@@ -308,9 +314,9 @@ class DistributedClusterer:
         """
         # Tokenization belongs to the *map*: each task tokenizes its own
         # partition (in process or in a worker), which is both what the
-        # paper distributes and what lets a pool parallelize a cold day's
-        # dominant cost.  Partitioning only shuffles by seeded index, so
-        # partition membership is independent of token state.
+        # paper distributes and what lets a pool parallelize the lexer.
+        # Partitioning only shuffles by seeded index, so partition
+        # membership is independent of token state.
         if partitions is not None:
             partition_count = partitions
         else:

@@ -19,9 +19,10 @@ class IncrementalConfig:
     Attributes
     ----------
     enabled:
-        Master switch.  Off (the default) reproduces the original cold-start
-        behaviour byte for byte: every day re-tokenizes, re-clusters and
-        re-labels from scratch.
+        Master switch.  Off (the default), every day re-tokenizes,
+        re-clusters and re-labels from scratch.  On or off, a day runs the
+        same stage graph; the fields below are read inside the ``shed``,
+        ``label`` and ``finalize`` stages and only take effect when on.
     shed_known:
         Set aside, before tokenization, samples that are exact-content
         repeats of already-labeled material or that are matched by an
@@ -48,8 +49,9 @@ class IncrementalConfig:
         Upper bound on carried anchors; the least recently refreshed are
         dropped first.
     prepared_cache_entries:
-        Bound of the per-content preparation cache
-        (:class:`~repro.core.prepared.PreparedCache`).
+        Bound of the per-content scanner normal-form cache
+        (:class:`~repro.core.prepared.PreparedCache`); the known-content
+        ledger is bounded at four times it.
     """
 
     enabled: bool = False

@@ -6,7 +6,8 @@ unpacking its prototype and winnowing it against the seeded corpus, and for
 malicious clusters whose samples are not already covered by a deployed
 signature, compile a new structural signature from the packed samples.
 
-The loop is an explicit **stage graph** (:mod:`repro.core.stages`)::
+The loop is one explicit **stage graph** (:mod:`repro.core.stages`) with one
+implementation per stage::
 
     shed -> prepare -> cluster -> label -> compile -> finalize
 
@@ -15,30 +16,30 @@ serial in process, a local process pool (the default), or real worker
 processes over TCP.  Backends never change results — labels, signatures,
 FP/FN and the paper's 50-machine virtual timeline every day's report carries
 (:mod:`repro.distsim`) are identical across all three
-(``tests/test_backends.py``).
+(``tests/test_backends.py``).  Samples reach the cluster stage raw: each
+partition's map lexes its own share of the day, as each of the paper's
+machines does.
 
-Two execution modes share the graph *shape* and substitute stage
-implementations:
+The **cold path** (the default) treats every day as independent.  The
+**warm path** (``config.incremental.enabled``) is the same graph with
+day-over-day state switched on, read inside the three stages that use it:
 
-* the **cold path** (default) treats every day as independent, exactly as
-  the seed reproduction did: ``shed`` is a pass-through intake, ``prepare``
-  tokenizes from scratch, ``label`` always unpacks and winnows.
-* the **warm path** (``config.incremental.enabled``) reuses day N-1's work
-  on day N.  Samples already matched by a deployed signature — or exact
-  repeats of already-labeled content — are *shed* before tokenization
-  (paper: "most of the stream is the same grayware every day"); each shed
-  group leaves behind one tokenized *sentinel* sample carrying the group's
-  weight, so the clustering stage sees the same density geometry the cold
-  path would (a sentinel of weight ``w`` is indistinguishable from the ``w``
-  exact duplicates DBSCAN already collapses).  Survivors are tokenized once
-  per unique content through a shared
-  :class:`~repro.core.prepared.PreparedCache` and clustered together with
-  the sentinels; clusters whose prototype lands within epsilon of one of
-  yesterday's prototypes inherit that cluster's label without re-unpacking
-  or re-winnowing (:mod:`repro.clustering.carryforward`).  Novel clusters —
-  and carried kit clusters whose samples a deployed signature no longer
-  covers — go through the full label/compile machinery, so kit updates
-  still produce new signatures the same way the cold path produces them.
+* ``shed`` (``shed_known``) sets aside, before any lexing, samples matched
+  by a deployed signature and exact repeats of already-labeled content
+  (paper: "most of the stream is the same grayware every day").  Each shed
+  group leaves one *sentinel* sample carrying the group's weight, so
+  clustering sees the density geometry the cold path would (a sentinel of
+  weight ``w`` is indistinguishable from the ``w`` exact duplicates DBSCAN
+  already collapses).
+* ``label`` (``carry_forward``) lets a cluster whose prototype lands within
+  epsilon of one of yesterday's prototypes inherit that cluster's label
+  without re-unpacking or re-winnowing (:mod:`repro.clustering.carryforward`).
+  Novel clusters — and carried kit clusters whose samples a deployed
+  signature no longer covers — go through the full label/compile machinery,
+  so kit updates still produce new signatures the way the cold path does.
+* ``finalize`` rolls the content ledger and the anchors forward and charges
+  the shed and carry-forward work to the modelled machine pool; a cold day
+  has nothing to roll or charge.
 
 The ``label`` and ``compile`` stages are *itemized* over the day's clusters
 and run depth-first per cluster: compiling cluster ``i`` feeds its unpacked
@@ -51,7 +52,6 @@ from __future__ import annotations
 
 import datetime
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.clustering.carryforward import CarryForwardIndex
@@ -65,18 +65,8 @@ from repro.exec.backend import create_backend
 from repro.labeling.corpus import KnownKitCorpus
 from repro.labeling.labeler import ClusterLabel, ClusterLabeler
 from repro.scanner.engine import ScanEngine, SignatureDatabase
-from repro.scanner.normalizer import normalize_for_scan
 from repro.signatures.compiler import SignatureCompiler
 from repro.unpack.registry import UnpackerRegistry, default_registry
-
-
-@dataclass
-class _SentinelGroup:
-    """One shed group's surviving representative (pre-tokenization)."""
-
-    name: str
-    content: str
-    weight: int = 1
 
 
 class Kizzle:
@@ -115,9 +105,9 @@ class Kizzle:
         incremental = self.config.incremental
         self.prepared = PreparedCache(
             max_entries=incremental.prepared_cache_entries)
-        # Cold or warm, the compiler is handed the abstract token strings
-        # its cluster was built from (``_report_for``) and lexes each member
-        # only as far as the signature window; it shares no cache.
+        # The compiler is handed the abstract token strings its cluster was
+        # built from (``_report_for``) and lexes each member only as far as
+        # the signature window; it shares no cache.
         self.compiler = SignatureCompiler(self.config.signature)
         self.carry = CarryForwardIndex(
             epsilon=self.config.epsilon,
@@ -168,42 +158,28 @@ class Kizzle:
     # the stage graph
     # ------------------------------------------------------------------
     def _build_day_graph(self) -> StageGraph:
-        """The daily pipeline as a stage graph.
-
-        Warm and cold share the graph shape; the warm path substitutes the
-        ``shed``, ``prepare``, ``label`` and ``finalize`` implementations.
-        """
-        incremental = self.config.incremental
-        warm = incremental.enabled
-        shedding = warm and incremental.shed_known
-        carrying = warm and incremental.carry_forward
+        """The daily pipeline as a stage graph: one implementation per
+        stage, cold or warm."""
         return StageGraph([
-            Stage("shed",
-                  self._stage_shed if shedding else self._stage_intake,
+            Stage("shed", self._stage_shed,
                   requires=("samples", "date"),
                   provides=("survivors", "sentinels", "shed_records",
                             "shed_kits", "scanned_bytes",
                             "content_digests")),
-            Stage("prepare",
-                  self._stage_prepare_warm if warm
-                  else self._stage_prepare_cold,
+            Stage("prepare", self._stage_prepare,
                   requires=("survivors", "sentinels"),
                   provides=("prepared", "sentinel_ids")),
             Stage("cluster", self._stage_cluster,
                   requires=("samples", "date", "survivors", "prepared",
                             "sentinel_ids", "shed_records"),
                   provides=("clusters", "timing", "result")),
-            Stage("label",
-                  self._stage_label_warm if carrying
-                  else self._stage_label_cold,
+            Stage("label", self._stage_label,
                   requires=("result", "sentinel_ids"),
                   over="clusters"),
             Stage("compile", self._stage_compile,
                   requires=("result", "date"),
                   over="clusters"),
-            Stage("finalize",
-                  self._stage_finalize_warm if warm
-                  else self._stage_finalize_cold,
+            Stage("finalize", self._stage_finalize,
                   requires=("date", "result", "timing", "prepared",
                             "sentinel_ids", "shed_kits", "scanned_bytes",
                             "content_digests")),
@@ -225,51 +201,44 @@ class Kizzle:
         any newly generated signatures; new signatures are also added to the
         deployed :attr:`database` with ``created=date``.
         """
-        warm = self.config.incremental.enabled
-        prepared_before = self.prepared.stats() if warm else None
+        prepared_before = self.prepared.stats()
         context: Dict[str, Any] = {"samples": samples, "date": date}
         walls = self.graph.run(context)
         result: DailyResult = context["result"]
         result.timing.wall_stage_seconds.update(walls)
-        if warm:
-            prepared_after = self.prepared.stats()
-            result.prepared_stats = {
-                name: value - prepared_before.get(name, 0)
-                for name, value in prepared_after.items()}
+        result.prepared_stats = {
+            name: value - prepared_before[name]
+            for name, value in self.prepared.stats().items()}
         return result
 
     # -- shed: set known samples aside before tokenization ---------------
-    def _stage_intake(self, context: Dict[str, Any]) -> None:
-        """Pass-through shed substitute: every sample survives (cold path,
-        or warm with shedding disabled)."""
-        context["survivors"] = list(context["samples"])
-        context["sentinels"] = OrderedDict()
-        context["shed_records"] = []
-        context["shed_kits"] = set()
-        context["scanned_bytes"] = 0
-        context["content_digests"] = {}
-
     def _stage_shed(self, context: Dict[str, Any]) -> None:
-        """Known-sample shedding (before any tokenization).
+        """Known-sample shedding (before any lexing).
 
         Every shed group — keyed by the first deployed signature that
         matched, or by exact content for repeats of already-labeled
         material — leaves one sentinel carrying the group's weight, so the
-        clustering stage keeps the cold path's density geometry.
+        clustering stage keeps the cold path's density geometry.  On a cold
+        day, or with ``shed_known`` off, every sample survives.
         """
-        incremental = self.config.incremental
-        date = context["date"]
-        engine = ScanEngine(self.database, mode=incremental.scan_mode,
-                            prepared=self.prepared, memo=self._scan_memo)
+        survivors: List[Tuple[str, str]] = []
+        sentinels: "OrderedDict[object, ClusteredSample]" = OrderedDict()
         shed: List[ShedRecord] = []
         shed_kits: Set[str] = set()
-        scanned_bytes = 0
-        survivors: List[Tuple[str, str]] = []
-        sentinels: "OrderedDict[object, _SentinelGroup]" = OrderedDict()
-        any_deployed = len(self.database) > 0
         # Keyed by content, not sample id: finalize reads a sample's digest
         # back, and two samples may share an id without sharing a page.
         digests: Dict[str, bytes] = {}
+        context.update(survivors=survivors, sentinels=sentinels,
+                       shed_records=shed, shed_kits=shed_kits,
+                       scanned_bytes=0, content_digests=digests)
+        incremental = self.config.incremental
+        if not (incremental.enabled and incremental.shed_known):
+            survivors.extend(context["samples"])
+            return
+        date = context["date"]
+        engine = self.scan_engine()
+        scanned_bytes = 0
+        any_deployed = len(self.database) > 0
         for sample_id, content in context["samples"]:
             digest = digests.get(content)
             if digest is None:
@@ -301,59 +270,37 @@ class Kizzle:
                                         sample_id, content)
                     continue
             survivors.append((sample_id, content))
-        context["survivors"] = survivors
-        context["sentinels"] = sentinels
-        context["shed_records"] = shed
-        context["shed_kits"] = shed_kits
         context["scanned_bytes"] = scanned_bytes
-        context["content_digests"] = digests
 
     @staticmethod
-    def _note_sentinel(sentinels: "OrderedDict[object, _SentinelGroup]",
+    def _note_sentinel(sentinels: "OrderedDict[object, ClusteredSample]",
                        key: object, sample_id: str, content: str) -> None:
         """Record one shed sample in its group's sentinel.
 
         The first sample of a group names the sentinel; later samples only
-        bump its weight.  Tokenization waits for the prepare stage.
+        bump its weight.  Lexing waits for the cluster stage's map.
         """
         group = sentinels.get(key)
         if group is None:
-            sentinels[key] = _SentinelGroup(
-                name=f"sentinel-{len(sentinels)}-{sample_id}",
+            sentinels[key] = ClusteredSample(
+                sample_id=f"sentinel-{len(sentinels)}-{sample_id}",
                 content=content)
         else:
             group.weight += 1
 
-    # -- prepare: tokenize survivors and sentinels ------------------------
-    def _stage_prepare_cold(self, context: Dict[str, Any]) -> None:
-        """Stage raw samples for clustering — the cold path deliberately
-        bypasses the preparation cache so every day remains an independent
-        cold start.  Tokenization is deferred to the cluster stage's
-        per-partition map (``ensure_tokens`` is deterministic, so *where*
-        the lexer runs never changes results), which lets a partition-
-        parallel backend spread a cold day's dominant cost — lexing — over
-        its worker pool instead of paying it serially here."""
+    # -- prepare: stage survivors and sentinels for the map ---------------
+    def _stage_prepare(self, context: Dict[str, Any]) -> None:
+        """Hand survivors and weighted sentinels to the cluster stage raw.
+
+        Lexing is part of each partition's map (``ensure_tokens`` is
+        deterministic, so *where* the lexer runs never changes results),
+        which lets a partition-parallel backend spread it over its pool.
+        """
+        sentinels = list(context["sentinels"].values())
         context["prepared"] = [
             ClusteredSample(sample_id=sample_id, content=content)
-            for sample_id, content in context["survivors"]]
-        context["sentinel_ids"] = set()
-
-    def _stage_prepare_warm(self, context: Dict[str, Any]) -> None:
-        """Tokenize through the shared cache: the lexer runs at most once
-        per unique content, and sentinels carry their group weights."""
-        survivors = [
-            ClusteredSample(sample_id=sample_id, content=content,
-                            tokens=self.prepared.abstract_tokens(content))
-            for sample_id, content in context["survivors"]]
-        sentinel_samples = [
-            ClusteredSample(sample_id=group.name, content=group.content,
-                            tokens=self.prepared.abstract_tokens(
-                                group.content),
-                            weight=group.weight)
-            for group in context["sentinels"].values()]
-        context["prepared"] = survivors + sentinel_samples
-        context["sentinel_ids"] = {sample.sample_id
-                                   for sample in sentinel_samples}
+            for sample_id, content in context["survivors"]] + sentinels
+        context["sentinel_ids"] = {sample.sample_id for sample in sentinels}
 
     # -- cluster: partition + DBSCAN + merge through the backend ----------
     def _stage_cluster(self, context: Dict[str, Any]
@@ -367,19 +314,19 @@ class Kizzle:
         shipping, in process otherwise); when the map was shipped, its
         measured wall clock is surfaced as the ``cluster.map`` sub-wall.
         """
-        prepared = context["prepared"]
         clusters, timing = self.clusterer.run(
-            prepared, partitions=self.config.partitions)
+            context["prepared"], partitions=self.config.partitions)
         sentinel_ids = context["sentinel_ids"]
         result = DailyResult(date=context["date"], timing=timing,
                              sample_count=len(context["samples"]),
                              shed=context["shed_records"])
         result.backend = self.backend.name
-        clustered_real = {sample.sample_id
-                          for cluster in clusters
-                          for sample in cluster.samples
-                          if sample.sample_id not in sentinel_ids}
-        result.noise_count = len(context["survivors"]) - len(clustered_real)
+        # Counted per member, not per distinct id: two samples may share an
+        # id, and each is clustered or noise on its own.
+        members = sum(1 for cluster in clusters
+                      for sample in cluster.samples
+                      if sample.sample_id not in sentinel_ids)
+        result.noise_count = len(context["survivors"]) - members
         context["clusters"] = clusters
         context["timing"] = timing
         context["result"] = result
@@ -388,23 +335,21 @@ class Kizzle:
         return None
 
     # -- label: inherit from yesterday's anchors, or unpack and winnow ----
-    def _stage_label_cold(self, context: Dict[str, Any], cluster: Cluster,
-                          carry: Any) -> Tuple[ClusterLabel, bool]:
-        return self.labeler.label_cluster(cluster), False
-
-    def _stage_label_warm(self, context: Dict[str, Any], cluster: Cluster,
-                          carry: Any) -> Tuple[ClusterLabel, bool]:
-        anchor = self.carry.match(cluster.prototype.tokens)
-        if anchor is not None:
-            result: DailyResult = context["result"]
-            result.carried_cluster_count += 1
-            result.absorbed_count += sum(
-                sample.weight for sample in cluster.samples
-                if sample.sample_id not in context["sentinel_ids"])
-            return ClusterLabel(
-                kit=anchor.kit, overlap=anchor.overlap,
-                best_family=anchor.best_family, unpacked="",
-                layers=anchor.layers), True
+    def _stage_label(self, context: Dict[str, Any], cluster: Cluster,
+                     carry: Any) -> Tuple[ClusterLabel, bool]:
+        incremental = self.config.incremental
+        if incremental.enabled and incremental.carry_forward:
+            anchor = self.carry.match(cluster.prototype.tokens)
+            if anchor is not None:
+                result: DailyResult = context["result"]
+                result.carried_cluster_count += 1
+                result.absorbed_count += sum(
+                    sample.weight for sample in cluster.samples
+                    if sample.sample_id not in context["sentinel_ids"])
+                return ClusterLabel(
+                    kit=anchor.kit, overlap=anchor.overlap,
+                    best_family=anchor.best_family, unpacked="",
+                    layers=anchor.layers), True
         return self.labeler.label_cluster(cluster), False
 
     # -- compile: generate signatures for uncovered malicious clusters ----
@@ -420,10 +365,7 @@ class Kizzle:
         return report
 
     # -- finalize: bookkeeping and backend stage accounting ---------------
-    def _stage_finalize_cold(self, context: Dict[str, Any]) -> None:
-        """The cold path carries no state across days — nothing to roll."""
-
-    def _stage_finalize_warm(self, context: Dict[str, Any]) -> None:
+    def _stage_finalize(self, context: Dict[str, Any]) -> None:
         """Roll the day's state forward and account the warm-only stages.
 
         Every labeled real content enters the exact-repeat shedding ledger,
@@ -432,9 +374,13 @@ class Kizzle:
         wall-clock stays honest: every byte the shedding stage *scanned* is
         charged (survivors that failed the scan cost real work too — the
         warm path only gets credit for work it truly sheds), and anchor
-        probes are charged at banded-DP cost.
+        probes are charged at banded-DP cost over the day's average token
+        length, which the map reports as a token total.  A cold day carries
+        no state across days and charges nothing.
         """
         incremental = self.config.incremental
+        if not incremental.enabled:
+            return
         date = context["date"]
         result: DailyResult = context["result"]
         timing = context["timing"]
@@ -456,8 +402,7 @@ class Kizzle:
         prepared = context["prepared"]
         average_length = 1.0
         if prepared:
-            average_length = sum(len(sample.tokens)
-                                 for sample in prepared) / len(prepared)
+            average_length = timing.token_total / len(prepared)
         self.backend.simulate_stage(timing, "shed",
                                     float(context["scanned_bytes"]))
         probes = self.carry.comparisons - self._carry_comparisons_charged
@@ -537,48 +482,38 @@ class Kizzle:
         return entry
 
     # ------------------------------------------------------------------
-    # signature management
+    # signature management and scanning
     # ------------------------------------------------------------------
     def _already_covered(self, contents: Sequence[str], kit: str,
                          date: datetime.date) -> bool:
+        """Whether a deployed signature of ``kit`` matches every content.
+
+        Probed newest first: on a stable day the latest signature is the
+        one that matches, so each probe exits on its first regex.
+        """
         existing = self.database.signatures_for(kit=kit, as_of=date)
         if not existing:
             return False
-        if self.config.incremental.enabled:
-            engine = ScanEngine(self.database,
-                                mode=self.config.incremental.scan_mode,
-                                prepared=self.prepared)
-            # Newest first: on a stable day the latest signature is the one
-            # that matches, so the ``any`` below exits on its first probe.
-            ordered = list(reversed(existing))
-            for content in contents:
-                normalized = engine.normal_form(content)
-                if not any(signature.matches(normalized)
-                           for signature in ordered
-                           if signature.could_match(normalized)):
-                    return False
-            return True
-        for content in contents:
-            normalized = normalize_for_scan(content)
-            if not any(signature.matches(normalized) for signature in existing):
-                return False
-        return True
+        engine = self.scan_engine()
+        newest_first = existing[::-1]
+        return all(engine.first_match(engine.normal_form(content),
+                                      newest_first) is not None
+                   for content in contents)
 
-    # ------------------------------------------------------------------
-    # scanning with the generated signatures
-    # ------------------------------------------------------------------
     def scan_engine(self) -> ScanEngine:
-        """A scan engine over the signatures generated so far.
+        """A scan engine over the signatures generated so far — the one
+        the shedding stage, the coverage check and :meth:`detects` use.
 
-        On the warm path the engine shares the pipeline's preparation cache
-        and scan mode, so evaluating a day's detections does not re-tokenize
-        content the pipeline already prepared.
+        A cold day scans exactly with nothing cached.  On the warm path the
+        engine shares the pipeline's normal-form cache, verdict memo and
+        scan mode, so evaluating a day's detections does not re-normalize
+        content the pipeline already scanned.
         """
-        if self.config.incremental.enabled:
-            return ScanEngine(self.database,
-                              mode=self.config.incremental.scan_mode,
-                              prepared=self.prepared, memo=self._scan_memo)
-        return ScanEngine(self.database)
+        incremental = self.config.incremental
+        if not incremental.enabled:
+            return ScanEngine(self.database)
+        return ScanEngine(self.database, mode=incremental.scan_mode,
+                          prepared=self.prepared, memo=self._scan_memo)
 
     def detects(self, content: str,
                 as_of: Optional[datetime.date] = None) -> bool:

@@ -1,43 +1,41 @@
-"""Once-per-content preparation cache for the daily pipeline.
+"""Once-per-content scanner normal forms for the warm pipeline.
 
-Profiling the month experiment showed the dominant cost to be the lexer:
-each sample used to be tokenized up to four times per day (abstract token
-string for clustering, scanner normalization in the pipeline's coverage
-check, and once more per scan engine in the evaluation harness).  The
-:class:`PreparedCache` memoizes every derived form per unique content so the
-lexer runs at most once per content per day regardless of how many stages
-look at the same sample — and, for workloads where content repeats across
-days (replays, steady-state grayware), at most once per content overall
-within the cache bound.
+The shedding stage, the coverage check before compiling and the same-day
+evaluation scans all normalize the same contents.  A :class:`PreparedCache`
+memoizes the two normal forms the scanner reads — the fast form
+(:func:`~repro.scanner.normalizer.fast_normalize`) and the exact form
+(:func:`~repro.scanner.normalizer.normalize_for_scan`) — per unique content,
+so each is derived at most once per content within the cache bound.
 
-All three derived forms are exact; the cache never changes results, only
-cost.  Entries are evicted LRU once ``max_entries`` is exceeded, so a
-month of daily batches cannot grow the cache without bound.
+It holds no token lists: the abstract token strings DBSCAN clusters are
+lexed inside each partition's map (the paper's per-machine tokenization),
+and compile reads the cluster's strings plus a lex bounded by its window.
+Both forms are exact; the cache never changes results, only cost.  Entries
+are evicted LRU once ``max_entries`` is exceeded, so a month of daily
+batches cannot grow the cache without bound.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Callable, List, Optional, Tuple
+from typing import Callable
 
-from repro.jstoken.normalizer import abstract_tokens_of, tokenize_sample
-from repro.jstoken.tokens import Token
-from repro.scanner.normalizer import fast_normalize, normalize_tokens
+from repro.scanner.normalizer import fast_normalize, normalize_for_scan
 
 
 class _LRUTable:
-    """A bounded LRU mapping content -> derived string/tuple."""
+    """A bounded LRU mapping content -> derived string."""
 
     __slots__ = ("maxsize", "_entries", "hits", "misses")
 
     def __init__(self, maxsize: int) -> None:
         self.maxsize = maxsize
-        self._entries: "OrderedDict[str, object]" = OrderedDict()
+        self._entries: "OrderedDict[str, str]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: str, compute: Callable[[str], object]) -> object:
+    def get(self, key: str, compute: Callable[[str], str]) -> str:
         entry = self._entries.get(key)
         if entry is not None:
             self.hits += 1
@@ -58,41 +56,21 @@ class _LRUTable:
 
 
 class PreparedCache:
-    """Memoized per-content derived forms shared across pipeline stages.
-
-    The lexer runs at most once per content (:meth:`raw_tokens`); the other
-    forms — ``abstract_tokens`` for clustering, ``normalized`` for the exact
-    scanner, ``fast_normalized`` for the warm scan path — are derived from
-    the raw token list (or, for the fast form, from one C-level ``re.split``
-    pass that never enters the lexer) and memoized separately so repeated
-    consumers pay a dictionary lookup.
-    """
+    """Memoized scanner normal forms shared across pipeline stages."""
 
     def __init__(self, max_entries: int = 8192) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
-        self._raw = _LRUTable(max_entries)
-        self._tokens = _LRUTable(max_entries)
         self._normalized = _LRUTable(max_entries)
         self._fast = _LRUTable(max_entries)
 
     # ------------------------------------------------------------------
-    def raw_tokens(self, content: str) -> List[Token]:
-        """The significant token list of ``content`` (the one lexer run)."""
-        return self._raw.get(content, tokenize_sample)
-
-    def abstract_tokens(self, content: str) -> Tuple[str, ...]:
-        """The abstract token string of ``content`` (memoized)."""
-        return self._tokens.get(
-            content, lambda text: abstract_tokens_of(self.raw_tokens(text)))
-
     def normalized(self, content: str) -> str:
         """The exact scanner normal form of ``content`` (memoized)."""
-        return self._normalized.get(
-            content, lambda text: normalize_tokens(self.raw_tokens(text)))
+        return self._normalized.get(content, normalize_for_scan)
 
     def fast_normalized(self, content: str) -> str:
-        """The ``re.split``-based fast normal form of ``content`` (memoized)."""
+        """The ``re.split``-based fast normal form (memoized)."""
         return self._fast.get(content, fast_normalize)
 
     # ------------------------------------------------------------------
@@ -110,13 +88,10 @@ class PreparedCache:
             digest_size=16).digest()
 
     def stats(self) -> dict:
-        """Hit/miss counters per table (``raw_misses`` is the one that
-        matters: each miss there is one full lexer run)."""
+        """Hit/miss counters per normal-form table (each ``normalized``
+        miss is one full lexer run; a ``fast`` miss never enters the
+        lexer)."""
         return {
-            "raw_hits": self._raw.hits,
-            "raw_misses": self._raw.misses,
-            "tokens_hits": self._tokens.hits,
-            "tokens_misses": self._tokens.misses,
             "normalized_hits": self._normalized.hits,
             "normalized_misses": self._normalized.misses,
             "fast_hits": self._fast.hits,
@@ -124,7 +99,5 @@ class PreparedCache:
         }
 
     def clear(self) -> None:
-        self._raw.clear()
-        self._tokens.clear()
         self._normalized.clear()
         self._fast.clear()

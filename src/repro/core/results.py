@@ -64,9 +64,10 @@ class DailyResult:
     carried_cluster_count: int = 0
     #: Which execution backend processed the day.
     backend: str = ""
-    #: Per-day delta of the shared :class:`~repro.core.prepared.PreparedCache`
-    #: hit/miss counters (``raw_misses`` = lexer runs this day).  Empty on
-    #: cold runs, which bypass the cache by design.
+    #: Per-day delta of the pipeline's normal-form cache
+    #: (:class:`~repro.core.prepared.PreparedCache`) hit/miss counters.
+    #: Reported on both paths; a cold day scans without the cache, so its
+    #: deltas are zero.
     prepared_stats: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -127,8 +128,6 @@ class DailyResult:
         for stage, seconds in self.stage_walls.items():
             summary[f"wall_{stage}_s"] = seconds
         if self.prepared_stats:
-            summary["prepared_lexer_runs"] = \
-                self.prepared_stats.get("raw_misses", 0)
             summary["prepared_hits"] = sum(
                 count for name, count in self.prepared_stats.items()
                 if name.endswith("_hits"))

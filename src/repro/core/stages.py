@@ -1,11 +1,10 @@
 """The stage graph: explicit dataflow for the daily pipeline.
 
-``Kizzle.process_day`` used to be a monolith with a forked warm copy; it is
-now a linear graph of first-class :class:`Stage` objects with declared
-inputs (``requires``) and outputs (``provides``) over a shared context
-dictionary.  The warm path is *stage substitution* — the same graph shape
-with different implementations plugged into the ``shed``/``prepare``/
-``label`` slots — instead of a duplicated driver.
+``Kizzle.process_day`` is a linear graph of first-class :class:`Stage`
+objects with declared inputs (``requires``) and outputs (``provides``) over
+a shared context dictionary.  There is one graph with one implementation
+per stage: the warm path's shedding and carry-forward are settings the
+stages read, not substituted stages or a duplicated day loop.
 
 Two stage flavours exist:
 

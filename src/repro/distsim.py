@@ -188,6 +188,9 @@ class MapReduceReport:
     #: driver saw them (real time, not part of :attr:`total_time`).
     map_wall_seconds: float = 0.0
     reduce_wall_seconds: float = 0.0
+    #: Abstract tokens over every sample the map clustered, as the tasks
+    #: reported them (the pipeline prices carry-forward probes with it).
+    token_total: int = 0
 
     @property
     def total_time(self) -> float:

@@ -80,8 +80,8 @@ class BackendConfig:
         Let the process backend ship the partition map (tokenize + DBSCAN
         per partition) to a persistent worker pool.  On by default —
         results are byte-identical either way, and batches not worth
-        shipping (one partition, one worker, small pre-tokenized
-        partitions) run in process automatically.
+        shipping (one partition, or one worker) run in process
+        automatically.
     listen:
         Cluster backend only: ``"host:port"`` the TCP coordinator binds
         (``None`` means loopback with an OS-assigned port; read the real
@@ -235,7 +235,8 @@ class ExecutionBackend:
             self.virtual_pool.machine_count, max(1, len(tasks)), *phases,
             reduce_value=reduce_value, backend=self.name,
             map_workers=self.ship_width if shipped else 1,
-            map_wall_seconds=map_seconds, reduce_wall_seconds=reduce_seconds)
+            map_wall_seconds=map_seconds, reduce_wall_seconds=reduce_seconds,
+            token_total=sum(result.tokens for result in results))
 
     def simulate_stage(self, report: MapReduceReport, name: str,
                        cost: float) -> float:

@@ -5,10 +5,10 @@ map stage the paper distributes over a cluster, and the only level of
 fan-out in this codebase.  A :class:`PartitionPoolExecutor` owns one
 long-lived :mod:`multiprocessing` pool and ships whole
 :class:`~repro.clustering.partition.PartitionMapTask` objects to it: each
-child process tokenizes (a no-op for pre-prepared samples), runs DBSCAN and
-selects prototypes for its partition on a task-private engine, then sends
-the clusters back together with that engine's stats and exact-distance cache
-so the driver can merge both.
+child process tokenizes, runs DBSCAN and selects prototypes for its
+partition on a task-private engine, then sends the clusters back together
+with that engine's stats and exact-distance cache so the parent process can
+merge both.
 :class:`~repro.exec.process.ProcessBackend` puts the pool behind
 ``ExecutionBackend.run_partition_map``.
 
@@ -37,28 +37,17 @@ if TYPE_CHECKING:
     from repro.clustering.partition import PartitionMapResult, \
         PartitionMapTask
 
-#: Minimum partition size (samples) before *pre-tokenized* partitions are
-#: worth shipping: below this the per-partition DBSCAN is so cheap that
-#: pickling the contents out costs more than the overlap buys.
-POOLED_PARTITION_MIN = 256
-
 
 def worth_shipping(tasks: Sequence["PartitionMapTask"], width: int) -> bool:
     """Whether shipping this batch to ``width`` workers can pay for itself.
 
     One partition has nothing to overlap, and one worker would only add
-    shipping overhead to in-process execution.  Beyond that, raw
-    (untokenized) partitions always ship — the map then carries the lexer,
-    a cold day's dominant cost, which parallelizes perfectly — while
-    pre-tokenized partitions (the warm path's cache output) ship only when
-    the largest is big enough for DBSCAN itself to outweigh serialization.
-    Decided from the batch alone; deliberately not a user option.
+    shipping overhead to in-process execution.  Any other batch ships: the
+    day loop hands partitions over raw, so the map carries the lexer, which
+    parallelizes perfectly.  Decided from the batch alone; deliberately not
+    a user option.
     """
-    if len(tasks) < 2 or width < 2:
-        return False
-    if any(not sample.tokens for task in tasks for sample in task.samples):
-        return True
-    return max(len(task.samples) for task in tasks) >= POOLED_PARTITION_MIN
+    return len(tasks) >= 2 and width >= 2
 
 
 def _run_partition_task(task: "PartitionMapTask") -> "PartitionMapResult":

@@ -17,11 +17,9 @@ from __future__ import annotations
 import contextlib
 import datetime
 import random
-from unittest import mock
 
 import pytest
 
-import repro.exec.partition as exec_partition
 from repro.clustering.partition import ClusteredSample, DistributedClusterer
 from repro.core.config import IncrementalConfig, KizzleConfig
 from repro.core.pipeline import Kizzle
@@ -208,11 +206,6 @@ def _run_stream(backend_kind, incremental, days=3, distance=None,
     kizzle = Kizzle(config)
     with contextlib.ExitStack() as stack:
         stack.callback(kizzle.close)
-        if backend_kind == "cluster":
-            # Pre-tokenized (warm) partitions are tiny here; drop the
-            # worth-it threshold so the map still ships to the workers.
-            stack.enter_context(mock.patch.object(
-                exec_partition, "POOLED_PARTITION_MIN", 1))
         for kit in KITS:
             kizzle.seed_known_kit(
                 kit, [generator.reference_core(kit, D(2014, 7, 31))])
@@ -339,15 +332,15 @@ class TestBackendEquivalence:
         assert sum(stats["pairs"] for stats in worker_stats.values()) > 0
 
     def test_small_warm_partitions_never_fork(self, no_fork):
-        """Whole partitions are the only unit of fan-out: a warm day whose
-        pre-tokenized partitions are below ``POOLED_PARTITION_MIN`` runs
-        in one process on the process backend, however many distance pairs
-        each partition holds (here 7,140, all past the length filter)."""
-        samples = _family_samples(30)
+        """Whole partitions are the only unit of fan-out: a warm day of one
+        partition runs in one process on the process backend, however many
+        distance pairs the partition holds (here 7,140, all past the length
+        filter) — the distance engine never forks."""
+        samples = _family_samples(15)
 
         def labels(backend):
             config = KizzleConfig(
-                partitions=2, incremental=IncrementalConfig(enabled=True),
+                partitions=1, incremental=IncrementalConfig(enabled=True),
                 distance=DistanceEngineConfig(shared_cache=False),
                 backend=backend)
             with Kizzle(config) as kizzle:
@@ -366,13 +359,11 @@ class TestBackendEquivalence:
 # the one map seam: transports compared directly, timeline as an observer
 # ----------------------------------------------------------------------
 def _cluster_day(backend, samples):
-    """Cluster one day's samples (floor dropped so pre-tokenized partitions
-    ship too); returns (labels, report, clusterer)."""
+    """Cluster one day's samples; returns (labels, report, clusterer)."""
     clusterer = DistributedClusterer(
         min_points=3, machines=6, backend=backend,
         engine_config=DistanceEngineConfig(workers=1, shared_cache=False))
-    with mock.patch.object(exec_partition, "POOLED_PARTITION_MIN", 1):
-        clusters, report = clusterer.run(samples, partitions=4)
+    clusters, report = clusterer.run(samples, partitions=4)
     labels = [(cluster.cluster_id, cluster.prototype.sample_id,
                [sample.sample_id for sample in cluster.samples])
               for cluster in clusters]
@@ -499,9 +490,8 @@ class TestOneMapSeam:
         and the configured machine count — never from the transport, its
         pool width, or how many cluster workers happen to be connected."""
         def observed(**backend):
-            with mock.patch.object(exec_partition, "POOLED_PARTITION_MIN", 1):
-                timing = _golden_stream_timings(
-                    BackendConfig(**backend), True, 2)[1]
+            timing = _golden_stream_timings(BackendConfig(**backend), True,
+                                            2)[1]
             return (_phases(timing), timing.stage_seconds,
                     timing.machine_count, timing.total_time)
 

@@ -23,11 +23,9 @@ import datetime
 import os
 import time
 from types import SimpleNamespace
-from unittest import mock
 
 import pytest
 
-import repro.exec.partition as exec_partition
 from repro.core.config import IncrementalConfig, KizzleConfig
 from repro.core.pipeline import Kizzle
 from repro.ekgen import StreamConfig, TelemetryGenerator
@@ -126,10 +124,7 @@ def _run_cluster_with_fault(fault, days=2, incremental=False):
         for kit in KITS:
             kizzle.seed_known_kit(
                 kit, [generator.reference_core(kit, D(2014, 7, 31))])
-        # The warm path ships pre-tokenized partitions; drop the worth-it
-        # threshold so the tiny test partitions still fan out to the cluster.
-        with mock.patch.object(exec_partition, "POOLED_PARTITION_MIN", 1):
-            labels, fpfn = _run_days(kizzle, generator, days)
+        labels, fpfn = _run_days(kizzle, generator, days)
         signatures = [(s.kit, s.created, s.pattern)
                       for s in kizzle.database]
         outcome = SimpleNamespace(

@@ -14,13 +14,11 @@ Three layers of guarantees:
 from __future__ import annotations
 
 import math
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.exec.partition as exec_partition
 from repro.clustering import ClusteredSample, DBSCAN, DistributedClusterer
 from repro.core.config import KizzleConfig
 from repro.distance import (
@@ -329,9 +327,7 @@ class TestEngineBackedDBSCANEquivalence:
                 clusterer = DistributedClusterer(
                     epsilon=0.10, min_points=3,
                     engine_config=config.distance, backend=backend)
-                with mock.patch.object(exec_partition,
-                                       "POOLED_PARTITION_MIN", 1):
-                    clusters, report = clusterer.run(samples, partitions=2)
+                clusters, report = clusterer.run(samples, partitions=2)
             finally:
                 backend.close()
             labels = [(cluster.cluster_id, cluster.prototype.sample_id,

@@ -11,11 +11,15 @@ metrics across a window containing a packer change.
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import random
+from unittest import mock
 
 import pytest
 
+import repro.jstoken.normalizer as jstoken_normalizer
+import repro.scanner.normalizer as scanner_normalizer
 from repro.clustering.carryforward import CarryForwardIndex, ClusterAnchor
 from repro.clustering.dbscan import DBSCAN
 from repro.core.config import IncrementalConfig, KizzleConfig
@@ -24,6 +28,7 @@ from repro.core.prepared import PreparedCache
 from repro.distsim import MapReduceReport
 from repro.ekgen import StreamConfig, TelemetryGenerator
 from repro.evalharness import ExperimentConfig, MonthExperiment
+from repro.exec.backend import BackendConfig
 from repro.labeling.corpus import CorpusEntry
 from repro.scanner.avbaseline import SimulatedCommercialAV
 from repro.scanner.engine import ScanEngine, SignatureDatabase
@@ -50,6 +55,17 @@ def _seeded_kizzle(generator, incremental=None, machines=6):
 
 def _warm_config(**overrides):
     return IncrementalConfig(enabled=True, **overrides)
+
+
+@contextlib.contextmanager
+def lexer_spy():
+    """Count full lexer runs (``tokenize_sample`` calls, through both of
+    its bindings) made in this process; yields a reader of the count."""
+    with mock.patch.object(jstoken_normalizer, "tokenize_sample",
+                           wraps=jstoken_normalizer.tokenize_sample) as a, \
+            mock.patch.object(scanner_normalizer, "tokenize_sample",
+                              wraps=scanner_normalizer.tokenize_sample) as b:
+        yield lambda: a.call_count + b.call_count
 
 
 # ----------------------------------------------------------------------
@@ -380,13 +396,15 @@ class TestWarmPipeline:
                 stream=stream,
                 kizzle=KizzleConfig(
                     machines=6, min_points=3,
-                    incremental=IncrementalConfig(enabled=incremental)))
+                    incremental=IncrementalConfig(enabled=incremental),
+                    backend=BackendConfig(kind="serial")))
             experiment = MonthExperiment(config)
-            report = experiment.run()
-            return report, experiment.kizzle
+            with lexer_spy() as lexes:
+                report = experiment.run()
+            return report, experiment.kizzle, lexes()
 
-        cold_report, cold_kizzle = run(False)
-        warm_report, warm_kizzle = run(True)
+        cold_report, cold_kizzle, cold_lexes = run(False)
+        warm_report, warm_kizzle, warm_lexes = run(True)
 
         for cold_day, warm_day in zip(cold_report.days, warm_report.days):
             assert cold_day.kizzle.confusion.false_positives == \
@@ -405,12 +423,12 @@ class TestWarmPipeline:
         # equality above is the contract.)
         assert warm_kizzle.database.kits() == cold_kizzle.database.kits()
         assert warm_kizzle.database.signatures_for(as_of=D(2014, 8, 16))
-        # Work metric: the warm path runs the lexer at most once per
-        # content; the cold path re-lexes every sample several times per
-        # day.  (Tokenizations = cache misses on the raw-token table.)
-        warm_lexes = warm_kizzle.prepared.stats()["raw_misses"]
-        total_samples = sum(day.sample_count for day in warm_report.days)
-        assert warm_lexes < total_samples
+        # Work metric: the warm path lexes only what survives shedding (in
+        # the cluster stage's map; the serial backend keeps it in this
+        # process, where the spy sees it); the cold path lexes every sample
+        # in the map and again in every exact scan.
+        assert warm_lexes < sum(day.sample_count for day in warm_report.days)
+        assert warm_lexes < cold_lexes
 
     def test_shed_accounting_and_stage_charging(self, generator):
         day = D(2014, 8, 5)
@@ -507,6 +525,27 @@ class TestWarmPipeline:
         assert sorted(record.kit for record in second.shed
                       if record.sample_id == "dup") == ["angler", "nuclear"]
 
+    @pytest.mark.parametrize("incremental", [None, _warm_config()],
+                             ids=["cold", "warm"])
+    def test_members_and_noise_add_up_with_a_duplicated_id(self, generator,
+                                                           incremental):
+        """Noise is the survivors less the clustered *members*: two
+        clustered samples that share an id are two members, not one."""
+        day = D(2014, 8, 5)
+        batch = generator.generate_day(day)
+        by_kit = batch.by_kit()
+        shared, renamed = by_kit["angler"][0].sample_id, by_kit["nuclear"][0]
+        samples = [(shared if sample is renamed else sample.sample_id,
+                    sample.content) for sample in batch.samples]
+        kizzle = _seeded_kizzle(generator, incremental=incremental)
+        result = kizzle.process_day(samples, day)
+        members = [sample.sample_id for report in result.clusters
+                   for sample in report.cluster.samples]
+        assert members.count(shared) == 2
+        assert result.shed_count == 0
+        assert len(members) + result.noise_count == result.sample_count \
+            == len(samples)
+
     def test_scan_takes_the_digest_its_caller_holds(self, generator):
         """The verdict memo is keyed by content digest: a caller-supplied
         digest and one computed inside ``scan`` name the same entry."""
@@ -553,21 +592,35 @@ class TestConfigAndCache:
             IncrementalConfig(prepared_cache_entries=0)
 
     def test_prepared_cache_single_lex(self):
+        """Each normal form is derived once per content: the exact form
+        lexes once, the fast form never enters the lexer, and repeated
+        reads hit."""
         cache = PreparedCache(max_entries=16)
         content = "<script>var a = 'x';</script>"
-        cache.abstract_tokens(content)
-        cache.normalized(content)
-        cache.fast_normalized(content)
-        cache.abstract_tokens(content)
-        stats = cache.stats()
-        assert stats["raw_misses"] == 1
-        assert stats["tokens_hits"] == 1
+        exact, fast = normalize_for_scan(content), fast_normalize(content)
+        with lexer_spy() as lexes:
+            for _ in range(2):
+                assert cache.normalized(content) == exact
+                assert cache.fast_normalized(content) == fast
+        assert lexes() == 1
+        assert cache.stats() == {"normalized_hits": 1,
+                                 "normalized_misses": 1, "fast_hits": 1,
+                                 "fast_misses": 1}
 
     def test_prepared_cache_eviction(self):
         cache = PreparedCache(max_entries=2)
-        for index in range(5):
-            cache.abstract_tokens(f"var a{index} = {index};")
-        assert cache.stats()["tokens_misses"] == 5
+        contents = [f"var a{index} = {index};" for index in range(3)]
+        for content in contents + contents:
+            cache.fast_normalized(content)
+            cache.normalized(content)
+        # Three contents through a two-entry LRU in order: every read of
+        # the second round finds its entry already evicted.
+        assert cache.stats() == {"normalized_hits": 0,
+                                 "normalized_misses": 6, "fast_hits": 0,
+                                 "fast_misses": 6}
+        assert cache.fast_normalized(contents[2]) == \
+            fast_normalize(contents[2])
+        assert cache.stats()["fast_hits"] == 1
 
     def test_paper_scale_stream_config(self):
         config = StreamConfig.paper_scale(samples_per_day=20_800)

@@ -15,11 +15,9 @@ import datetime
 import gc
 import pickle
 import weakref
-from unittest import mock
 
 import pytest
 
-import repro.exec.partition as exec_partition
 from repro.clustering.partition import ClusteredSample, PartitionMapTask, \
     partition_samples
 from repro.core.config import IncrementalConfig, KizzleConfig
@@ -64,13 +62,8 @@ def _run_stream(backend_kind, incremental, workers,
     for offset in range(days):
         date = D(2014, 8, 1) + datetime.timedelta(days=offset)
         batch = generator.generate_day(date)
-        # The warm path hands the cluster stage pre-tokenized (cached)
-        # samples, which tiny test days would keep in process under the
-        # worth-shipping rule; drop the floor so the pool demonstrably
-        # engages warm as well as cold.
-        with mock.patch.object(exec_partition, "POOLED_PARTITION_MIN", 1):
-            result = kizzle.process_day(
-                [(s.sample_id, s.content) for s in batch.samples], date)
+        result = kizzle.process_day(
+            [(s.sample_id, s.content) for s in batch.samples], date)
         day_labels.append(sorted(
             (tuple(sorted(sample.sample_id
                           for sample in report.cluster.samples)),
@@ -290,9 +283,8 @@ class TestPartitionMapTask:
 
 
 class TestWorthFanningOut:
-    """Pre-tokenized small buckets stay inline (shipping them costs more
-    than their DBSCAN); raw buckets always fan out (the map carries the
-    lexer)."""
+    """Any batch of two or more buckets fans out to two or more workers:
+    the day loop ships raw buckets, so the map carries the lexer."""
 
     @staticmethod
     def _tasks(*buckets):
@@ -305,16 +297,13 @@ class TestWorthFanningOut:
         raw = [ClusteredSample(sample_id="a", content="var a = 1;")]
         assert worth_shipping(self._tasks(raw, raw), width=2)
 
-    def test_small_tokenized_buckets_stay_inline(self):
-        tokenized = [ClusteredSample.from_content("a", "var a = 1;")]
-        assert not worth_shipping(self._tasks(tokenized, tokenized), width=2)
-
-    def test_large_tokenized_buckets_fan_out(self, monkeypatch):
-        monkeypatch.setattr(exec_partition, "POOLED_PARTITION_MIN", 3)
+    def test_tokenized_buckets_fan_out_like_raw_ones(self):
+        """No size floor: what the buckets hold never vetoes a ship."""
         sample = ClusteredSample.from_content("a", "var a = 1;")
-        assert worth_shipping(self._tasks([sample] * 3, [sample]), width=2)
-        assert not worth_shipping(self._tasks([sample] * 2, [sample]),
-                                  width=2)
+        assert worth_shipping(self._tasks([sample], [sample]), width=2)
+        assert not worth_shipping(self._tasks([sample] * 300), width=2)
+        assert not worth_shipping(self._tasks([sample] * 300, [sample]),
+                                  width=1)
 
 
 # ----------------------------------------------------------------------

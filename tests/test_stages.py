@@ -2,19 +2,23 @@
 
 The graph machinery itself is exercised with synthetic stages (validation,
 provides contracts, itemized chains, wall accounting); the pipeline-facing
-tests pin the day graph's shape and the per-stage walls surfaced through
-``DailyResult``.
+tests pin the day graph's shape (one graph, cold or warm) and the per-stage
+walls and cache deltas surfaced through ``DailyResult``.
 """
 
 from __future__ import annotations
 
 import datetime
+import hashlib
 
 import pytest
 
 from repro.core.config import IncrementalConfig, KizzleConfig
 from repro.core.pipeline import Kizzle
 from repro.core.stages import Stage, StageGraph, StageGraphError
+from repro.distance.engine import DistanceEngineConfig
+from repro.ekgen import StreamConfig, TelemetryGenerator
+from repro.exec.backend import BackendConfig
 
 D = datetime.date
 
@@ -129,19 +133,18 @@ class TestPipelineGraph:
         kizzle = Kizzle(KizzleConfig(machines=4))
         assert kizzle.day_graph().names() == self.CANONICAL
 
-    def test_warm_graph_same_shape_different_impls(self):
-        """The warm path is stage substitution, not a forked graph."""
+    def test_warm_graph_runs_the_cold_graphs_functions(self):
+        """One day loop: the warm path is the cold graph with shedding and
+        carry-forward switched on inside its stages, not substituted
+        stage implementations."""
         cold = Kizzle(KizzleConfig(machines=4))
         warm = Kizzle(KizzleConfig(
             machines=4, incremental=IncrementalConfig(enabled=True)))
         assert warm.day_graph().names() == cold.day_graph().names()
-        by_name = {stage.name: stage for stage in cold.day_graph().stages}
-        warm_by_name = {stage.name: stage
-                        for stage in warm.day_graph().stages}
-        for name in ("shed", "prepare", "label", "finalize"):
-            assert by_name[name].fn.__name__ != warm_by_name[name].fn.__name__
-        for name in ("cluster", "compile"):
-            assert by_name[name].fn.__name__ == warm_by_name[name].fn.__name__
+        for cold_stage, warm_stage in zip(cold.day_graph().stages,
+                                          warm.day_graph().stages):
+            assert warm_stage.fn.__func__ is cold_stage.fn.__func__, \
+                cold_stage.name
 
     def test_day_result_carries_stage_walls(self, small_generator):
         kizzle = Kizzle(KizzleConfig(machines=4))
@@ -163,22 +166,107 @@ class TestPipelineGraph:
         day = D(2014, 8, 5)
         samples = [(s.sample_id, s.content)
                    for s in small_generator.generate_day(day).samples]
-        first = kizzle.process_day(samples, day)
-        assert first.prepared_stats["raw_misses"] > 0
-        # The repeated day reuses every prepared form: the lexer does not
-        # run at all, and the counters are per-day deltas.
-        second = kizzle.process_day(samples,
-                                    day + datetime.timedelta(days=1))
-        assert second.prepared_stats["raw_misses"] == 0
-        summary = second.summary()
-        assert summary["prepared_lexer_runs"] == 0
-        assert summary["prepared_hits"] > 0
+        days = [kizzle.process_day(samples,
+                                   day + datetime.timedelta(days=offset))
+                for offset in range(3)]
+        for result in days:
+            assert set(result.prepared_stats) == {
+                "normalized_hits", "normalized_misses", "fast_hits",
+                "fast_misses"}
+            assert result.prepared_stats["normalized_misses"] == 0
+        # Day two's shed scans derive each scanned page's fast normal form;
+        # the repeated day three reads every one of them back, and the
+        # counters are per-day deltas.
+        assert days[1].prepared_stats["fast_misses"] > 0
+        assert days[2].prepared_stats["fast_misses"] == 0
+        assert days[2].prepared_stats["fast_hits"] \
+            == days[1].prepared_stats["fast_misses"]
+        summary = days[2].summary()
+        assert "prepared_lexer_runs" not in summary
+        assert summary["prepared_hits"] == days[2].prepared_stats["fast_hits"]
+        assert summary["prepared_misses"] == 0
 
     def test_cold_day_reports_no_prepared_stats(self, small_generator):
+        """A cold day scans exactly without the cache: it reports the same
+        counters as a warm day, every delta zero."""
         kizzle = Kizzle(KizzleConfig(machines=4))
         day = D(2014, 8, 5)
         batch = small_generator.generate_day(day)
         result = kizzle.process_day(
             [(s.sample_id, s.content) for s in batch.samples], day)
-        assert result.prepared_stats == {}
-        assert "prepared_lexer_runs" not in result.summary()
+        assert result.prepared_stats == {
+            "normalized_hits": 0, "normalized_misses": 0, "fast_hits": 0,
+            "fast_misses": 0}
+        summary = result.summary()
+        assert "prepared_lexer_runs" not in summary
+        assert (summary["prepared_hits"], summary["prepared_misses"]) \
+            == (0, 0)
+
+
+class TestOneDayLoopGolden:
+    """One cold day and one warm day (it sheds and carries clusters
+    forward), pinned to values captured from the commit that still had
+    separate cold and warm stage implementations, a prepare stage that
+    lexed warm samples through a token cache, and a floor that kept small
+    pre-tokenized partitions in process.  The carry-forward charge now
+    prices its probes with the token total the map reports, so
+    ``total_time`` and ``stage_seconds`` hold that total to the old
+    prepare-side sum, bit for bit."""
+
+    #: sha256 of ``repr([(kit, created, pattern), ...])`` over the database.
+    SIGNATURES = ("a3f2d5cfc605689c9d9205fee99d5c42"
+                  "9269336ea7457fca49cc64866fb54942")
+    GOLDEN = {
+        # incremental: (days run, total_time, stage_seconds,
+        #               (clusters, noise, shed, carried), new signatures)
+        False: (1, 28.814095294982998, {}, (5, 21, 0, 0), 4),
+        True: (2, 10.855242004627977,
+               {"shed": 2.1549490000000002,
+                "carry_forward": 2.0451316901041667}, (6, 11, 66, 5), 0),
+    }
+
+    @staticmethod
+    def _run(backend, incremental, days):
+        generator = TelemetryGenerator(StreamConfig(
+            benign_per_day=20,
+            kit_daily_counts={"angler": 24, "nuclear": 16,
+                              "sweetorange": 16, "rig": 12},
+            seed=20140801))
+        config = KizzleConfig(
+            machines=6, min_points=3, partitions=4,
+            distance=DistanceEngineConfig(workers=1, shared_cache=False),
+            incremental=IncrementalConfig(enabled=incremental),
+            backend=backend)
+        with Kizzle(config) as kizzle:
+            for kit in ("nuclear", "angler", "rig", "sweetorange"):
+                kizzle.seed_known_kit(
+                    kit, [generator.reference_core(kit, D(2014, 7, 31))])
+            results = []
+            for offset in range(days):
+                date = D(2014, 8, 1) + datetime.timedelta(days=offset)
+                batch = generator.generate_day(date)
+                results.append(kizzle.process_day(
+                    [(s.sample_id, s.content) for s in batch.samples], date))
+            signatures = repr([(s.kit, s.created, s.pattern)
+                               for s in kizzle.database])
+        return results, hashlib.sha256(signatures.encode()).hexdigest()
+
+    @pytest.mark.parametrize("incremental", [False, True],
+                             ids=["cold", "warm"])
+    @pytest.mark.parametrize("backend", [
+        BackendConfig(kind="serial"),
+        BackendConfig(kind="process", workers=2)], ids=["serial", "process"])
+    def test_day_matches_parent_commit(self, backend, incremental):
+        days, total_time, stage_seconds, counts, new = \
+            self.GOLDEN[incremental]
+        results, signatures = self._run(backend, incremental, days)
+        result = results[-1]
+        assert result.timing.total_time == total_time
+        assert result.timing.stage_seconds == stage_seconds
+        assert (result.cluster_count, result.noise_count, result.shed_count,
+                result.carried_cluster_count) == counts
+        assert len(result.new_signatures) == new
+        assert signatures == self.SIGNATURES
+        if backend.kind == "process":
+            # The pool engaged on every day, warm as well as cold.
+            assert [r.timing.map_workers for r in results] == [2] * days
