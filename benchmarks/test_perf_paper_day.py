@@ -69,9 +69,5 @@ def test_paper_scale_day_end_to_end(benchmark):
     benchmark.extra_info["virtual_minutes"] = round(
         result.timing.total_time / 60.0, 2)
     benchmark.extra_info["backend"] = result.backend
-    # Normal-form cache telemetry.
-    benchmark.extra_info["prepared_hits"] = sum(
-        count for name, count in result.prepared_stats.items()
-        if name.endswith("_hits"))
     for stage, seconds in sorted(result.stage_walls.items()):
         benchmark.extra_info[f"wall_{stage}_s"] = round(seconds, 3)

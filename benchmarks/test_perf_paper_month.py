@@ -7,7 +7,7 @@ ratios, ~17x the default test stream) through the warm stage-graph
 pipeline.  Per-stage wall clocks are *aggregated over the month* and
 serialized as ``wall_<stage>_s`` extra info, so the nightly regression gate
 (``benchmarks/check_regression.py``) catches a slowdown confined to one
-stage — shed, prepare, cluster, label, compile or finalize — even when the
+stage — shed, cluster, label, compile or finalize — even when the
 end-to-end mean hides it.
 
 Contracts asserted:

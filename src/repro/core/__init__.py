@@ -4,7 +4,6 @@ under :mod:`repro` is a substrate it builds on.
 """
 
 from repro.core.config import IncrementalConfig, KizzleConfig
-from repro.core.prepared import PreparedCache
 from repro.core.results import ClusterReport, DailyResult, ShedRecord
 from repro.core.stages import Stage, StageGraph, StageGraphError
 from repro.core.pipeline import Kizzle
@@ -12,7 +11,6 @@ from repro.core.pipeline import Kizzle
 __all__ = [
     "IncrementalConfig",
     "KizzleConfig",
-    "PreparedCache",
     "ClusterReport",
     "DailyResult",
     "ShedRecord",

@@ -24,11 +24,11 @@ class IncrementalConfig:
         same stage graph; the fields below are read inside the ``shed``,
         ``label`` and ``finalize`` stages and only take effect when on.
     shed_known:
-        Set aside, before tokenization, samples that are exact-content
-        repeats of already-labeled material or that are matched by an
+        Set aside, before tokenization, samples matched by an
         already-deployed signature (the paper's "most of the stream is the
         same grayware every day").  Shed samples are counted per kit in the
-        daily result; an unmatched sample is never shed.
+        daily result; an unmatched sample is never shed.  The scan that
+        sheds is kept as the day record the day's later scans extend.
     carry_forward:
         Inject yesterday's cluster prototypes as pre-labeled anchors:
         samples within ``epsilon`` of an anchor are absorbed into the
@@ -38,7 +38,7 @@ class IncrementalConfig:
         ``"exact"`` scans with the lexer-based normal form; ``"fast"``
         (the warm default when enabled) scans with
         :func:`~repro.scanner.normalizer.fast_normalize` (one C-level
-        ``re.split`` pass, 48-55 MB/s where the lexer manages 4.5-13) plus
+        ``re.split`` pass, 57-70 MB/s where the lexer manages 6.3-14.9) plus
         the literal-anchor prefilter.  Fast mode is verdict-equivalent on the
         synthetic stream (asserted by tests); exact mode is the fallback
         for content the fast normalizer was not designed for.
@@ -48,10 +48,6 @@ class IncrementalConfig:
     max_anchors:
         Upper bound on carried anchors; the least recently refreshed are
         dropped first.
-    prepared_cache_entries:
-        Bound of the per-content scanner normal-form cache
-        (:class:`~repro.core.prepared.PreparedCache`); the known-content
-        ledger is bounded at four times it.
     """
 
     enabled: bool = False
@@ -60,7 +56,6 @@ class IncrementalConfig:
     scan_mode: str = "fast"
     anchor_ttl_days: int = 7
     max_anchors: int = 256
-    prepared_cache_entries: int = 8192
 
     def __post_init__(self) -> None:
         if self.scan_mode not in ("exact", "fast"):
@@ -69,8 +64,6 @@ class IncrementalConfig:
             raise ValueError("anchor_ttl_days must be at least 1")
         if self.max_anchors < 1:
             raise ValueError("max_anchors must be at least 1")
-        if self.prepared_cache_entries < 1:
-            raise ValueError("prepared_cache_entries must be positive")
 
 
 @dataclass

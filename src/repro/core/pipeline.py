@@ -9,7 +9,7 @@ signature, compile a new structural signature from the packed samples.
 The loop is one explicit **stage graph** (:mod:`repro.core.stages`) with one
 implementation per stage::
 
-    shed -> prepare -> cluster -> label -> compile -> finalize
+    shed -> cluster -> label -> compile -> finalize
 
 executed through a pluggable **execution backend** (:mod:`repro.exec`):
 serial in process, a local process pool (the default), or real worker
@@ -25,21 +25,25 @@ The **cold path** (the default) treats every day as independent.  The
 day-over-day state switched on, read inside the three stages that use it:
 
 * ``shed`` (``shed_known``) sets aside, before any lexing, samples matched
-  by a deployed signature and exact repeats of already-labeled content
-  (paper: "most of the stream is the same grayware every day").  Each shed
-  group leaves one *sentinel* sample carrying the group's weight, so
+  by a deployed signature (paper: "most of the stream is the same grayware
+  every day").  Each shed group — the samples the same signature matched
+  first — leaves one *sentinel* sample carrying the group's weight, so
   clustering sees the density geometry the cold path would (a sentinel of
   weight ``w`` is indistinguishable from the ``w`` exact duplicates DBSCAN
-  already collapses).
+  already collapses).  Its scan is kept as the **day record**: content ->
+  signatures matched at the database's generation then.  The coverage
+  check before compiling, :meth:`Kizzle.detects` and the evaluation scan
+  read it through :meth:`Kizzle.kits_matching`, which probes only the
+  signatures deployed since; the next shed starts a new record.
 * ``label`` (``carry_forward``) lets a cluster whose prototype lands within
   epsilon of one of yesterday's prototypes inherit that cluster's label
   without re-unpacking or re-winnowing (:mod:`repro.clustering.carryforward`).
   Novel clusters — and carried kit clusters whose samples a deployed
   signature no longer covers — go through the full label/compile machinery,
   so kit updates still produce new signatures the way the cold path does.
-* ``finalize`` rolls the content ledger and the anchors forward and charges
-  the shed and carry-forward work to the modelled machine pool; a cold day
-  has nothing to roll or charge.
+* ``finalize`` rolls the anchors forward and charges the shed and
+  carry-forward work to the modelled machine pool; a cold day has nothing
+  to roll or charge.
 
 The ``label`` and ``compile`` stages are *itemized* over the day's clusters
 and run depth-first per cluster: compiling cluster ``i`` feeds its unpacked
@@ -51,14 +55,12 @@ had, preserved by construction (see :class:`~repro.core.stages.StageGraph`).
 from __future__ import annotations
 
 import datetime
-from collections import OrderedDict
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.clustering.carryforward import CarryForwardIndex
 from repro.clustering.partition import Cluster, ClusteredSample, \
     DistributedClusterer
 from repro.core.config import KizzleConfig
-from repro.core.prepared import PreparedCache
 from repro.core.results import ClusterReport, DailyResult, ShedRecord
 from repro.core.stages import Stage, StageGraph
 from repro.exec.backend import create_backend
@@ -66,6 +68,7 @@ from repro.labeling.corpus import KnownKitCorpus
 from repro.labeling.labeler import ClusterLabel, ClusterLabeler
 from repro.scanner.engine import ScanEngine, SignatureDatabase
 from repro.signatures.compiler import SignatureCompiler
+from repro.signatures.signature import Signature
 from repro.unpack.registry import UnpackerRegistry, default_registry
 
 
@@ -103,29 +106,22 @@ class Kizzle:
             backend=self.backend,
             machines=self.config.machines)
         incremental = self.config.incremental
-        self.prepared = PreparedCache(
-            max_entries=incremental.prepared_cache_entries)
         # The compiler is handed the abstract token strings its cluster was
         # built from (``_report_for``) and lexes each member only as far as
-        # the signature window; it shares no cache.
+        # the signature window.
         self.compiler = SignatureCompiler(self.config.signature)
         self.carry = CarryForwardIndex(
             epsilon=self.config.epsilon,
             engine=self.clusterer.engine,
             ttl_days=incremental.anchor_ttl_days,
             max_anchors=incremental.max_anchors)
-        #: content digest -> (kit-or-None, date recorded) for content
-        #: labeled on a previous day; drives the exact-repeat shedding
-        #: branch.  Entries expire after ``anchor_ttl_days`` — label
-        #: inheritance is advisory, so a verdict that reached the ledger
-        #: through a carried label must not outlive the anchors it came
-        #: from.
-        self._known_contents: Dict[bytes, Tuple[Optional[str],
-                                                datetime.date]] = {}
         self._carry_comparisons_charged = 0
-        #: Shared scan-verdict memo (see ScanEngine): the shedding stage and
-        #: the same-day evaluation scans resolve each content once.
-        self._scan_memo: Dict = {}
+        #: The day record (see :meth:`kits_matching`): content -> the
+        #: signatures the last shed's scan matched, taken as of
+        #: ``_record_at = (date, database generation)``.  Empty on a cold
+        #: day; each shed starts a new one.
+        self._record: Dict[str, Tuple[Signature, ...]] = {}
+        self._record_at: Tuple[Optional[datetime.date], int] = (None, 0)
         self.graph = self._build_day_graph()
 
     # ------------------------------------------------------------------
@@ -163,15 +159,11 @@ class Kizzle:
         return StageGraph([
             Stage("shed", self._stage_shed,
                   requires=("samples", "date"),
-                  provides=("survivors", "sentinels", "shed_records",
-                            "shed_kits", "scanned_bytes",
-                            "content_digests")),
-            Stage("prepare", self._stage_prepare,
-                  requires=("survivors", "sentinels"),
-                  provides=("prepared", "sentinel_ids")),
+                  provides=("prepared", "sentinel_ids", "shed_records",
+                            "shed_kits", "scanned_bytes")),
             Stage("cluster", self._stage_cluster,
-                  requires=("samples", "date", "survivors", "prepared",
-                            "sentinel_ids", "shed_records"),
+                  requires=("samples", "date", "prepared", "sentinel_ids",
+                            "shed_records"),
                   provides=("clusters", "timing", "result")),
             Stage("label", self._stage_label,
                   requires=("result", "sentinel_ids"),
@@ -181,8 +173,7 @@ class Kizzle:
                   over="clusters"),
             Stage("finalize", self._stage_finalize,
                   requires=("date", "result", "timing", "prepared",
-                            "sentinel_ids", "shed_kits", "scanned_bytes",
-                            "content_digests")),
+                            "shed_kits", "scanned_bytes")),
         ])
 
     def day_graph(self) -> StageGraph:
@@ -201,106 +192,67 @@ class Kizzle:
         any newly generated signatures; new signatures are also added to the
         deployed :attr:`database` with ``created=date``.
         """
-        prepared_before = self.prepared.stats()
         context: Dict[str, Any] = {"samples": samples, "date": date}
         walls = self.graph.run(context)
         result: DailyResult = context["result"]
         result.timing.wall_stage_seconds.update(walls)
-        result.prepared_stats = {
-            name: value - prepared_before[name]
-            for name, value in self.prepared.stats().items()}
         return result
 
     # -- shed: set known samples aside before tokenization ---------------
     def _stage_shed(self, context: Dict[str, Any]) -> None:
-        """Known-sample shedding (before any lexing).
+        """Known-sample shedding (before any lexing), and the hand-off of
+        survivors and weighted sentinels to the cluster stage.
 
-        Every shed group — keyed by the first deployed signature that
-        matched, or by exact content for repeats of already-labeled
-        material — leaves one sentinel carrying the group's weight, so the
-        clustering stage keeps the cold path's density geometry.  On a cold
-        day, or with ``shed_known`` off, every sample survives.
+        Every shed group — keyed by the deployed signature that matched
+        first — leaves one sentinel carrying the group's weight, so the
+        clustering stage keeps the cold path's density geometry.  The scan
+        becomes the day record, one entry per distinct content.  On a cold
+        day, with ``shed_known`` off, or with nothing deployed, every sample
+        survives and the record stays empty.
+
+        Samples reach the cluster stage raw: lexing is part of each
+        partition's map (``ensure_tokens`` is deterministic, so *where* the
+        lexer runs never changes results), which lets a partition-parallel
+        backend spread it over its pool.
         """
-        survivors: List[Tuple[str, str]] = []
-        sentinels: "OrderedDict[object, ClusteredSample]" = OrderedDict()
+        date = context["date"]
+        survivors: List[ClusteredSample] = []
+        sentinels: Dict[str, ClusteredSample] = {}
         shed: List[ShedRecord] = []
         shed_kits: Set[str] = set()
-        # Keyed by content, not sample id: finalize reads a sample's digest
-        # back, and two samples may share an id without sharing a page.
-        digests: Dict[str, bytes] = {}
-        context.update(survivors=survivors, sentinels=sentinels,
-                       shed_records=shed, shed_kits=shed_kits,
-                       scanned_bytes=0, content_digests=digests)
-        incremental = self.config.incremental
-        if not (incremental.enabled and incremental.shed_known):
-            survivors.extend(context["samples"])
-            return
-        date = context["date"]
-        engine = self.scan_engine()
         scanned_bytes = 0
-        any_deployed = len(self.database) > 0
+        self._record = record = {}
+        self._record_at = (date, self.database.generation)
+        incremental = self.config.incremental
+        shedding = incremental.enabled and incremental.shed_known \
+            and len(self.database) > 0
+        engine = self.scan_engine()
         for sample_id, content in context["samples"]:
-            digest = digests.get(content)
-            if digest is None:
-                digest = digests[content] = PreparedCache.content_key(content)
-            known = self._recall_content(digest, date)
-            if known is not None:
-                kit = known[0]
-                shed.append(ShedRecord(sample_id=sample_id,
-                                       reason="known-content", kit=kit))
-                if kit is not None:
-                    shed_kits.add(kit)
+            if shedding:
                 scanned_bytes += len(content)
-                self._note_sentinel(sentinels, ("content", digest),
-                                    sample_id, content)
-                continue
-            if any_deployed:
-                scanned_bytes += len(content)
-                verdict = engine.scan(sample_id, content, as_of=date,
-                                      digest=digest)
-                if verdict.detected:
-                    matched = verdict.matched_signatures[0]
-                    kit = matched.kit
-                    shed.append(ShedRecord(sample_id=sample_id,
-                                           reason="signature", kit=kit))
-                    shed_kits.add(kit)
-                    self._remember_content(digest, kit, date)
-                    self._note_sentinel(sentinels,
-                                        ("sig", matched.signature_id),
-                                        sample_id, content)
+                matched = record.get(content)
+                if matched is None:
+                    matched = record[content] = tuple(engine.scan(
+                        sample_id, content, as_of=date).matched_signatures)
+                if matched:
+                    first = matched[0]
+                    shed.append(ShedRecord(sample_id=sample_id, kit=first.kit))
+                    shed_kits.add(first.kit)
+                    # The group's first sample names its sentinel; later
+                    # samples only add weight.
+                    group = sentinels.get(first.signature_id)
+                    if group is None:
+                        sentinels[first.signature_id] = ClusteredSample(
+                            f"sentinel-{len(sentinels)}-{sample_id}", content)
+                    else:
+                        group.weight += 1
                     continue
-            survivors.append((sample_id, content))
-        context["scanned_bytes"] = scanned_bytes
-
-    @staticmethod
-    def _note_sentinel(sentinels: "OrderedDict[object, ClusteredSample]",
-                       key: object, sample_id: str, content: str) -> None:
-        """Record one shed sample in its group's sentinel.
-
-        The first sample of a group names the sentinel; later samples only
-        bump its weight.  Lexing waits for the cluster stage's map.
-        """
-        group = sentinels.get(key)
-        if group is None:
-            sentinels[key] = ClusteredSample(
-                sample_id=f"sentinel-{len(sentinels)}-{sample_id}",
-                content=content)
-        else:
-            group.weight += 1
-
-    # -- prepare: stage survivors and sentinels for the map ---------------
-    def _stage_prepare(self, context: Dict[str, Any]) -> None:
-        """Hand survivors and weighted sentinels to the cluster stage raw.
-
-        Lexing is part of each partition's map (``ensure_tokens`` is
-        deterministic, so *where* the lexer runs never changes results),
-        which lets a partition-parallel backend spread it over its pool.
-        """
-        sentinels = list(context["sentinels"].values())
-        context["prepared"] = [
-            ClusteredSample(sample_id=sample_id, content=content)
-            for sample_id, content in context["survivors"]] + sentinels
-        context["sentinel_ids"] = {sample.sample_id for sample in sentinels}
+            survivors.append(ClusteredSample(sample_id, content))
+        context.update(
+            prepared=survivors + list(sentinels.values()),
+            sentinel_ids={sample.sample_id for sample in sentinels.values()},
+            shed_records=shed, shed_kits=shed_kits,
+            scanned_bytes=scanned_bytes)
 
     # -- cluster: partition + DBSCAN + merge through the backend ----------
     def _stage_cluster(self, context: Dict[str, Any]
@@ -317,6 +269,7 @@ class Kizzle:
         clusters, timing = self.clusterer.run(
             context["prepared"], partitions=self.config.partitions)
         sentinel_ids = context["sentinel_ids"]
+        survivors = len(context["prepared"]) - len(sentinel_ids)
         result = DailyResult(date=context["date"], timing=timing,
                              sample_count=len(context["samples"]),
                              shed=context["shed_records"])
@@ -326,7 +279,7 @@ class Kizzle:
         members = sum(1 for cluster in clusters
                       for sample in cluster.samples
                       if sample.sample_id not in sentinel_ids)
-        result.noise_count = len(context["survivors"]) - members
+        result.noise_count = survivors - members
         context["clusters"] = clusters
         context["timing"] = timing
         context["result"] = result
@@ -368,8 +321,7 @@ class Kizzle:
     def _stage_finalize(self, context: Dict[str, Any]) -> None:
         """Roll the day's state forward and account the warm-only stages.
 
-        Every labeled real content enters the exact-repeat shedding ledger,
-        the carry-forward anchors advance, and the shed/carry work is
+        The carry-forward anchors advance, and the shed/carry work is
         charged to the modelled machine pool so the virtual daily
         wall-clock stays honest: every byte the shedding stage *scanned* is
         charged (survivors that failed the scan cost real work too — the
@@ -384,16 +336,6 @@ class Kizzle:
         date = context["date"]
         result: DailyResult = context["result"]
         timing = context["timing"]
-        sentinel_ids = context["sentinel_ids"]
-        digests = context["content_digests"]
-        for report in result.clusters:
-            for sample in report.cluster.samples:
-                if sample.sample_id in sentinel_ids:
-                    continue
-                digest = digests.get(sample.content)
-                if digest is None:
-                    digest = PreparedCache.content_key(sample.content)
-                self._remember_content(digest, report.label.kit, date)
         if incremental.carry_forward:
             if context["shed_kits"]:
                 self.carry.refresh_kits(sorted(context["shed_kits"]), date)
@@ -445,80 +387,62 @@ class Kizzle:
                             histogram=label.histogram)
         return report
 
-    def _remember_content(self, digest: bytes, kit: Optional[str],
-                          date: datetime.date) -> None:
-        # Pop before reassigning so a re-recorded digest moves to the end
-        # of the dict: the size bound below drops from the front, and
-        # without the move it would evict exactly the contents that repeat
-        # every day.
-        self._known_contents.pop(digest, None)
-        self._known_contents[digest] = (kit, date)
-        if len(self._known_contents) > 4 * \
-                self.config.incremental.prepared_cache_entries:
-            # Crude bound: drop the least recently touched half.
-            for key in list(self._known_contents)[
-                    :len(self._known_contents) // 2]:
-                del self._known_contents[key]
-
-    def _recall_content(self, digest: bytes, date: datetime.date
-                        ) -> Optional[Tuple[Optional[str], datetime.date]]:
-        """The ledger entry for a digest, unless it has expired.
-
-        Entries older than ``anchor_ttl_days`` are dropped: a verdict that
-        entered the ledger through an inherited label must not outlive the
-        anchor generation that produced it.
-        """
-        entry = self._known_contents.get(digest)
-        if entry is None:
-            return None
-        horizon = date - datetime.timedelta(
-            days=self.config.incremental.anchor_ttl_days)
-        if entry[1] < horizon:
-            del self._known_contents[digest]
-            return None
-        # Refresh the entry's position (not its date) so the eviction bound
-        # in _remember_content treats daily-repeating content as hot.
-        self._known_contents[digest] = self._known_contents.pop(digest)
-        return entry
-
     # ------------------------------------------------------------------
     # signature management and scanning
     # ------------------------------------------------------------------
     def _already_covered(self, contents: Sequence[str], kit: str,
                          date: datetime.date) -> bool:
-        """Whether a deployed signature of ``kit`` matches every content.
-
-        Probed newest first: on a stable day the latest signature is the
-        one that matches, so each probe exits on its first regex.
-        """
-        existing = self.database.signatures_for(kit=kit, as_of=date)
-        if not existing:
-            return False
-        engine = self.scan_engine()
-        newest_first = existing[::-1]
-        return all(engine.first_match(engine.normal_form(content),
-                                      newest_first) is not None
+        """Whether a deployed signature of ``kit`` matches every content."""
+        return all(kit in self.kits_matching(content, date, kit=kit)
                    for content in contents)
 
     def scan_engine(self) -> ScanEngine:
-        """A scan engine over the signatures generated so far — the one
-        the shedding stage, the coverage check and :meth:`detects` use.
-
-        A cold day scans exactly with nothing cached.  On the warm path the
-        engine shares the pipeline's normal-form cache, verdict memo and
-        scan mode, so evaluating a day's detections does not re-normalize
-        content the pipeline already scanned.
-        """
+        """A scan engine over the signatures generated so far, in the
+        pipeline's scan mode: exact on a cold day, ``scan_mode`` on the
+        warm path."""
         incremental = self.config.incremental
         if not incremental.enabled:
             return ScanEngine(self.database)
-        return ScanEngine(self.database, mode=incremental.scan_mode,
-                          prepared=self.prepared, memo=self._scan_memo)
+        return ScanEngine(self.database, mode=incremental.scan_mode)
+
+    def kits_matching(self, content: str,
+                      as_of: Optional[datetime.date] = None,
+                      kit: Optional[str] = None,
+                      normalized: Optional[str] = None) -> Set[str]:
+        """The kits whose signatures deployed as of ``as_of`` match
+        ``content`` (only ``kit`` is probed when given).
+
+        Content the day's shed scanned starts from the day record's verdict
+        and is probed only against signatures deployed since, newest first,
+        the first hit per kit; content not in the record, or another
+        ``as_of``, starts from nothing, which is a full scan.
+        ``normalized`` is the content's normal form in the scan mode when
+        the caller holds it; otherwise it is derived only if a signature
+        needs probing.
+        """
+        record_date, generation = self._record_at
+        matched = self._record.get(content) if as_of == record_date else None
+        if matched is None:
+            matched, generation = (), 0
+        found = {signature.kit for signature in matched
+                 if kit is None or signature.kit == kit}
+        probes: Dict[str, List[Signature]] = {}
+        for signature in reversed(self.database.added_since(generation)):
+            if signature.kit in found \
+                    or (kit is not None and signature.kit != kit) \
+                    or (as_of is not None and signature.created > as_of):
+                continue
+            probes.setdefault(signature.kit, []).append(signature)
+        if probes:
+            engine = self.scan_engine()
+            if normalized is None:
+                normalized = engine.normal_form(content)
+            found.update(name for name, signatures in probes.items()
+                         if engine.first_match(normalized, signatures)
+                         is not None)
+        return found
 
     def detects(self, content: str,
                 as_of: Optional[datetime.date] = None) -> bool:
         """Whether any deployed signature matches the sample."""
-        engine = self.scan_engine()
-        normalized = engine.normal_form(content)
-        return bool(engine.matching_signatures(
-            normalized, self.database.signatures_for(as_of=as_of)))
+        return bool(self.kits_matching(content, as_of))

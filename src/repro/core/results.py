@@ -34,10 +34,10 @@ class ShedRecord:
     """One sample set aside by the known-sample shedding stage."""
 
     sample_id: str
-    #: ``"signature"`` (matched by a deployed signature), ``"known-content"``
-    #: (exact repeat of already-labeled content).
-    reason: str
-    #: The kit the sample was attributed to; ``None`` for known-benign.
+    #: Always ``"signature"``: a read path for ``bench/`` until ROADMAP
+    #: item 4(b).
+    reason: str = "signature"
+    #: The kit of the deployed signature that matched the sample.
     kit: Optional[str] = None
 
 
@@ -64,10 +64,8 @@ class DailyResult:
     carried_cluster_count: int = 0
     #: Which execution backend processed the day.
     backend: str = ""
-    #: Per-day delta of the pipeline's normal-form cache
-    #: (:class:`~repro.core.prepared.PreparedCache`) hit/miss counters.
-    #: Reported on both paths; a cold day scans without the cache, so its
-    #: deltas are zero.
+    #: Always empty: a read path for ``bench/workloads.py`` until ROADMAP
+    #: item 4(b).
     prepared_stats: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -127,11 +125,4 @@ class DailyResult:
             summary["backend"] = self.backend
         for stage, seconds in self.stage_walls.items():
             summary[f"wall_{stage}_s"] = seconds
-        if self.prepared_stats:
-            summary["prepared_hits"] = sum(
-                count for name, count in self.prepared_stats.items()
-                if name.endswith("_hits"))
-            summary["prepared_misses"] = sum(
-                count for name, count in self.prepared_stats.items()
-                if name.endswith("_misses"))
         return summary

@@ -173,8 +173,8 @@ class MapReduceReport:
     #: them keeps the virtual daily wall-clock honest: work the warm path
     #: *sheds* disappears from the total, work it merely *moves* does not.
     stage_seconds: Dict[str, float] = field(default_factory=dict)
-    #: Measured wall-clock per pipeline stage (shed/prepare/cluster/label/
-    #: compile/finalize), attached by the pipeline so benchmarks can break an
+    #: Measured wall-clock per pipeline stage (shed/cluster/label/compile/
+    #: finalize), attached by the pipeline so benchmarks can break an
     #: end-to-end day down without instrumenting it from outside.  Not part
     #: of the virtual :attr:`total_time`.
     wall_stage_seconds: Dict[str, float] = field(default_factory=dict)

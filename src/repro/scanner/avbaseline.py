@@ -142,20 +142,17 @@ class SimulatedCommercialAV:
                 pattern=r"adZone=13\d{3,}",
                 released=study_start, heuristic=True))
         self.mode = "exact"
-        self.prepared = None
 
-    def use_fast_scan(self, prepared=None) -> None:
+    def use_fast_scan(self) -> None:
         """Switch to the warm scan path.
 
         Rules are gated by their required-literal anchor and the normalized
         side of :meth:`ManualSignatureRule.matches` uses
-        :func:`~repro.scanner.normalizer.fast_normalize` (optionally through
-        a shared :class:`~repro.core.prepared.PreparedCache`) instead of the
+        :func:`~repro.scanner.normalizer.fast_normalize` instead of the
         lexer.  Verdict-equivalent on the synthetic stream (asserted in
         tests); :attr:`mode` can be reset to ``"exact"`` at any time.
         """
         self.mode = "fast"
-        self.prepared = prepared
 
     # ------------------------------------------------------------------
     # rule construction
@@ -230,17 +227,25 @@ class SimulatedCommercialAV:
     def rules_deployed(self, as_of: datetime.date) -> List[ManualSignatureRule]:
         return [rule for rule in self.rules if rule.released <= as_of]
 
-    def scan(self, sample_id: str, content: str,
-             as_of: datetime.date) -> AVScanVerdict:
-        """Scan one sample with the rules deployed on ``as_of``."""
-        if self.mode == "fast":
-            return self._scan_fast(sample_id, content, as_of)
-        normalized = normalize_for_scan(content)
+    def scan(self, sample_id: str, content: str, as_of: datetime.date,
+             normalized: Optional[str] = None) -> AVScanVerdict:
+        """Scan one sample with the rules deployed on ``as_of``.
+
+        ``normalized`` is the content's normal form in :attr:`mode` when the
+        caller already holds it (the month experiment derives it once for
+        both engines); it is derived here otherwise.
+        """
+        fast = self.mode == "fast"
+        if normalized is None:
+            normalized = fast_normalize(content) if fast \
+                else normalize_for_scan(content)
+        if fast:
+            return self._scan_fast(sample_id, content, normalized, as_of)
         matched = [rule for rule in self.rules_deployed(as_of)
                    if rule.matches(content, normalized)]
         return AVScanVerdict(sample_id=sample_id, matched_rules=matched)
 
-    def _scan_fast(self, sample_id: str, content: str,
+    def _scan_fast(self, sample_id: str, content: str, normalized: str,
                    as_of: datetime.date) -> AVScanVerdict:
         """Warm scan: anchor-gated rules over the fast normal form.
 
@@ -249,10 +254,6 @@ class SimulatedCommercialAV:
         matched the normalized side leaves it in the fast normal form, so an
         anchor missing from both proves the rule cannot match.
         """
-        if self.prepared is not None:
-            normalized = self.prepared.fast_normalized(content)
-        else:
-            normalized = fast_normalize(content)
         matched = []
         for rule in self.rules_deployed(as_of):
             if not rule.could_match(content, normalized):

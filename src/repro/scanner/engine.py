@@ -4,11 +4,13 @@ A :class:`SignatureDatabase` holds the currently deployed signatures (Kizzle
 adds new ones daily); a :class:`ScanEngine` normalizes samples and reports
 which signatures (and therefore which kit families) match.
 
-PR 2 made both scale to paper-size streams:
+Both scale to paper-size streams:
 
 * the database keeps per-kit, creation-date-sorted indexes, so
   ``signatures_for``/``latest_for`` are a bisect plus a slice instead of a
-  full rescan on every call (behaviour-identical, including tie-breaking);
+  full rescan on every call (behaviour-identical, including tie-breaking),
+  and ``added_since(generation)`` names what deployed after a scan was
+  taken, so a caller holding that scan's verdict probes only the rest;
 * the engine can run in ``fast`` mode, where samples are normalized with
   :func:`~repro.scanner.normalizer.fast_normalize` (one C-level
   ``re.split`` pass, no Python lexer and no Python code per string literal)
@@ -18,6 +20,10 @@ PR 2 made both scale to paper-size streams:
   the synthetic stream (asserted by tests) and the exact mode remains the
   default.  The per-kit newest-first probe lists are built once per
   ``(as_of, database.generation)``, not per document.
+
+The engine holds no per-content state: every ``scan`` normalizes its
+content.  The pipeline's day record (``Kizzle.kits_matching``) is what
+spares a re-scan of content its shed stage already scanned.
 """
 
 from __future__ import annotations
@@ -99,8 +105,8 @@ class SignatureDatabase:
     Internally the signatures are indexed per kit and sorted by creation
     date, so date- and kit-filtered queries cost a bisect instead of a scan
     over the whole (and, over a month, ever-growing) signature list.
-    ``generation`` increments on every addition; scan-result caches key on
-    it to notice deployments.
+    ``generation`` increments on every addition, so it is also the number
+    of signatures added so far (see :meth:`added_since`).
     """
 
     def __init__(self, signatures: Optional[Iterable[Signature]] = None) -> None:
@@ -148,6 +154,11 @@ class SignatureDatabase:
             return list(self._signatures)
         return list(self._dated.up_to(as_of))
 
+    def added_since(self, generation: int) -> List[Signature]:
+        """Signatures added after the database was at ``generation``, in
+        insertion order (any creation date)."""
+        return self._signatures[generation:]
+
     def latest_for(self, kit: str,
                    as_of: Optional[datetime.date] = None) -> Optional[Signature]:
         """The most recently created signature for a kit."""
@@ -173,29 +184,16 @@ class ScanEngine:
         :func:`~repro.scanner.normalizer.fast_normalize` and applies each
         signature's literal-anchor prefilter before its regex — the warm
         path of the incremental pipeline.
-    prepared:
-        Optional :class:`~repro.core.prepared.PreparedCache`; when given,
-        normal forms are looked up there so the pipeline, the evaluation
-        harness and the scan engine normalize any given content only once
-        per day.
     """
 
-    def __init__(self, database: SignatureDatabase, mode: str = "exact",
-                 prepared: Optional[object] = None,
-                 memo: Optional[Dict] = None) -> None:
+    def __init__(self, database: SignatureDatabase,
+                 mode: str = "exact") -> None:
         if mode not in ("exact", "fast"):
             raise ValueError(f"unknown scan mode: {mode!r}")
         self.database = database
         self.mode = mode
-        self.prepared = prepared
-        #: Optional shared verdict memo: (content digest, as_of, database
-        #: generation) -> matched signatures.  The warm pipeline passes one
-        #: so the shedding stage and the evaluation scans of the same day
-        #: resolve each content once; the generation component invalidates
-        #: entries as soon as a new signature deploys.
-        self.memo = memo
-        #: Telemetry: samples scanned and memo short-circuits, for the
-        #: stage/backend comparison tooling.
+        #: Telemetry: samples scanned.  ``memo_hits`` is always 0, a read
+        #: path for ``bench/trace.py`` until ROADMAP item 4(b).
         self.counters = {"scans": 0, "memo_hits": 0}
         #: Fast mode's probe plan and the ``(as_of, database.generation)``
         #: it was built for (see :meth:`_probe_plan`).
@@ -204,11 +202,7 @@ class ScanEngine:
 
     # ------------------------------------------------------------------
     def normal_form(self, content: str) -> str:
-        """The normal form scanned in the engine's mode (cached if possible)."""
-        if self.prepared is not None:
-            if self.mode == "fast":
-                return self.prepared.fast_normalized(content)
-            return self.prepared.normalized(content)
+        """The normal form scanned in the engine's mode."""
         if self.mode == "fast":
             return fast_normalize(content)
         return normalize_for_scan(content)
@@ -263,8 +257,7 @@ class ScanEngine:
         return self._plan
 
     def scan(self, sample_id: str, content: str,
-             as_of: Optional[datetime.date] = None,
-             digest: Optional[bytes] = None) -> ScanResult:
+             as_of: Optional[datetime.date] = None) -> ScanResult:
         """Scan one sample with the signatures deployed as of ``as_of``.
 
         In fast mode the deployed set is probed per kit, newest signature
@@ -273,38 +266,19 @@ class ScanEngine:
         identical to matching every signature, but a sample covered by
         several generations of a kit's signatures pays for one regex instead
         of all of them.  The exact mode keeps the original exhaustive
-        matching.  ``digest`` is ``PreparedCache.content_key(content)`` when
-        the caller already holds it (the memo key; computed here otherwise).
+        matching.
         """
         self.counters["scans"] += 1
+        normalized = self.normal_form(content)
         if self.mode != "fast":
-            normalized = self.normal_form(content)
             matches = self.matching_signatures(
                 normalized, self.database.signatures_for(as_of=as_of))
             return ScanResult(sample_id=sample_id, matched_signatures=matches)
-
-        key = None
-        if self.memo is not None:
-            from repro.core.prepared import PreparedCache
-
-            if digest is None:
-                digest = PreparedCache.content_key(content)
-            key = (digest, as_of, self.database.generation)
-            cached = self.memo.get(key)
-            if cached is not None:
-                self.counters["memo_hits"] += 1
-                return ScanResult(sample_id=sample_id,
-                                  matched_signatures=list(cached))
-        normalized = self.normal_form(content)
         matches: List[Signature] = []
         for signatures in self._probe_plan(as_of):
             hit = self.first_match(normalized, signatures)
             if hit is not None:
                 matches.append(hit)
-        if self.memo is not None:
-            self.memo[key] = list(matches)
-            if len(self.memo) > 65536:
-                self.memo.clear()
         return ScanResult(sample_id=sample_id, matched_signatures=matches)
 
     def scan_many(self, samples: Dict[str, str],

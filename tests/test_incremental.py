@@ -24,7 +24,6 @@ from repro.clustering.carryforward import CarryForwardIndex, ClusterAnchor
 from repro.clustering.dbscan import DBSCAN
 from repro.core.config import IncrementalConfig, KizzleConfig
 from repro.core.pipeline import Kizzle
-from repro.core.prepared import PreparedCache
 from repro.distsim import MapReduceReport
 from repro.ekgen import StreamConfig, TelemetryGenerator
 from repro.evalharness import ExperimentConfig, MonthExperiment
@@ -342,8 +341,8 @@ class TestWarmPipeline:
         first = warm.process_day(samples, day)
         second = warm.process_day(samples, day + datetime.timedelta(days=1))
         assert first.shed_count == 0
-        # Second pass: every sample is either shed (signature-covered or an
-        # exact repeat of labeled content) or re-clustered; nothing novel.
+        # Second pass: every sample is either shed (signature-covered) or
+        # re-clustered, benign repeats included; nothing novel.
         assert second.shed_count > 0
         assert second.new_signatures == []
         assert second.carried_cluster_count == len(second.clusters)
@@ -369,9 +368,8 @@ class TestWarmPipeline:
         shed_ids = {record.sample_id for record in result.shed}
         assert novel_id not in shed_ids
         # Every shed sample really is known: matched by a deployed
-        # signature or an exact repeat of previously labeled content.
-        engine = ScanEngine(warm.database, mode="fast",
-                            prepared=warm.prepared)
+        # signature.
+        engine = ScanEngine(warm.database, mode="fast")
         content_by_id = dict(samples)
         for record in result.shed:
             if record.reason == "signature":
@@ -455,8 +453,7 @@ class TestWarmPipeline:
         warm = _seeded_kizzle(generator, incremental=_warm_config())
         warm.process_day(samples, day)
         exact_engine = ScanEngine(warm.database, mode="exact")
-        fast_engine = ScanEngine(warm.database, mode="fast",
-                                 prepared=warm.prepared)
+        fast_engine = ScanEngine(warm.database, mode="fast")
         for sample in batch.samples[:20]:
             exact = exact_engine.scan(sample.sample_id, sample.content,
                                       as_of=day)
@@ -506,9 +503,8 @@ class TestWarmPipeline:
             for report in compiled]
 
     def test_same_id_samples_keep_their_own_digests(self, generator):
-        """Two samples that share an id but not a page: the digests the
-        shed stage hands to finalize are keyed by content, so each page
-        enters the known-content ledger under its own digest and kit."""
+        """Two samples that share an id but not a page: the day record is
+        keyed by content, so each page keeps its own entry and kit."""
         day = D(2014, 8, 5)
         by_kit = generator.generate_day(day).by_kit()
         angler, nuclear = by_kit["angler"], by_kit["nuclear"]
@@ -517,11 +513,11 @@ class TestWarmPipeline:
                     for s in angler[1:] + nuclear[1:]]
         warm = _seeded_kizzle(generator, incremental=_warm_config())
         warm.process_day(samples, day)
-        for sample, kit in ((angler[0], "angler"), (nuclear[0], "nuclear")):
-            digest = PreparedCache.content_key(sample.content)
-            assert warm._known_contents[digest] == (kit, day)
-
         second = warm.process_day(samples, day + datetime.timedelta(days=1))
+        for sample, kit in ((angler[0], "angler"), (nuclear[0], "nuclear")):
+            assert {signature.kit
+                    for signature in warm._record[sample.content]} == {kit}
+            assert warm.kits_matching(sample.content, second.date) == {kit}
         assert sorted(record.kit for record in second.shed
                       if record.sample_id == "dup") == ["angler", "nuclear"]
 
@@ -546,24 +542,6 @@ class TestWarmPipeline:
         assert len(members) + result.noise_count == result.sample_count \
             == len(samples)
 
-    def test_scan_takes_the_digest_its_caller_holds(self, generator):
-        """The verdict memo is keyed by content digest: a caller-supplied
-        digest and one computed inside ``scan`` name the same entry."""
-        day = D(2014, 8, 5)
-        batch = generator.generate_day(day)
-        warm = _seeded_kizzle(generator, incremental=_warm_config())
-        warm.process_day(
-            [(s.sample_id, s.content) for s in batch.samples], day)
-        engine = ScanEngine(warm.database, mode="fast", memo={})
-        sample = batch.malicious[0]
-        first = engine.scan(sample.sample_id, sample.content, as_of=day)
-        second = engine.scan(
-            sample.sample_id, sample.content, as_of=day,
-            digest=PreparedCache.content_key(sample.content))
-        assert first.detected
-        assert second.matched_signatures == first.matched_signatures
-        assert engine.counters == {"scans": 2, "memo_hits": 1}
-
     def test_disabled_incremental_unchanged(self, generator):
         """With the feature off, the result carries no warm-path fields."""
         day = D(2014, 8, 5)
@@ -578,7 +556,7 @@ class TestWarmPipeline:
 
 
 # ----------------------------------------------------------------------
-# configuration and cache
+# configuration
 # ----------------------------------------------------------------------
 class TestConfigAndCache:
     def test_invalid_incremental_config(self):
@@ -588,39 +566,6 @@ class TestConfigAndCache:
             IncrementalConfig(anchor_ttl_days=0)
         with pytest.raises(ValueError):
             IncrementalConfig(max_anchors=0)
-        with pytest.raises(ValueError):
-            IncrementalConfig(prepared_cache_entries=0)
-
-    def test_prepared_cache_single_lex(self):
-        """Each normal form is derived once per content: the exact form
-        lexes once, the fast form never enters the lexer, and repeated
-        reads hit."""
-        cache = PreparedCache(max_entries=16)
-        content = "<script>var a = 'x';</script>"
-        exact, fast = normalize_for_scan(content), fast_normalize(content)
-        with lexer_spy() as lexes:
-            for _ in range(2):
-                assert cache.normalized(content) == exact
-                assert cache.fast_normalized(content) == fast
-        assert lexes() == 1
-        assert cache.stats() == {"normalized_hits": 1,
-                                 "normalized_misses": 1, "fast_hits": 1,
-                                 "fast_misses": 1}
-
-    def test_prepared_cache_eviction(self):
-        cache = PreparedCache(max_entries=2)
-        contents = [f"var a{index} = {index};" for index in range(3)]
-        for content in contents + contents:
-            cache.fast_normalized(content)
-            cache.normalized(content)
-        # Three contents through a two-entry LRU in order: every read of
-        # the second round finds its entry already evicted.
-        assert cache.stats() == {"normalized_hits": 0,
-                                 "normalized_misses": 6, "fast_hits": 0,
-                                 "fast_misses": 6}
-        assert cache.fast_normalized(contents[2]) == \
-            fast_normalize(contents[2])
-        assert cache.stats()["fast_hits"] == 1
 
     def test_paper_scale_stream_config(self):
         config = StreamConfig.paper_scale(samples_per_day=20_800)

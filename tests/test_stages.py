@@ -3,7 +3,7 @@
 The graph machinery itself is exercised with synthetic stages (validation,
 provides contracts, itemized chains, wall accounting); the pipeline-facing
 tests pin the day graph's shape (one graph, cold or warm) and the per-stage
-walls and cache deltas surfaced through ``DailyResult``.
+walls surfaced through ``DailyResult``.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ class TestStageGraphMechanics:
 
 
 class TestPipelineGraph:
-    CANONICAL = ["shed", "prepare", "cluster", "label", "compile", "finalize"]
+    CANONICAL = ["shed", "cluster", "label", "compile", "finalize"]
 
     def test_cold_graph_shape(self):
         kizzle = Kizzle(KizzleConfig(machines=4))
@@ -157,51 +157,6 @@ class TestPipelineGraph:
         for stage in self.CANONICAL:
             assert f"wall_{stage}_s" in summary
 
-    def test_warm_day_reports_prepared_cache_stats(self, small_generator):
-        kizzle = Kizzle(KizzleConfig(
-            machines=4, incremental=IncrementalConfig(enabled=True)))
-        for kit in ("nuclear", "angler", "rig", "sweetorange"):
-            kizzle.seed_known_kit(
-                kit, [small_generator.reference_core(kit, D(2014, 7, 31))])
-        day = D(2014, 8, 5)
-        samples = [(s.sample_id, s.content)
-                   for s in small_generator.generate_day(day).samples]
-        days = [kizzle.process_day(samples,
-                                   day + datetime.timedelta(days=offset))
-                for offset in range(3)]
-        for result in days:
-            assert set(result.prepared_stats) == {
-                "normalized_hits", "normalized_misses", "fast_hits",
-                "fast_misses"}
-            assert result.prepared_stats["normalized_misses"] == 0
-        # Day two's shed scans derive each scanned page's fast normal form;
-        # the repeated day three reads every one of them back, and the
-        # counters are per-day deltas.
-        assert days[1].prepared_stats["fast_misses"] > 0
-        assert days[2].prepared_stats["fast_misses"] == 0
-        assert days[2].prepared_stats["fast_hits"] \
-            == days[1].prepared_stats["fast_misses"]
-        summary = days[2].summary()
-        assert "prepared_lexer_runs" not in summary
-        assert summary["prepared_hits"] == days[2].prepared_stats["fast_hits"]
-        assert summary["prepared_misses"] == 0
-
-    def test_cold_day_reports_no_prepared_stats(self, small_generator):
-        """A cold day scans exactly without the cache: it reports the same
-        counters as a warm day, every delta zero."""
-        kizzle = Kizzle(KizzleConfig(machines=4))
-        day = D(2014, 8, 5)
-        batch = small_generator.generate_day(day)
-        result = kizzle.process_day(
-            [(s.sample_id, s.content) for s in batch.samples], day)
-        assert result.prepared_stats == {
-            "normalized_hits": 0, "normalized_misses": 0, "fast_hits": 0,
-            "fast_misses": 0}
-        summary = result.summary()
-        assert "prepared_lexer_runs" not in summary
-        assert (summary["prepared_hits"], summary["prepared_misses"]) \
-            == (0, 0)
-
 
 class TestOneDayLoopGolden:
     """One cold day and one warm day (it sheds and carries clusters
@@ -211,7 +166,10 @@ class TestOneDayLoopGolden:
     pre-tokenized partitions in process.  The carry-forward charge now
     prices its probes with the token total the map reports, so
     ``total_time`` and ``stage_seconds`` hold that total to the old
-    prepare-side sum, bit for bit."""
+    prepare-side sum, bit for bit.  The values held again when ``prepare``
+    folded into ``shed``, sentinels were keyed by signature id alone and
+    the per-content normal-form cache, verdict memo and exact-repeat ledger
+    gave way to the day record."""
 
     #: sha256 of ``repr([(kit, created, pattern), ...])`` over the database.
     SIGNATURES = ("a3f2d5cfc605689c9d9205fee99d5c42"
