@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="with --incremental: normal form used for "
                              "scanning (default fast)")
     parser.add_argument("--scale", type=float, default=1.0,
-                        help="multiply all stream volumes (e.g. 200 for a "
+                        help="multiply all stream volumes (e.g. 360 for a "
                              "paper-scale ~20k-sample day)")
 
     commands = parser.add_subparsers(dest="command", required=True)

@@ -20,7 +20,7 @@ This module implements that extension:
   :class:`~repro.signatures.compiler.SignatureCompiler` for the multi-window
   format.
 
-The evasion benchmark (``benchmarks/test_ablation_evasion.py``) shows the
+The evasion ablation (``tests/paper/test_ablation_evasion.py``) shows the
 point of the extension: junk-statement insertion destroys single-window
 signatures but leaves multi-window signatures effective.
 """

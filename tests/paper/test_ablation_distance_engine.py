@@ -84,10 +84,9 @@ def run_ablation(points):
     return results
 
 
-def test_ablation_distance_engine(benchmark):
+def test_ablation_distance_engine():
     points = build_points()
-    results = benchmark.pedantic(run_ablation, args=(points,), rounds=1,
-                                 iterations=1)
+    results = run_ablation(points)
 
     rows = []
     for outcome in results:

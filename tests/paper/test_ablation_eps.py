@@ -55,10 +55,9 @@ def sweep(samples, labels):
     return results
 
 
-def test_ablation_dbscan_epsilon(benchmark):
+def test_ablation_dbscan_epsilon():
     samples, labels = build_labeled_batch()
-    results = benchmark.pedantic(sweep, args=(samples, labels), rounds=1,
-                                 iterations=1)
+    results = sweep(samples, labels)
     rows = [[epsilon, count, f"{purity:.0%}", f"{coverage:.0%}"]
             for epsilon, count, purity, coverage in results]
     print()

@@ -72,9 +72,8 @@ def run_scenario(generator: TelemetryGenerator):
     }
 
 
-def test_ablation_evasion(benchmark, generator: TelemetryGenerator):
-    outcome = benchmark.pedantic(run_scenario, args=(generator,), rounds=1,
-                                 iterations=1)
+def test_ablation_evasion(generator: TelemetryGenerator):
+    outcome = run_scenario(generator)
     clean = outcome["clean"]
     single = outcome["single"]
     multi = outcome["multi"]

@@ -48,10 +48,9 @@ def sweep(materials):
     return results
 
 
-def test_ablation_signature_cap(benchmark, generator: TelemetryGenerator):
+def test_ablation_signature_cap(generator: TelemetryGenerator):
     materials = build_materials(generator)
-    results = benchmark.pedantic(sweep, args=(materials,), rounds=1,
-                                 iterations=1)
+    results = sweep(materials)
     rows = [[cap, tokens, chars, f"{detected}/{total}", fp, cross]
             for cap, tokens, chars, detected, total, fp, cross in results]
     print()

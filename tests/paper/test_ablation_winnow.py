@@ -48,9 +48,8 @@ def measure(generator: TelemetryGenerator):
     return results
 
 
-def test_ablation_winnow_parameters(benchmark, generator: TelemetryGenerator):
-    results = benchmark.pedantic(measure, args=(generator,), rounds=1,
-                                 iterations=1)
+def test_ablation_winnow_parameters(generator: TelemetryGenerator):
+    results = measure(generator)
     rows = [[k, window, f"{self_similarity:.0%}", f"{plug:.0%}", f"{plain:.0%}"]
             for k, window, self_similarity, plug, plain in results]
     print()

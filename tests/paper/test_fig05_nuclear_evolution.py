@@ -29,8 +29,8 @@ def build_timeline_rows():
     return rows
 
 
-def test_fig05_nuclear_evolution(benchmark):
-    rows = benchmark(build_timeline_rows)
+def test_fig05_nuclear_evolution():
+    rows = build_timeline_rows()
     print()
     print(format_table(["date", "layer", "kind", "change"], rows,
                        title="Figure 5: Nuclear exploit kit evolution "

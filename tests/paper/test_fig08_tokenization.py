@@ -1,8 +1,8 @@
 """Figure 8: tokenization in action.
 
 Reproduces the token table of Figure 8 for the paper's example line (a
-Nuclear-style obfuscated eval lookup) and benchmarks the tokenizer on a full
-packed sample, since tokenization is the first stage of the per-day pipeline.
+Nuclear-style obfuscated eval lookup) and runs the tokenizer on a full packed
+sample, since tokenization is the first stage of the per-day pipeline.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ EXPECTED = [
 ]
 
 
-def test_fig08_tokenization(benchmark, generator: TelemetryGenerator):
+def test_fig08_tokenization(generator: TelemetryGenerator):
     sample = generator.kits["nuclear"].generate(datetime.date(2014, 8, 5),
                                                 random.Random(8))
-    tokens = benchmark(tokenize, sample.content)
+    tokens = tokenize(sample.content)
     assert len(tokens) > 100
 
     figure_tokens = tokenize(FIGURE_8_SOURCE)

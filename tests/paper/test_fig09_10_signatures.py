@@ -33,9 +33,8 @@ def compile_for(generator, kit):
     return cluster, signature
 
 
-def test_fig09_10_signatures(benchmark, generator: TelemetryGenerator):
-    nuclear_cluster, nuclear_signature = benchmark(
-        compile_for, generator, "nuclear")
+def test_fig09_10_signatures(generator: TelemetryGenerator):
+    nuclear_cluster, nuclear_signature = compile_for(generator, "nuclear")
     sweetorange_cluster, sweetorange_signature = compile_for(
         generator, "sweetorange")
 

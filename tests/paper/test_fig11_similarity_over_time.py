@@ -17,8 +17,8 @@ START = datetime.date(2014, 8, 2)
 END = datetime.date(2014, 8, 31)
 
 
-def test_fig11_similarity_over_time(benchmark, generator: TelemetryGenerator):
-    series = benchmark(similarity_all_kits, generator, START, END)
+def test_fig11_similarity_over_time(generator: TelemetryGenerator):
+    series = similarity_all_kits(generator, START, END)
 
     print()
     print(format_day_series(

@@ -28,8 +28,8 @@ def build_rows(month_report):
     return rows, series
 
 
-def test_fig12_signature_lengths(benchmark, month_report):
-    rows, series = benchmark(build_rows, month_report)
+def test_fig12_signature_lengths(month_report):
+    rows, series = build_rows(month_report)
     print()
     print(format_table(
         ["date", "RIG", "Angler", "Sweet orange", "Nuclear"], rows,

@@ -13,8 +13,8 @@ from repro.evalharness import format_day_series
 from repro.evalharness.reporting import sparkline
 
 
-def test_fig13_fp_fn_over_time(benchmark, month_report):
-    fn = benchmark(month_report.fn_series)
+def test_fig13_fp_fn_over_time(month_report):
+    fn = month_report.fn_series()
     fp = month_report.fp_series()
     dates = fn["dates"]
 

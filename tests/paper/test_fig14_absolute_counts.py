@@ -14,12 +14,10 @@ from repro.evalharness import format_absolute_counts
 KIT_ORDER = ["nuclear", "sweetorange", "angler", "rig"]
 
 
-def test_fig14_absolute_counts(benchmark, month_report):
-    def build():
-        return (month_report.ground_truth.kit_totals(),
-                month_report.av_counts(), month_report.kizzle_counts())
-
-    ground_truth, av_counts, kizzle_counts = benchmark(build)
+def test_fig14_absolute_counts(month_report):
+    ground_truth = month_report.ground_truth.kit_totals()
+    av_counts = month_report.av_counts()
+    kizzle_counts = month_report.kizzle_counts()
     print()
     print(format_absolute_counts(ground_truth, av_counts, kizzle_counts,
                                  kits=KIT_ORDER))

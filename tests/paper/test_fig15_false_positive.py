@@ -39,8 +39,8 @@ def measure(generator: TelemetryGenerator):
     return rows, overlaps
 
 
-def test_fig15_false_positive(benchmark, generator: TelemetryGenerator):
-    rows, overlaps = benchmark(measure, generator)
+def test_fig15_false_positive(generator: TelemetryGenerator):
+    rows, overlaps = measure(generator)
     print()
     print(format_table(
         ["kit core", "PluginDetect overlap", "analytics overlap",

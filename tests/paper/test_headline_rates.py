@@ -13,8 +13,8 @@ from __future__ import annotations
 from repro.evalharness import format_table
 
 
-def test_headline_rates(benchmark, month_report):
-    rates = benchmark(month_report.overall_rates)
+def test_headline_rates(month_report):
+    rates = month_report.overall_rates()
     counts = month_report.cluster_count_range()
 
     print()

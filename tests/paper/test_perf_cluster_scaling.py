@@ -44,10 +44,9 @@ def run_sweep(samples):
     return results
 
 
-def test_perf_cluster_scaling(benchmark):
+def test_perf_cluster_scaling():
     samples = build_batch()
-    results = benchmark.pedantic(run_sweep, args=(samples,), rounds=1,
-                                 iterations=1)
+    results = run_sweep(samples)
 
     rows = []
     for machines, partitions, cluster_count, report in results:

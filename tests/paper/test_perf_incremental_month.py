@@ -1,21 +1,21 @@
-"""Warm-versus-cold month benchmark (PR 2 headline number).
+"""Warm-versus-cold month.
 
 Runs the default-scale month experiment twice — once cold (every day from
 scratch, the seed behaviour) and once warm (shedding + carry-forward + fast
 scanning) — and asserts what the incremental pipeline promises:
 
 * identical per-day FP/FN metrics for both engines, every day;
-* the warm run sheds the known bulk of the stream (over 30 % of samples);
+* the warm run sheds the known bulk of the stream (over 30 % of samples)
+  and still clusters what is left: at least four clusters every day;
 * the warm run lexes at most three quarters of the month's samples (the
   cold path lexes every sample at least once).  Lexing runs inside the
   cluster stage's map, so the warm run is counted on the serial backend,
-  where every ``tokenize_sample`` call happens in this process.
+  where every ``tokenize_sample`` call happens in this process;
+* Angler's August 13 packer update still yields a new Angler signature:
+  shedding and carry-forward never freeze the signature set.
 
-The gates are counts, not clocks: a faster lexer shrinks the cold run more
-than the warm one, so a wall-clock ratio would go red for an improvement.
-The per-run timings and their ratio are still recorded as ungated benchmark
-extra info so the nightly ``BENCH_<date>.json`` artifact tracks the speedup
-PR over PR.
+The contracts are counts, not clocks: the warm path's speed is measured by
+``bench/run.py``.
 
 A second test re-runs the warm month on the serial and process backends
 and asserts byte-identical per-day FP/FN and deployed signatures — the
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import contextlib
 import datetime
-import time
 from unittest import mock
 
 import repro.jstoken.normalizer as jstoken_normalizer
@@ -38,6 +37,7 @@ from repro.exec import BackendConfig
 
 AUGUST_START = datetime.date(2014, 8, 1)
 AUGUST_END = datetime.date(2014, 8, 31)
+ANGLER_UPDATE = datetime.date(2014, 8, 13)
 
 #: Ceiling on the warm month's full lexer runs, as a share of its samples
 #: (measured 0.625 when the gate was set: 1,127 runs for 1,803 samples).
@@ -76,20 +76,13 @@ def _day_metrics(day) -> tuple:
             day.av.confusion.false_negatives)
 
 
-def test_incremental_month_speedup_and_equivalence(benchmark):
-    started = time.perf_counter()
+def test_incremental_month_equivalence():
     cold_report = MonthExperiment(_month_config(False)).run()
-    cold_seconds = time.perf_counter() - started
 
-    def run_warm():
-        experiment = MonthExperiment(_month_config(True, backend="serial"))
-        with lexer_spy() as lexes:
-            report = experiment.run()
-        return report, lexes()
-
-    warm_report, lexer_runs = benchmark.pedantic(
-        run_warm, rounds=1, iterations=1)
-    warm_seconds = benchmark.stats.stats.mean
+    warm = MonthExperiment(_month_config(True, backend="serial"))
+    with lexer_spy() as lexes:
+        warm_report = warm.run()
+    lexer_runs = lexes()
 
     assert len(cold_report.days) == len(warm_report.days) == 31
     for cold_day, warm_day in zip(cold_report.days, warm_report.days):
@@ -97,26 +90,24 @@ def test_incremental_month_speedup_and_equivalence(benchmark):
             f"metrics diverged on {cold_day.date}"
     assert cold_report.overall_rates() == warm_report.overall_rates()
 
-    speedup = cold_seconds / warm_seconds
-    benchmark.extra_info["cold_seconds"] = round(cold_seconds, 3)
-    benchmark.extra_info["warm_seconds"] = round(warm_seconds, 3)
-    benchmark.extra_info["speedup"] = round(speedup, 2)
     shed_total = sum(day.shed_count for day in warm_report.days)
     sample_total = sum(day.sample_count for day in warm_report.days)
-    benchmark.extra_info["shed_total"] = shed_total
-    benchmark.extra_info["shed_fraction"] = round(
-        shed_total / sample_total, 3)
     # The warm path must actually be shedding the known bulk of the
     # stream, not just winning on caching.
     assert shed_total > 0.3 * sample_total
+    # ... without shedding away the clustering (measured 6-9 a day).
+    assert min(day.cluster_count for day in warm_report.days) >= 4
     # ... and must spare the lexer.
-    benchmark.extra_info["lexer_runs"] = lexer_runs
     assert lexer_runs <= MAX_LEXED_FRACTION * sample_total, \
         f"warm month ran the lexer {lexer_runs} times for {sample_total} " \
         f"samples; need <= {MAX_LEXED_FRACTION:.0%}"
+    # The Angler August 13 update still yields a new signature mid-month.
+    assert any(signature.created >= ANGLER_UPDATE for signature in
+               warm.kizzle.database.signatures_for(kit="angler")), \
+        "packer change did not produce a new signature on the warm path"
 
 
-def test_backend_equivalence_on_seeded_month(benchmark):
+def test_backend_equivalence_on_seeded_month():
     """The warm seeded month is byte-identical on every execution backend:
     per-day FP/FN, overall rates, and the deployed signature database."""
 
@@ -127,8 +118,7 @@ def test_backend_equivalence_on_seeded_month(benchmark):
                       for s in experiment.kizzle.database]
         return report, signatures
 
-    reference_report, reference_signatures = benchmark.pedantic(
-        lambda: run("serial"), rounds=1, iterations=1)
+    reference_report, reference_signatures = run("serial")
     report, signatures = run("process")
     assert signatures == reference_signatures, \
         "process signatures diverged from serial"
@@ -136,5 +126,3 @@ def test_backend_equivalence_on_seeded_month(benchmark):
         assert _day_metrics(serial_day) == _day_metrics(other_day), \
             f"process metrics diverged on {serial_day.date}"
     assert report.overall_rates() == reference_report.overall_rates()
-    benchmark.extra_info["backends"] = "serial,process"
-    benchmark.extra_info["days"] = len(reference_report.days)
