@@ -141,11 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="disable the length-gap distance prefilter")
     parser.add_argument("--no-bag-filter", action="store_true",
                         help="disable the token-bag distance prefilter")
-    parser.add_argument("--no-qgram-filter", action="store_true",
-                        help="disable the q-gram distance prefilter")
-    parser.add_argument("--distance-cache", type=_nonnegative_int,
-                        default=DistanceEngineConfig.cache_size,
-                        help="bounded pair-distance cache size (entries)")
     parser.add_argument("--incremental", action="store_true",
                         help="enable the day-over-day warm path: shed "
                              "known samples, carry clusters forward, scan "
@@ -207,9 +202,7 @@ def _incremental_config(args: argparse.Namespace) -> IncrementalConfig:
 def _engine_config(args: argparse.Namespace) -> DistanceEngineConfig:
     return DistanceEngineConfig(
         length_filter=not args.no_length_filter,
-        bag_filter=not args.no_bag_filter,
-        qgram_filter=not args.no_qgram_filter,
-        cache_size=args.distance_cache)
+        bag_filter=not args.no_bag_filter)
 
 
 def _backend_config(args: argparse.Namespace) -> BackendConfig:

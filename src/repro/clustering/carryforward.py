@@ -18,8 +18,8 @@ An anchor probe that reaches the exact kernel is a prototype that moved a
 little — a kit update inserts a block, it does not rewrite the page — and
 the kernel strips the prefix and suffix the two prototypes share before it
 runs (:mod:`repro.distance.bitparallel`): the probe costs the changed block,
-not the page, and yields the same integer, so ``comparisons``, the pair
-cache and the charged ``carry_forward`` seconds do not depend on it.
+not the page, and yields the same integer, so ``comparisons`` and the
+charged ``carry_forward`` seconds do not depend on it.
 
 Anchors age out: one not re-observed (and whose kit is not being shed
 upstream by deployed signatures) for ``ttl_days`` is dropped, and the anchor
@@ -68,8 +68,8 @@ class CarryForwardIndex:
         The DBSCAN threshold; a prototype within this normalized distance of
         an anchor is considered the same cluster continued.
     engine:
-        Shared distance engine (prefilters + memo cache make anchor probes
-        nearly free for prototypes that repeat day over day).
+        Shared distance engine (identity and the prefilters make anchor
+        probes nearly free for prototypes that repeat day over day).
     ttl_days / max_anchors:
         Aging policy, see the module docstring.
     """

@@ -1,4 +1,4 @@
-"""From-scratch DBSCAN over an arbitrary distance metric.
+"""From-scratch DBSCAN over normalized token edit distance.
 
 DBSCAN (Ester et al., KDD 1996) groups points that are density-reachable:
 a *core point* has at least ``min_points`` neighbours within ``epsilon``;
@@ -16,11 +16,8 @@ structural properties of the workload:
   afterwards;
 * the epsilon-neighbourhood graph is built in one batched query against
   :class:`~repro.distance.engine.DistanceEngine`, which evaluates every
-  unordered pair exactly once behind layered exact prefilters, a bounded
-  memo cache and (for large batches) a process pool.
-
-Passing a custom ``metric`` falls back to the original per-point pairwise
-scan, so non-edit-distance metrics keep working unchanged.
+  unordered pair exactly once, in process, behind exact length and
+  token-bag prefilters.
 """
 
 from __future__ import annotations
@@ -29,8 +26,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.distance.engine import DistanceEngine, DistanceEngineConfig
-from repro.distance.metrics import DistanceMetric
+from repro.distance.engine import DistanceEngine
 
 #: Cluster id assigned to noise points.
 NOISE = -1
@@ -76,18 +72,13 @@ class DBSCAN:
         Minimum neighbourhood size (including the point itself) for a core
         point.  The paper's clusters need enough samples to generate a
         signature, so small values (2-4) are typical.
-    metric:
-        Optional custom distance metric.  When given, the original pairwise
-        scan is used; when omitted, neighbourhoods are batched through the
-        distance engine (same labels, far less work).
     engine:
         Distance engine to issue batched queries against; defaults to a
-        fresh engine with default config.  Ignored when ``metric`` is given.
+        fresh engine with default config.
     """
 
     epsilon: float = 0.10
     min_points: int = 3
-    metric: Optional[DistanceMetric] = None
     engine: Optional[DistanceEngine] = None
     _comparisons: int = field(default=0, init=False, repr=False)
 
@@ -96,8 +87,8 @@ class DBSCAN:
             raise ValueError("epsilon must be in [0, 1]")
         if self.min_points < 1:
             raise ValueError("min_points must be at least 1")
-        if self.metric is None and self.engine is None:
-            self.engine = DistanceEngine(DistanceEngineConfig())
+        if self.engine is None:
+            self.engine = DistanceEngine()
 
     # ------------------------------------------------------------------
     def fit(self, points: Sequence[Tuple[str, ...]],
@@ -145,29 +136,10 @@ class DBSCAN:
                 owners.append([index])
         return unique_points, owners
 
-    def _neighbours(self, points: List[Tuple[str, ...]],
-                    weights: List[int], index: int) -> List[int]:
-        """Legacy per-point neighbour scan for custom metrics."""
-        neighbours = []
-        target = points[index]
-        for other in range(len(points)):
-            if other == index:
-                continue
-            self._comparisons += 1
-            if self.metric.within(target, points[other], self.epsilon):
-                neighbours.append(other)
-        return neighbours
-
     def _neighbourhoods(self, points: List[Tuple[str, ...]]
                         ) -> List[List[int]]:
-        """Epsilon-neighbourhood adjacency for every unique point.
-
-        One batched engine query evaluates each unordered pair once; the
-        legacy path evaluates each ordered pair for a custom metric.
-        """
-        if self.metric is not None:
-            return [self._neighbours(points, [], index)
-                    for index in range(len(points))]
+        """Epsilon-neighbourhood adjacency for every unique point, from one
+        batched engine query that evaluates each unordered pair once."""
         adjacency, comparisons = self.engine.neighbourhoods(points,
                                                             self.epsilon)
         self._comparisons += comparisons

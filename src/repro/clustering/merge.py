@@ -42,8 +42,7 @@ def merge_clusters(per_partition: Sequence[Sequence["Cluster"]],
 
     Two clusters are merged when their prototypes' token strings are within
     ``epsilon`` normalized edit distance.  The all-pairs prototype queries
-    are issued as one batch against the distance engine (sharing its memo
-    cache with the map phase when the caller passes the same engine).
+    are issued as one batch against the distance engine.
     Returns the merged clusters (with fresh, dense cluster ids and
     recomputed prototypes) and the number of prototype comparisons
     performed.

@@ -13,7 +13,7 @@ the day loop to :func:`cluster_partition`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.clustering.dbscan import DBSCAN, NOISE
@@ -159,12 +159,10 @@ class PartitionMapResult:
     """What one per-partition map task sends back to the driver.
 
     Besides the clusters themselves, a task that ran on a task-private
-    engine ships that engine's accounting (:attr:`stats`) and every exact
-    distance it computed (:attr:`cache_entries`) so the driver's engine can
-    merge both: the stats keep the per-layer attribution whole, and the
-    cache entries let the reduce step reuse distances the map phase already
-    paid for.  A task that ran in process on the driver's own engine leaves
-    both empty — that engine already holds them.
+    engine ships that engine's accounting (:attr:`stats`) so the driver's
+    engine can merge it and keep the per-layer attribution whole.  A task
+    that ran in process on the driver's own engine leaves it empty — that
+    engine already counted the pairs.
     """
 
     index: int
@@ -177,8 +175,6 @@ class PartitionMapResult:
     #: prices the warm path's carry-forward probes.
     tokens: int = 0
     stats: Dict[str, int] = field(default_factory=dict)
-    cache_entries: List[Tuple[Tuple[str, ...], Tuple[str, ...], int]] = \
-        field(default_factory=list)
     #: Which worker produced this result (cluster backend fills it in from
     #: the lease; local pool results leave it ``None``).  Drives per-worker
     #: stats attribution in :meth:`DistanceEngine.absorb_remote`.
@@ -210,10 +206,9 @@ class PartitionMapTask:
         return float(sum(len(sample.content) for sample in self.samples))
 
     def worker_engine(self) -> DistanceEngine:
-        """A fresh engine for this task, with a private cache whose exact
-        distances are exported back to the parent."""
-        return DistanceEngine(replace(self.engine_config,
-                                      shared_cache=False))
+        """A fresh engine for this task, whose stats go back to the
+        parent."""
+        return DistanceEngine(self.engine_config)
 
     def run(self, engine: Optional[DistanceEngine] = None,
             export: bool = True) -> PartitionMapResult:
@@ -222,9 +217,8 @@ class PartitionMapTask:
         runs on a fresh :meth:`worker_engine`.
 
         ``export=False`` is for the driver running the task on its own
-        shared engine: the result then carries no stats and no cache
-        entries, because absorbing an engine's own totals back into it
-        would double count them and copy its whole cache once per task.
+        shared engine: the result then carries no stats, because absorbing
+        an engine's own totals back into it would double count them.
         """
         if engine is None:
             engine = self.worker_engine()
@@ -245,8 +239,7 @@ class PartitionMapTask:
             output_bytes=float(sum(len(cluster.prototype.content)
                                    for cluster in clusters)),
             tokens=tokens,
-            stats=engine.stats.as_dict() if export else {},
-            cache_entries=engine.export_cache() if export else [])
+            stats=engine.stats.as_dict() if export else {})
 
 
 class DistributedClusterer:
@@ -260,9 +253,10 @@ class DistributedClusterer:
     seed:
         Seed for the random partitioning.
     engine_config:
-        Distance-engine settings (prefilter toggles, cache size).  One
-        engine is shared across the map and reduce phases so the reduce
-        step reuses distances the map phase already computed.
+        Distance-engine settings (the two prefilter toggles).  Each map
+        task carries them to the engine it runs on; the reduce's merge
+        runs on this clusterer's own engine, which also sums every map's
+        stats.
     backend:
         The :class:`~repro.exec.backend.ExecutionBackend` the map/reduce
         structure runs through.  Defaults to the process backend, with

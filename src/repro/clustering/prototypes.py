@@ -33,9 +33,8 @@ def medoid_index(token_strings: Sequence[Tuple[str, ...]],
     ``candidates`` restricts both the candidate prototypes and the reference
     set (used for the subsampled approximation).  ``weights`` multiplies each
     reference's contribution to a candidate's distance total.  Distances go
-    through the engine's memoized exact kernel — medoid computation touches
-    each pair twice and duplicate members are the norm, so the cache pays off
-    immediately.
+    through the engine's exact kernel; duplicate members are the norm, and
+    the engine answers an identical pair without calling it.
     """
     if not token_strings:
         raise ValueError("cannot compute a medoid of an empty cluster")

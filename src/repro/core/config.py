@@ -90,11 +90,11 @@ class KizzleConfig:
     signature:
         Signature generation settings (window cap, minimum length).
     distance:
-        Distance-engine settings: the three prefilter toggles
-        (``length_filter`` / ``bag_filter`` / ``qgram_filter``) and the
-        bounded pair-cache size, plus ``workers`` — the default
-        partition-pool width when ``backend.workers`` is unset (0 means
-        auto-detect).  These only change cost, never clustering results.
+        Distance-engine settings: the two prefilter toggles
+        (``length_filter`` / ``bag_filter``), plus ``workers`` — the
+        default partition-pool width when ``backend.workers`` is unset (0
+        means auto-detect).  These only change cost, never clustering
+        results.
     reuse_existing_signatures:
         When true, a new signature is only generated for a malicious cluster
         if no already-deployed signature for the same kit matches the

@@ -1,12 +1,11 @@
-"""Distance metrics over token strings.
+"""Token edit distance for the clustering stack.
 
 Kizzle clusters samples by the edit distance between their abstract token
-strings (paper, Section III-A).  This package provides a from-scratch
-Levenshtein implementation over arbitrary hashable sequences, a banded
-variant that exploits the DBSCAN epsilon threshold to prune work, Myers'
-bit-parallel exact kernel, and :class:`DistanceEngine` — the pruned,
-memoized, parallel batch layer the clustering stack issues its queries
-through.
+strings (paper, Section III-A).  This package provides Myers' bit-parallel
+exact kernel and :class:`DistanceEngine`, the in-process batch layer with
+exact length and token-bag prefilters in front of that kernel, which every
+clustering query goes through.  The reference dynamic programs the two are
+tested against live in ``tests/oracle_distance.py``.
 """
 
 from repro.distance.bitparallel import (
@@ -17,34 +16,12 @@ from repro.distance.engine import (
     DistanceEngine,
     DistanceEngineConfig,
     EngineStats,
-    PairDistanceCache,
-)
-from repro.distance.levenshtein import (
-    edit_distance,
-    banded_edit_distance,
-    normalized_edit_distance,
-)
-from repro.distance.metrics import (
-    DistanceMetric,
-    TokenEditDistance,
-    JaccardDistance,
-    length_lower_bound,
-    qgram_lower_bound,
 )
 
 __all__ = [
-    "edit_distance",
-    "banded_edit_distance",
-    "normalized_edit_distance",
     "bitparallel_edit_distance",
     "build_pattern_mask",
     "DistanceEngine",
     "DistanceEngineConfig",
     "EngineStats",
-    "PairDistanceCache",
-    "DistanceMetric",
-    "TokenEditDistance",
-    "JaccardDistance",
-    "length_lower_bound",
-    "qgram_lower_bound",
 ]

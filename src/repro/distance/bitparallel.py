@@ -1,10 +1,10 @@
 """Bit-parallel Levenshtein distance (Myers 1999 / Hyyrö 2001).
 
-The banded dynamic program in :mod:`repro.distance.levenshtein` is the right
-tool when the distance threshold is tiny, but the epsilon ablations and the
-merge step routinely ask for thresholds of 30-60% of the sequence length.  At
-that band width the DP degenerates to the full O(n*m) table — several seconds
-per pair of long samples in pure Python.
+A banded dynamic program is the right tool when the distance threshold is
+tiny, but the epsilon ablations and the merge step routinely ask for
+thresholds of 30-60% of the sequence length.  At that band width the DP
+degenerates to the full O(n*m) table — several seconds per pair of long
+samples in pure Python.
 
 Myers' algorithm encodes an entire DP column in two machine words (the
 positive and negative delta bit vectors) and advances one *text* position per
@@ -13,12 +13,9 @@ precision, so a single ``int`` holds the whole column regardless of pattern
 length, and the per-iteration big-int arithmetic runs in C.  The result is
 the *exact* unbounded edit distance in O(len(text)) big-int operations —
 two to three orders of magnitude faster than the Python-level DP on long
-token strings, and exactly equal to :func:`repro.distance.levenshtein.
-edit_distance` (property-tested in ``tests/test_distance_engine.py``).
-
-Because the exact distance (rather than a thresholded verdict) comes out,
-the value can be memoized once and answer *every* epsilon query about the
-pair — which is what :class:`repro.distance.engine.DistanceEngine` does.
+token strings, and exactly equal to the reference ``edit_distance`` in
+``tests/oracle_distance.py`` (property-tested in
+``tests/test_distance_engine.py``).
 
 The loop only runs over the part of the two sequences that differs.
 Levenshtein distance is invariant under removing a common prefix and a
@@ -27,10 +24,11 @@ both are stripped first — O(min(m, n)) symbol compares at C level — and an
 empty remainder answers with the other side's length.  That is the usual
 case where the day loop calls the kernel: yesterday's prototype against
 today's differs by one inserted block (5-160 of 6.9-8.5k tokens in 22 of the
-23 kernel calls of ``bench/``'s ``month_replay``).  A mask built for the
-whole pattern stays usable — column ``i`` of the trimmed pattern is column
-``prefix + i`` of the whole — and a pair with no common affix pays two scans
-that stop at their first symbol, then the same loop as ever.
+23 distinct pairs the kernel sees in ``bench/``'s ``month_replay``).  A mask
+built for the whole pattern stays usable — column ``i`` of the trimmed
+pattern is column ``prefix + i`` of the whole — and a pair with no common
+affix pays two scans that stop at their first symbol, then the same loop as
+ever.
 """
 
 from __future__ import annotations

@@ -12,31 +12,23 @@ their own engine (:mod:`repro.exec`).
 2. **length filter** — ``abs(len(a) - len(b))`` lower-bounds the distance;
 3. **token-bag filter** — the histogram surplus lower-bounds the distance
    (each edit changes at most one token on each side);
-4. **q-gram filter** — each edit destroys at most ``q`` of a sequence's
-   q-grams, so the q-gram-multiset surplus divided by ``q`` lower-bounds the
-   distance (a sharper, position-sensitive version of the bag filter);
-5. **bit-parallel kernel** — Myers' algorithm computes the exact distance in
+4. **bit-parallel kernel** — Myers' algorithm computes the exact distance in
    O(len(text)) big-int operations (:mod:`repro.distance.bitparallel`).
 
-All filters are *integer-exact* with respect to the threshold
-``t = int(epsilon * max(len(a), len(b)))`` used by the banded metric, so an
-engine-backed DBSCAN produces byte-identical labels to the sequential
-implementation (property-tested).
+Both filters are *integer-exact* with respect to the threshold
+``t = int(epsilon * max(len(a), len(b)))`` of the reference banded metric
+(``tests/oracle_distance.py``), so the engine's neighbourhood graph is the
+reference's, pair for pair (property-tested).
 
-Because the kernel produces the exact distance rather than a thresholded
-verdict, results are memoized in a bounded cache keyed by token content; a
-cached pair answers *every* subsequent epsilon query (the epsilon ablation
-sweeps four thresholds over the same batch and reuses most of the work).
-
-Every filter can be disabled independently (``DistanceEngineConfig``) so the
-benchmarks can attribute the speedup layer by layer, and
-:class:`EngineStats` counts how many pairs each layer resolved.
+Either filter can be disabled (``DistanceEngineConfig``) so the ablation can
+attribute the speedup layer by layer, and :class:`EngineStats` counts how
+many pairs each layer resolved.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -44,6 +36,10 @@ from repro.distance.bitparallel import PatternMask, bitparallel_edit_distance, \
     build_pattern_mask
 
 TokenString = Tuple[str, ...]
+
+#: Per-point profiles one engine holds before its table is reset; profiles
+#: are recomputable, and long-lived engines process months of daily batches.
+_PROFILE_TABLE_SIZE = 4096
 
 
 # ----------------------------------------------------------------------
@@ -55,50 +51,24 @@ class DistanceEngineConfig:
 
     Attributes
     ----------
-    length_filter / bag_filter / qgram_filter:
-        Ablation toggles for the three pruning layers.  All default on;
+    length_filter / bag_filter:
+        Ablation toggles for the two pruning layers.  Both default on;
         turning one off never changes results, only cost.
-    qgram_size:
-        q-gram width of the positional prefilter (paper-scale token strings
-        do well with 3).
-    cache_size:
-        Maximum number of memoized pair distances.  The cache is exact and
-        content-addressed, so sharing it between engines is always sound.
-    shared_cache:
-        Use the process-wide shared cache (default) instead of a private
-        one.  Ablation sweeps over the same batch hit it heavily.  A
-        ``cache_size`` different from the default implies a private cache
-        of that size (the shared cache's bound is never resized).
     workers:
         Not read by the engine, which never forks.  It is the default
         width of the *partition* pool: ``KizzleConfig.resolved_backend()``
         uses it when ``BackendConfig.workers`` is unset (``0`` means
         auto-detect, ``1`` keeps every partition inline).
-    profile_cache_size:
-        Maximum number of per-point feature profiles (token bag, q-gram
-        counter, kernel bitmask) held by one engine; profiles are
-        recomputable, so the table is simply reset when it fills (long-lived
-        engines process months of daily batches).
     """
 
     length_filter: bool = True
     bag_filter: bool = True
-    qgram_filter: bool = True
-    qgram_size: int = 3
-    cache_size: int = 1 << 18
-    shared_cache: bool = True
     workers: int = 0
-    profile_cache_size: int = 4096
+    shared_cache: bool = True  # read by bench/ until ROADMAP item 2(d)
 
     def __post_init__(self) -> None:
-        if self.qgram_size < 2:
-            raise ValueError("qgram_size must be at least 2")
-        if self.cache_size < 0:
-            raise ValueError("cache_size must be non-negative")
         if self.workers < 0:
             raise ValueError("workers must be non-negative")
-        if self.profile_cache_size < 1:
-            raise ValueError("profile_cache_size must be positive")
 
 
 @dataclass
@@ -108,9 +78,9 @@ class EngineStats:
     pairs: int = 0
     identical: int = 0
     length_pruned: int = 0
-    cache_hits: int = 0
+    cache_hits: int = 0  # read by bench/ until ROADMAP item 2(d)
     bag_pruned: int = 0
-    qgram_pruned: int = 0
+    qgram_pruned: int = 0  # read by bench/ until ROADMAP item 2(d)
     kernel_calls: int = 0
 
     def add(self, other: "EngineStats") -> None:
@@ -129,18 +99,12 @@ class EngineStats:
 class PointProfile:
     """Per-sequence features computed once and reused across every pair."""
 
-    __slots__ = ("tokens", "length", "bag", "qgrams", "_mask")
+    __slots__ = ("tokens", "length", "bag", "_mask")
 
-    def __init__(self, tokens: TokenString, qgram_size: int) -> None:
+    def __init__(self, tokens: TokenString) -> None:
         self.tokens = tokens
         self.length = len(tokens)
         self.bag = Counter(tokens)
-        if self.length >= qgram_size:
-            self.qgrams = Counter(
-                tokens[i:i + qgram_size]
-                for i in range(self.length - qgram_size + 1))
-        else:
-            self.qgrams = Counter()
         self._mask: Optional[PatternMask] = None
 
     @property
@@ -168,78 +132,16 @@ def _bag_surplus(a: Counter, b: Counter) -> int:
 
 
 # ----------------------------------------------------------------------
-# bounded, content-addressed pair cache
-# ----------------------------------------------------------------------
-class PairDistanceCache:
-    """Bounded LRU mapping unordered token-string pairs to exact distances.
-
-    Keys are the token tuples themselves, so the cache is valid across
-    engines, epsilons and runs: an exact distance for the same content never
-    goes stale.
-    """
-
-    def __init__(self, maxsize: int) -> None:
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[Tuple[TokenString, TokenString], int]" = \
-            OrderedDict()
-
-    @staticmethod
-    def key(a: TokenString, b: TokenString
-            ) -> Tuple[TokenString, TokenString]:
-        # Canonical unordered key; compare lengths first so the common case
-        # never touches tuple contents.
-        if (len(a), a) <= (len(b), b):
-            return (a, b)
-        return (b, a)
-
-    def get(self, a: TokenString, b: TokenString) -> Optional[int]:
-        if self.maxsize == 0:
-            return None
-        key = self.key(a, b)
-        value = self._entries.get(key)
-        if value is not None:
-            self._entries.move_to_end(key)
-        return value
-
-    def put(self, a: TokenString, b: TokenString, distance: int) -> None:
-        if self.maxsize == 0:
-            return
-        self._entries[self.key(a, b)] = distance
-        if len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def items(self) -> List[Tuple[TokenString, TokenString, int]]:
-        """Every cached ``(a, b, distance)`` triple, oldest first.
-
-        Exact and content-addressed, so the entries are valid in any other
-        engine's cache — this is what lets a per-partition worker ship its
-        computed distances back to the parent.
-        """
-        return [(a, b, distance)
-                for (a, b), distance in self._entries.items()]
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-
-#: Process-wide cache shared by engines configured with ``shared_cache``.
-_SHARED_CACHE = PairDistanceCache(maxsize=DistanceEngineConfig.cache_size)
-
-
-# ----------------------------------------------------------------------
 # the filter stack
 # ----------------------------------------------------------------------
 def decide_profiles(profile_a: PointProfile, profile_b: PointProfile,
                     threshold: int, config: DistanceEngineConfig,
-                    cache: Optional[PairDistanceCache],
                     stats: EngineStats) -> Tuple[bool, Optional[int]]:
     """Run the filter stack for one pair.
 
     Returns ``(within, exact_distance)`` where the distance is ``None`` when
-    a prefilter resolved the pair without computing it.  All comparisons are
+    a prefilter resolved the pair without computing it (a pair within the
+    threshold always carries its distance).  All comparisons are
     integer-exact against ``threshold``, matching the banded metric's
     ``int(epsilon * longest)`` semantics.
     """
@@ -251,24 +153,12 @@ def decide_profiles(profile_a: PointProfile, profile_b: PointProfile,
             abs(profile_a.length - profile_b.length) > threshold:
         stats.length_pruned += 1
         return False, None
-    if cache is not None:
-        cached = cache.get(profile_a.tokens, profile_b.tokens)
-        if cached is not None:
-            stats.cache_hits += 1
-            return cached <= threshold, cached
     if config.bag_filter and \
             _bag_surplus(profile_a.bag, profile_b.bag) > threshold:
         stats.bag_pruned += 1
         return False, None
-    if config.qgram_filter and \
-            _bag_surplus(profile_a.qgrams, profile_b.qgrams) > \
-            config.qgram_size * threshold:
-        stats.qgram_pruned += 1
-        return False, None
     stats.kernel_calls += 1
     distance = _kernel_distance(profile_a, profile_b)
-    if cache is not None:
-        cache.put(profile_a.tokens, profile_b.tokens, distance)
     return distance <= threshold, distance
 
 
@@ -276,18 +166,10 @@ def decide_profiles(profile_a: PointProfile, profile_b: PointProfile,
 # the engine
 # ----------------------------------------------------------------------
 class DistanceEngine:
-    """Batched, pruned, memoized distance queries over token strings."""
+    """Batched, pruned distance queries over token strings."""
 
     def __init__(self, config: Optional[DistanceEngineConfig] = None) -> None:
         self.config = config or DistanceEngineConfig()
-        if self.config.shared_cache and \
-                self.config.cache_size == _SHARED_CACHE.maxsize:
-            self.cache = _SHARED_CACHE
-        else:
-            # A non-default size means the caller really wants that bound;
-            # honouring it on the process-wide cache would resize it for
-            # everyone, so such engines get a private cache instead.
-            self.cache = PairDistanceCache(maxsize=self.config.cache_size)
         self.stats = EngineStats()
         #: worker label -> aggregated stats absorbed from that worker
         #: (cluster backend attribution; empty for purely local engines).
@@ -299,29 +181,21 @@ class DistanceEngine:
         key = tuple(tokens)
         profile = self._profiles.get(key)
         if profile is None:
-            if len(self._profiles) >= self.config.profile_cache_size:
+            if len(self._profiles) >= _PROFILE_TABLE_SIZE:
                 self._profiles.clear()
-            profile = PointProfile(key, self.config.qgram_size)
+            profile = PointProfile(key)
             self._profiles[key] = profile
         return profile
 
     # -- remote aggregation --------------------------------------------
-    def export_cache(self) -> List[Tuple[TokenString, TokenString, int]]:
-        """The cache's exact distances, for shipping to another engine."""
-        return self.cache.items()
-
     def absorb_remote(self, stats: Dict[str, int],
-                      cache_entries: Iterable[
-                          Tuple[TokenString, TokenString, int]] = (),
                       worker: Optional[str] = None) -> None:
-        """Merge a remote engine's accounting and distances into this one.
+        """Merge a remote engine's accounting into this one.
 
         Used by the partition-parallel map: each worker clusters its
-        partition on a fresh engine and sends back ``stats.as_dict()`` plus
-        :meth:`export_cache`.  Aggregating the stats keeps the per-layer
-        attribution identical to inline execution (the pairs were genuinely
-        decided, just elsewhere), and seeding the cache lets the in-process
-        reduce step reuse the map phase's exact distances.
+        partition on a fresh engine and sends back ``stats.as_dict()``.
+        Aggregating it keeps the per-layer attribution identical to inline
+        execution (the pairs were genuinely decided, just elsewhere).
 
         ``worker`` optionally names the remote worker that produced the
         stats (the cluster backend passes its lease's worker id); named
@@ -336,29 +210,21 @@ class DistanceEngine:
             if per_worker is None:
                 per_worker = self.remote_worker_stats[worker] = EngineStats()
             per_worker.add(delta)
-        for a, b, distance in cache_entries:
-            self.cache.put(a, b, distance)
 
     # -- single-pair queries -------------------------------------------
     def exact_distance(self, a: Sequence[str], b: Sequence[str]) -> int:
-        """Exact (unbounded) token edit distance, memoized."""
+        """Exact (unbounded) token edit distance."""
         profile_a, profile_b = self.profile(a), self.profile(b)
         if profile_a.tokens == profile_b.tokens:
             return 0
-        cached = self.cache.get(profile_a.tokens, profile_b.tokens)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            return cached
         self.stats.kernel_calls += 1
-        distance = _kernel_distance(profile_a, profile_b)
-        self.cache.put(profile_a.tokens, profile_b.tokens, distance)
-        return distance
+        return _kernel_distance(profile_a, profile_b)
 
     def within(self, a: Sequence[str], b: Sequence[str],
                epsilon: float) -> bool:
         """Whether the pair is within ``epsilon`` normalized distance.
 
-        Decision-identical to ``TokenEditDistance.within``.
+        Decision-identical to the reference ``TokenEditDistance.within``.
         """
         profile_a, profile_b = self.profile(a), self.profile(b)
         longest = max(profile_a.length, profile_b.length)
@@ -366,7 +232,7 @@ class DistanceEngine:
             return True
         threshold = int(epsilon * longest)
         verdict, _ = decide_profiles(profile_a, profile_b, threshold,
-                                      self.config, self.cache, self.stats)
+                                      self.config, self.stats)
         return verdict
 
     def distance(self, a: Sequence[str], b: Sequence[str],
@@ -374,7 +240,7 @@ class DistanceEngine:
         """Normalized distance in ``[0, 1]``.
 
         With ``max_normalized``, pairs provably beyond the threshold report
-        ``1.0`` without exact work — mirroring
+        ``1.0`` without exact work — mirroring the reference
         ``normalized_edit_distance(..., max_normalized=...)``.
         """
         profile_a, profile_b = self.profile(a), self.profile(b)
@@ -385,12 +251,8 @@ class DistanceEngine:
             return self.exact_distance(a, b) / longest
         threshold = int(max_normalized * longest)
         verdict, exact = decide_profiles(profile_a, profile_b, threshold,
-                                          self.config, self.cache, self.stats)
-        if not verdict:
-            return 1.0
-        if exact is None:  # pragma: no cover - within verdicts carry a value
-            exact = self.exact_distance(a, b)
-        return exact / longest
+                                          self.config, self.stats)
+        return exact / longest if verdict else 1.0
 
     # -- batched queries ------------------------------------------------
     def neighbourhoods(self, points: Sequence[TokenString], epsilon: float
@@ -432,5 +294,5 @@ class DistanceEngine:
             profile_a, profile_b = profiles[i], profiles[j]
             threshold = int(epsilon * max(profile_a.length, profile_b.length))
             verdict, _ = decide_profiles(profile_a, profile_b, threshold,
-                                          self.config, self.cache, self.stats)
+                                          self.config, self.stats)
             yield i, j, verdict

@@ -163,7 +163,7 @@ class MapReduceReport:
     reduce_time: float
     reduce_value: Any = None
     #: Distance-engine accounting for the whole job (pairs per pruning
-    #: layer, cache hits, kernel calls), attached by engine-backed callers
+    #: layer, kernel calls), attached by engine-backed callers
     #: so benchmarks can attribute where the distance work went.
     distance_stats: Optional[Dict[str, int]] = None
     #: Extra pipeline stages charged against the same machine pool (the

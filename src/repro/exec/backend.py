@@ -186,13 +186,12 @@ class ExecutionBackend:
         """Execute the tasks; return their results in task order.
 
         The base transport runs every task in this process on ``engine``,
-        the clusterer's shared engine, so the reduce finds the map's
-        distances already cached.  Nothing is exported from that engine:
-        copying its stats and whole cache into each result only to absorb
-        them back would double count the former and pay for the latter
-        once per partition.  Overrides ship the batch elsewhere; their
-        tasks run on task-private engines and the results carry that
-        engine's stats and distances home.
+        the clusterer's shared engine, which counts the map's pairs as it
+        decides them.  Nothing is exported from that engine: copying its
+        stats into each result only to absorb them back would double count
+        them.  Overrides ship the batch elsewhere; their tasks run on
+        task-private engines and the results carry that engine's stats
+        home.
         """
         return [task.run(engine=engine, export=False) for task in tasks]
 
@@ -205,9 +204,8 @@ class ExecutionBackend:
 
         ``reduce_function`` receives the per-partition cluster lists in
         task order and returns ``(value, cost)``; it runs in process on
-        ``engine``.  Results of shipped tasks are absorbed into ``engine``
-        first, in task order, so the per-layer stats stay whole and the
-        reduce reuses the distances the map already paid for — exactly
+        ``engine``.  The stats of shipped tasks are absorbed into
+        ``engine`` first, in task order, so the per-layer accounting is
         what an in-process map gets from sharing the engine.  The report's
         four phases are the virtual timeline of the recorded costs; the
         measured map and reduce seconds sit beside them.
@@ -217,8 +215,7 @@ class ExecutionBackend:
         map_seconds = time.perf_counter() - started
         shipped = [result for result in results if result.stats]
         for result in shipped:
-            engine.absorb_remote(result.stats, result.cache_entries,
-                                 worker=result.worker_id)
+            engine.absorb_remote(result.stats, worker=result.worker_id)
 
         started = time.perf_counter()
         reduce_value, reduce_cost = reduce_function(

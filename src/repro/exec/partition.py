@@ -7,8 +7,7 @@ long-lived :mod:`multiprocessing` pool and ships whole
 :class:`~repro.clustering.partition.PartitionMapTask` objects to it: each
 child process tokenizes, runs DBSCAN and selects prototypes for its
 partition on a task-private engine, then sends the clusters back together
-with that engine's stats and exact-distance cache so the parent process can
-merge both.
+with that engine's stats so the parent process can merge them.
 :class:`~repro.exec.process.ProcessBackend` puts the pool behind
 ``ExecutionBackend.run_partition_map``.
 

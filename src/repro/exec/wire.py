@@ -146,8 +146,6 @@ class PayloadError(WireError):
 #: Everything else — notably anything callable with side effects — raises
 #: :class:`ForbiddenPayload` at the first reference, before construction.
 ALLOWED_GLOBALS = frozenset({
-    ("collections", "Counter"),
-    ("collections", "OrderedDict"),
     ("repro.clustering.partition", "ClusteredSample"),
     ("repro.clustering.partition", "Cluster"),
     ("repro.clustering.partition", "PartitionMapTask"),

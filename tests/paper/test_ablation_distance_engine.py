@@ -14,9 +14,9 @@ from __future__ import annotations
 import datetime
 import time
 
+from oracle_distance import TokenEditDistance
 from repro.clustering import ClusteredSample
-from repro.distance import DistanceEngine, DistanceEngineConfig, \
-    TokenEditDistance
+from repro.distance import DistanceEngine, DistanceEngineConfig
 from repro.ekgen import StreamConfig, TelemetryGenerator
 from repro.evalharness import format_table
 
@@ -27,10 +27,7 @@ CONFIGS = (
     ("full engine", {}),
     ("no length filter", {"length_filter": False}),
     ("no bag filter", {"bag_filter": False}),
-    ("no q-gram filter", {"qgram_filter": False}),
-    ("no prefilters", {"length_filter": False, "bag_filter": False,
-                       "qgram_filter": False}),
-    ("no cache", {"cache_size": 0}),
+    ("no prefilters", {"length_filter": False, "bag_filter": False}),
 )
 
 
@@ -51,7 +48,7 @@ def build_points():
 def run_ablation(points):
     results = []
     for label, overrides in CONFIGS:
-        config = DistanceEngineConfig(shared_cache=False, **overrides)
+        config = DistanceEngineConfig(**overrides)
         engine = DistanceEngine(config)
         started = time.perf_counter()
         adjacency, comparisons = engine.neighbourhoods(points, EPSILON)
@@ -64,7 +61,7 @@ def run_ablation(points):
             "stats": engine.stats.as_dict(),
         })
 
-    # Sequential banded-metric baseline: the pre-engine code path.
+    # Sequential banded-metric baseline: the reference oracle.
     metric = TokenEditDistance(epsilon=EPSILON)
     started = time.perf_counter()
     baseline_adjacency = [
@@ -91,8 +88,7 @@ def test_ablation_distance_engine():
     rows = []
     for outcome in results:
         stats = outcome["stats"]
-        pruned = stats.get("length_pruned", 0) + stats.get("bag_pruned", 0) \
-            + stats.get("qgram_pruned", 0)
+        pruned = stats.get("length_pruned", 0) + stats.get("bag_pruned", 0)
         rows.append([
             outcome["label"],
             f"{outcome['seconds'] * 1000:.1f}",

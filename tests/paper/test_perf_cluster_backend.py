@@ -51,8 +51,7 @@ def _run_serial(samples):
     try:
         clusterer = DistributedClusterer(
             epsilon=0.10, min_points=3, seed=0,
-            engine_config=DistanceEngineConfig(workers=1,
-                                               shared_cache=False),
+            engine_config=DistanceEngineConfig(workers=1),
             backend=backend, machines=PARTITIONS)
         clusters, _report = clusterer.run(samples, partitions=PARTITIONS)
         return _cluster_key(clusters)
@@ -84,8 +83,7 @@ def _run_on_cluster(samples, fault=None):
     try:
         clusterer = DistributedClusterer(
             epsilon=0.10, min_points=3, seed=0,
-            engine_config=DistanceEngineConfig(workers=1,
-                                               shared_cache=False),
+            engine_config=DistanceEngineConfig(workers=1),
             backend=backend, machines=PARTITIONS)
         clusters, report = clusterer.run(samples, partitions=PARTITIONS)
         return (_cluster_key(clusters), report, backend.redispatch_count,

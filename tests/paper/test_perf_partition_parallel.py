@@ -52,8 +52,7 @@ def _run_cluster_stage(samples, workers):
         partition_parallel=workers > 1))
     clusterer = DistributedClusterer(
         epsilon=0.10, min_points=3, seed=0,
-        engine_config=DistanceEngineConfig(workers=workers,
-                                           shared_cache=False),
+        engine_config=DistanceEngineConfig(workers=workers),
         backend=backend, machines=PARTITIONS)
     started = time.perf_counter()
     clusters, report = clusterer.run(samples, partitions=PARTITIONS)

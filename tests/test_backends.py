@@ -283,8 +283,7 @@ class TestBackendEquivalence:
         (cold days ship raw partitions, so the pool engages for N > 1)."""
         reference = None
         for workers in (1, 2, 3):
-            distance = DistanceEngineConfig(workers=workers,
-                                            shared_cache=False)
+            distance = DistanceEngineConfig(workers=workers)
             result = _run_stream("process", incremental=False, days=2,
                                  distance=distance, partitions=4)
             if reference is None:
@@ -341,7 +340,7 @@ class TestBackendEquivalence:
         def labels(backend):
             config = KizzleConfig(
                 partitions=1, incremental=IncrementalConfig(enabled=True),
-                distance=DistanceEngineConfig(shared_cache=False),
+                distance=DistanceEngineConfig(),
                 backend=backend)
             with Kizzle(config) as kizzle:
                 result = kizzle.process_day(samples, D(2014, 8, 1))
@@ -362,7 +361,7 @@ def _cluster_day(backend, samples):
     """Cluster one day's samples; returns (labels, report, clusterer)."""
     clusterer = DistributedClusterer(
         min_points=3, machines=6, backend=backend,
-        engine_config=DistanceEngineConfig(workers=1, shared_cache=False))
+        engine_config=DistanceEngineConfig(workers=1))
     clusters, report = clusterer.run(samples, partitions=4)
     labels = [(cluster.cluster_id, cluster.prototype.sample_id,
                [sample.sample_id for sample in cluster.samples])
@@ -385,7 +384,7 @@ def _golden_stream_timings(backend, incremental, days):
         seed=20140801))
     config = KizzleConfig(
         machines=6, min_points=3, partitions=4,
-        distance=DistanceEngineConfig(workers=1, shared_cache=False),
+        distance=DistanceEngineConfig(workers=1),
         incremental=IncrementalConfig(enabled=incremental), backend=backend)
     timings = []
     with Kizzle(config) as kizzle:

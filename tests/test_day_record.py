@@ -75,7 +75,7 @@ def _kizzle(mode: str) -> Kizzle:
     day compiles nothing and only the test deploys."""
     return Kizzle(KizzleConfig(
         machines=2, min_points=3,
-        distance=DistanceEngineConfig(workers=1, shared_cache=False),
+        distance=DistanceEngineConfig(workers=1),
         incremental=IncrementalConfig(enabled=True, scan_mode=mode),
         backend=BackendConfig(kind="serial")))
 

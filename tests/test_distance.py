@@ -1,11 +1,10 @@
-"""Tests for the edit-distance layer."""
+"""Tests for the reference edit distances the engine is checked against."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.distance import (
-    JaccardDistance,
+from oracle_distance import (
     TokenEditDistance,
     banded_edit_distance,
     edit_distance,
@@ -133,16 +132,6 @@ class TestMetrics:
         a = tuple("abcabcabca")
         b = tuple("abcabcabcx")
         assert metric.within(a, b, 0.2)
-
-    def test_jaccard_distance(self):
-        metric = JaccardDistance()
-        assert metric.distance(tuple("aabb"), tuple("aabb")) == 0.0
-        assert metric.distance(tuple("aa"), tuple("bb")) == 1.0
-        assert 0.0 < metric.distance(tuple("aab"), tuple("abb")) < 1.0
-
-    def test_jaccard_empty(self):
-        metric = JaccardDistance()
-        assert metric.distance((), ()) == 0.0
 
     def test_length_lower_bound(self):
         assert length_lower_bound("aaaa", "aa") == 0.5

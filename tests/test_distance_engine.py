@@ -6,14 +6,18 @@ Three layers of guarantees:
   tested against the reference dynamic program);
 * every prefilter is a true lower bound of the edit distance, so pruning can
   never change a within-epsilon verdict;
-* an engine-backed DBSCAN produces byte-identical labels to the sequential
-  metric-driven implementation on seeded telemetry, whatever combination of
-  filters/cache/workers is configured.
+* the engine's epsilon-neighbourhood graph on seeded telemetry is the one
+  the reference banded metric builds pair by pair, and DBSCAN's labels do
+  not change whichever filter is disabled or however wide the partition
+  pool is.
+
+The reference implementations live in ``tests/oracle_distance.py``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,19 +25,20 @@ from hypothesis import strategies as st
 
 from repro.clustering import ClusteredSample, DBSCAN, DistributedClusterer
 from repro.core.config import KizzleConfig
-from repro.distance import (
-    DistanceEngine,
-    DistanceEngineConfig,
-    PairDistanceCache,
+from oracle_distance import (
     TokenEditDistance,
-    bitparallel_edit_distance,
-    build_pattern_mask,
+    _histogram_lower_bound,
     edit_distance,
     length_lower_bound,
     normalized_edit_distance,
-    qgram_lower_bound,
 )
-from repro.distance.metrics import _histogram_lower_bound
+from repro.distance import (
+    DistanceEngine,
+    DistanceEngineConfig,
+    bitparallel_edit_distance,
+    build_pattern_mask,
+)
+from repro.distance.engine import _bag_surplus
 from repro.ekgen import StreamConfig, TelemetryGenerator
 from repro.exec import BackendConfig, create_backend
 
@@ -47,7 +52,6 @@ epsilons = st.floats(min_value=0.02, max_value=0.8)
 
 
 def private_engine(**overrides) -> DistanceEngine:
-    overrides.setdefault("shared_cache", False)
     return DistanceEngine(DistanceEngineConfig(**overrides))
 
 
@@ -160,17 +164,8 @@ class TestPrefilterLowerBounds:
     def test_bag_bound(self, a, b):
         assert _histogram_lower_bound(a, b) <= \
             normalized_edit_distance(a, b) + 1e-9
-
-    @DEFAULT_SETTINGS
-    @given(token_strings, token_strings, st.integers(min_value=2,
-                                                     max_value=5))
-    def test_qgram_bound(self, a, b, q):
-        assert qgram_lower_bound(a, b, q=q) <= \
-            normalized_edit_distance(a, b) + 1e-9
-
-    def test_qgram_bound_rejects_bad_q(self):
-        with pytest.raises(ValueError):
-            qgram_lower_bound(("a",), ("b",), q=0)
+        # The integer form the engine prunes with.
+        assert _bag_surplus(Counter(a), Counter(b)) <= edit_distance(a, b)
 
 
 class TestEngineQueries:
@@ -199,8 +194,7 @@ class TestEngineQueries:
             or (want == 1.0 and got > epsilon)
 
     def test_filters_disabled_still_exact(self):
-        engine = private_engine(length_filter=False, bag_filter=False,
-                                qgram_filter=False)
+        engine = private_engine(length_filter=False, bag_filter=False)
         a, b = tuple("aaaaaaaaaa"), tuple("bbbbbbbbbb")
         assert not engine.within(a, b, 0.1)
         assert engine.stats.kernel_calls == 1
@@ -211,15 +205,18 @@ class TestEngineQueries:
         assert engine.within(tuple("abc"), tuple("abc"), 0.1)
         # length-pruned pair
         assert not engine.within(tuple("a"), tuple("a" * 30), 0.1)
-        # kernel pair, then a cache hit for the same pair
+        # bag-pruned pair
+        assert not engine.within(tuple("aaaaaaaaaa"), tuple("bbbbbbbbbb"),
+                                 0.1)
+        # kernel pair, asked twice: each query is decided afresh
         assert engine.within(tuple("abcdefghij"), tuple("abcdefghiX"), 0.2)
         assert engine.within(tuple("abcdefghij"), tuple("abcdefghiX"), 0.2)
         stats = engine.stats.as_dict()
         assert stats["identical"] == 1
         assert stats["length_pruned"] == 1
-        assert stats["kernel_calls"] == 1
-        assert stats["cache_hits"] == 1
-        assert stats["pairs"] == 4
+        assert stats["bag_pruned"] == 1
+        assert stats["kernel_calls"] == 2
+        assert stats["pairs"] == 5
 
     def test_neighbourhoods_symmetry_and_count(self):
         points = [tuple("aaaaaaaaaa"), tuple("aaaaaaaaab"),
@@ -231,27 +228,9 @@ class TestEngineQueries:
         assert adjacency[1] == [0]
         assert adjacency[2] == []
 
-    def test_cache_bounded(self):
-        cache = PairDistanceCache(maxsize=2)
-        cache.put(("a",), ("b",), 1)
-        cache.put(("a",), ("c",), 1)
-        cache.put(("a",), ("d",), 1)
-        assert len(cache) == 2
-        assert cache.get(("a",), ("b",)) is None  # evicted, oldest first
-        assert cache.get(("a",), ("d",)) == 1
-
-    def test_cache_key_unordered(self):
-        cache = PairDistanceCache(maxsize=8)
-        cache.put(tuple("ab"), tuple("xyz"), 3)
-        assert cache.get(tuple("xyz"), tuple("ab")) == 3
-
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
-            DistanceEngineConfig(qgram_size=1)
-        with pytest.raises(ValueError):
             DistanceEngineConfig(workers=-1)
-        with pytest.raises(ValueError):
-            DistanceEngineConfig(cache_size=-1)
 
     def test_large_batch_is_decided_in_process(self, no_fork):
         """The engine never forks, however large the batch: 4,950 pairs of
@@ -281,9 +260,9 @@ def telemetry_points(seed=4242):
 
 
 class TestEngineBackedDBSCANEquivalence:
-    """Engine-backed clustering must be byte-identical to the sequential
-    metric-driven path on seeded telemetry — the acceptance criterion for
-    swapping the engine into the daily loop."""
+    """Engine-backed clustering must see the neighbourhoods the sequential
+    reference metric sees on seeded telemetry — DBSCAN's label loop reads
+    nothing but that adjacency and the weights."""
 
     @pytest.fixture(scope="class")
     def points(self):
@@ -291,16 +270,18 @@ class TestEngineBackedDBSCANEquivalence:
 
     @pytest.mark.parametrize("epsilon", [0.02, 0.10, 0.30])
     def test_labels_identical_to_sequential(self, points, epsilon):
-        sequential = DBSCAN(epsilon=epsilon, min_points=3,
-                            metric=TokenEditDistance(epsilon=epsilon)
-                            ).fit(points)
-        engine_backed = DBSCAN(epsilon=epsilon, min_points=3,
-                               engine=private_engine()).fit(points)
-        assert engine_backed.labels == sequential.labels
-        assert engine_backed.cluster_count == sequential.cluster_count
+        metric = TokenEditDistance(epsilon=epsilon)
+        sequential = [
+            [other for other in range(len(points))
+             if other != index and metric.within(points[index],
+                                                 points[other], epsilon)]
+            for index in range(len(points))]
+        adjacency, comparisons = private_engine().neighbourhoods(points,
+                                                                 epsilon)
+        assert adjacency == sequential
+        assert comparisons == len(points) * (len(points) - 1) // 2
 
-    @pytest.mark.parametrize("disabled", ["length_filter", "bag_filter",
-                                          "qgram_filter"])
+    @pytest.mark.parametrize("disabled", ["length_filter", "bag_filter"])
     def test_each_filter_ablated_is_identical(self, points, disabled):
         baseline = DBSCAN(epsilon=0.10, min_points=3,
                           engine=private_engine()).fit(points)
@@ -319,8 +300,7 @@ class TestEngineBackedDBSCANEquivalence:
 
         def run(workers):
             config = KizzleConfig(
-                distance=DistanceEngineConfig(workers=workers,
-                                              shared_cache=False),
+                distance=DistanceEngineConfig(workers=workers),
                 backend=BackendConfig(kind="process"))
             backend = create_backend(config.resolved_backend())
             try:
@@ -346,7 +326,7 @@ class TestEngineBackedDBSCANEquivalence:
                    for i, tokens in enumerate(points)]
         clusterer = DistributedClusterer(
             epsilon=0.10, min_points=3, machines=4,
-            engine_config=DistanceEngineConfig(shared_cache=False))
+            engine_config=DistanceEngineConfig())
         clusters, report = clusterer.run(samples, partitions=2)
         assert clusters
         assert report.distance_stats is not None

@@ -50,7 +50,7 @@ def _run_stream(backend_kind, incremental, workers,
     generator = _generator()
     config = KizzleConfig(
         machines=6, min_points=3, partitions=PARTITIONS,
-        distance=DistanceEngineConfig(workers=workers, shared_cache=False),
+        distance=DistanceEngineConfig(workers=workers),
         incremental=IncrementalConfig(enabled=incremental),
         backend=BackendConfig(kind=backend_kind, workers=workers,
                               partition_parallel=partition_parallel))
@@ -154,7 +154,7 @@ class TestPartitionParallelEquivalence:
             BackendConfig(kind="serial", partition_parallel=True))
         assert not hasattr(backend, "pool")
         tasks = _raw(_make_tasks(count=2))
-        engine = DistanceEngine(DistanceEngineConfig(shared_cache=False))
+        engine = DistanceEngine(DistanceEngineConfig())
         results = backend.run_partition_map(tasks, engine)
         private = [task.run() for task in tasks]
         assert _comparable(results) == _comparable(private)
@@ -174,8 +174,7 @@ def _make_tasks(count=3, per_partition=6):
     buckets = partition_samples(samples, count, seed=0)
     return [PartitionMapTask(index=index, samples=bucket, epsilon=0.10,
                              min_points=3,
-                             engine_config=DistanceEngineConfig(
-                                 shared_cache=False))
+                             engine_config=DistanceEngineConfig())
             for index, bucket in enumerate(buckets)]
 
 
@@ -210,7 +209,7 @@ class TestPartitionPoolExecutor:
         """A one-task batch has nothing to overlap: the pool backend runs
         it in process (never forks) on the caller's engine."""
         backend = create_backend(BackendConfig(kind="process", workers=2))
-        engine = DistanceEngine(DistanceEngineConfig(shared_cache=False))
+        engine = DistanceEngine(DistanceEngineConfig())
         results = backend.run_partition_map(_raw(_make_tasks(count=1)),
                                             engine)
         assert backend.pool.pooled_batches == 0
@@ -226,8 +225,6 @@ class TestPartitionPoolExecutor:
         assert pooled_exec.pooled_batches == 1
         assert _comparable(pooled) == _comparable(inline)
         assert [r.stats for r in pooled] == [r.stats for r in inline]
-        assert [r.cache_entries for r in pooled] \
-            == [r.cache_entries for r in inline]
         pooled_exec.close()
         pooled_exec.close()  # idempotent
         # A closed executor recovers: the pool is re-created on demand.
@@ -258,28 +255,25 @@ class TestPartitionPoolExecutor:
 
 
 class TestPartitionMapTask:
-    def test_worker_engine_never_forks_and_keeps_cache_private(
-            self, no_fork):
+    def test_worker_engine_never_forks(self, no_fork):
         task = _make_tasks(count=2)[0]
         engine = task.worker_engine()
-        assert engine.config.shared_cache is False
+        assert engine.config == task.engine_config
         result = task.run(engine=engine)
-        assert result.cache_entries == engine.export_cache()
+        assert result.stats == engine.stats.as_dict()
 
     def test_run_is_deterministic(self):
         task = _make_tasks(count=2)[0]
         assert _comparable([task.run()]) == _comparable([task.run()])
 
-    def test_absorb_remote_merges_stats_and_cache(self):
+    def test_absorb_remote_merges_stats(self):
         task = _make_tasks(count=2)[0]
         result = task.run()
         assert result.stats["pairs"] > 0
-        parent = DistanceEngine(DistanceEngineConfig(shared_cache=False))
-        parent.absorb_remote(result.stats, result.cache_entries)
+        parent = DistanceEngine(DistanceEngineConfig())
+        parent.absorb_remote(result.stats)
         assert parent.stats.pairs == result.stats["pairs"]
         assert parent.stats.kernel_calls == result.stats["kernel_calls"]
-        for a, b, distance in result.cache_entries:
-            assert parent.cache.get(a, b) == distance
 
 
 class TestWorthFanningOut:

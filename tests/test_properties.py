@@ -11,14 +11,15 @@ from __future__ import annotations
 import random
 import re
 import string
+from collections import Counter
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.distance import banded_edit_distance, edit_distance, \
+from oracle_distance import TokenEditDistance, _histogram_lower_bound, \
+    banded_edit_distance, edit_distance, length_lower_bound, \
     normalized_edit_distance
-from repro.distance.metrics import TokenEditDistance, _histogram_lower_bound, \
-    length_lower_bound
+from repro.distance.engine import _bag_surplus
 from repro.ekgen.nuclear import decrypt_payload, encrypt_payload
 from repro.ekgen.angler import hex_decode, hex_encode
 from repro.ekgen.sweetorange import insert_junk, remove_junk
@@ -110,6 +111,7 @@ class TestDistanceProperties:
         normalized = normalized_edit_distance(a, b)
         assert length_lower_bound(a, b) <= normalized + 1e-9
         assert _histogram_lower_bound(a, b) <= normalized + 1e-9
+        assert _bag_surplus(Counter(a), Counter(b)) <= edit_distance(a, b)
 
     @DEFAULT_SETTINGS
     @given(token_strings, token_strings,

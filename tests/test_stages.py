@@ -192,7 +192,7 @@ class TestOneDayLoopGolden:
             seed=20140801))
         config = KizzleConfig(
             machines=6, min_points=3, partitions=4,
-            distance=DistanceEngineConfig(workers=1, shared_cache=False),
+            distance=DistanceEngineConfig(workers=1),
             incremental=IncrementalConfig(enabled=incremental),
             backend=backend)
         with Kizzle(config) as kizzle:

@@ -13,6 +13,7 @@ import io
 import pickle
 import socket
 import struct
+from collections import Counter, OrderedDict
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -46,8 +47,7 @@ map_tasks = st.builds(
     min_points=st.integers(min_value=1, max_value=5),
     engine_config=st.builds(
         DistanceEngineConfig,
-        workers=st.integers(min_value=0, max_value=4),
-        cache_size=st.integers(min_value=0, max_value=512)))
+        workers=st.integers(min_value=0, max_value=4)))
 
 map_results = st.builds(
     PartitionMapResult,
@@ -59,13 +59,9 @@ map_results = st.builds(
     output_bytes=st.floats(min_value=0.0, max_value=1e9,
                            allow_nan=False, allow_infinity=False),
     stats=st.dictionaries(st.sampled_from(["pairs", "kernel_calls",
-                                           "cache_hits"]),
+                                           "bag_pruned"]),
                           st.integers(min_value=0, max_value=1_000_000),
                           max_size=3),
-    cache_entries=st.lists(
-        st.tuples(token_strings, token_strings,
-                  st.integers(min_value=0, max_value=500)),
-        max_size=4),
     worker_id=st.one_of(st.none(), st.text(min_size=1, max_size=8)))
 
 
@@ -330,6 +326,14 @@ class TestForbiddenPayload:
         frame = wire.encode_frame_raw(pickle.dumps(os.system, protocol=4))
         with pytest.raises(wire.ForbiddenPayload):
             wire.decode_frame(frame)
+
+    @pytest.mark.parametrize("payload", [Counter(a=1), OrderedDict(a=1)],
+                             ids=["Counter", "OrderedDict"])
+    def test_unused_stdlib_containers_are_forbidden(self, payload):
+        """No frame type holds a ``Counter`` or an ``OrderedDict``, so
+        neither is on the allow-list."""
+        with pytest.raises(wire.ForbiddenPayload):
+            wire.decode_frame(wire.encode_frame(payload))
 
     def test_reduce_to_forbidden_callable_is_rejected_before_call(self):
         """A __reduce__ payload targeting subprocess never gets its callable
