@@ -50,15 +50,13 @@ def _host_port(text: str) -> str:
     """Validate a ``host:port`` flag value (kept as a string; the backend
     parses it again — this only turns malformed input into a proper CLI
     usage error instead of a traceback from deep inside construction)."""
-    host, sep, port = text.rpartition(":")
-    if not sep or not host:
-        raise argparse.ArgumentTypeError(
-            f"expected HOST:PORT, got {text!r}")
+    # Imported here: the cluster transport loads only when it is asked for.
+    from repro.exec.cluster import parse_address
+
     try:
-        int(port)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"port must be an integer, got {port!r}")
+        parse_address(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     return text
 
 

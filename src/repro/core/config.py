@@ -38,10 +38,11 @@ class IncrementalConfig:
         ``"exact"`` scans with the lexer-based normal form; ``"fast"``
         (the warm default when enabled) scans with
         :func:`~repro.scanner.normalizer.fast_normalize` (one C-level
-        ``re.split`` pass, 57-70 MB/s where the lexer manages 6.3-14.9) plus
-        the literal-anchor prefilter.  Fast mode is verdict-equivalent on the
-        synthetic stream (asserted by tests); exact mode is the fallback
-        for content the fast normalizer was not designed for.
+        ``re.split`` pass, 57-70 MB/s where the lexer manages 6.3-14.9).
+        Both probe alike, gated by each signature's literal anchor.  Fast
+        mode is verdict-equivalent on the synthetic stream (asserted by
+        tests); exact mode is the fallback for content the fast normalizer
+        was not designed for.
     anchor_ttl_days:
         Days a carry-forward anchor survives without absorbing anything
         before it is dropped (stale prototypes stop paying rent).

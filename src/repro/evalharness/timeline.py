@@ -18,7 +18,7 @@
 When the Kizzle configuration enables the incremental warm path
 (``kizzle.incremental.enabled``), the experiment runs warm end to end: the
 pipeline sheds known samples and carries clusters forward day over day, and
-both scan engines scan in the pipeline's mode (fast by default).  The scan
+both scan engines scan the pipeline's normal form (fast by default).  The scan
 stage derives each sample's normal form once and hands that string to both
 engines; Kizzle's side reads the pipeline's day record
 (:meth:`~repro.core.pipeline.Kizzle.kits_matching`), so content its shed
@@ -177,11 +177,6 @@ class MonthExperiment:
             timeline=self.generator.timeline,
             study_start=self.config.start)
         self.kizzle = Kizzle(self.config.kizzle)
-        if self.config.kizzle.incremental.enabled \
-                and self.config.kizzle.incremental.scan_mode == "fast":
-            # Warm experiment: the AV scans the same fast normal form the
-            # pipeline does (the scan stage derives it once for both).
-            self.av.use_fast_scan()
         # The experiment's own per-day loop is a stage graph too, extending
         # the pipeline's (shed -> ... -> finalize) with the paper's
         # evaluation steps: scan the day with both engines, then score.
@@ -267,9 +262,6 @@ class MonthExperiment:
         """Scan the day with both engines, one normal form per sample."""
         date = context["date"]
         engine = self.kizzle.scan_engine()
-        # A caller-supplied AV may scan in another mode; it then derives
-        # its own normal form.
-        shared = self.av.mode == engine.mode
         kizzle_detections: Dict[str, Set[str]] = {}
         av_detections: Dict[str, Set[str]] = {}
         for sample in context["batch"].samples:
@@ -278,7 +270,7 @@ class MonthExperiment:
                 sample.content, date, normalized=normalized)
             av_detections[sample.sample_id] = self.av.scan(
                 sample.sample_id, sample.content, as_of=date,
-                normalized=normalized if shared else None).kits
+                normalized=normalized).kits
         context["kizzle_detections"] = kizzle_detections
         context["av_detections"] = av_detections
 

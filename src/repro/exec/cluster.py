@@ -90,11 +90,22 @@ class ClusterError(RuntimeError):
 
 
 def parse_address(text: str) -> Tuple[str, int]:
-    """``"host:port"`` -> ``(host, port)`` (IPv4/hostname form)."""
+    """``"host:port"`` -> ``(host, port)`` (IPv4/hostname form).
+
+    Raises ``ValueError`` unless the port is an integer in 0-65535, so a
+    bad address is a usage error, not a failure inside ``bind``/``connect``.
+    """
     host, sep, port = text.rpartition(":")
     if not sep or not host:
-        raise ValueError(f"expected host:port, got {text!r}")
-    return host, int(port)
+        raise ValueError(f"expected HOST:PORT, got {text!r}")
+    try:
+        number = int(port)
+    except ValueError:
+        number = -1
+    if not 0 <= number <= 65535:
+        raise ValueError(
+            f"port must be an integer in 0-65535, got {text!r}")
+    return host, number
 
 
 # ----------------------------------------------------------------------

@@ -333,6 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Kizzle cluster worker: connect to a coordinator and "
                     "execute leased map tasks")
     parser.add_argument("--connect", required=True, metavar="HOST:PORT",
+                        type=parse_address,
                         help="coordinator address to register with")
     parser.add_argument("--heartbeat-interval", type=float, default=2.0,
                         help="seconds between heartbeat frames (keep well "
@@ -354,7 +355,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     secret = args.cluster_secret if args.cluster_secret is not None \
         else os.environ.get(SECRET_ENV)
-    worker = Worker(parse_address(args.connect),
+    worker = Worker(args.connect,
                     heartbeat_interval=args.heartbeat_interval,
                     fault=args.fault,
                     secret=secret,

@@ -35,7 +35,7 @@ so nothing backtracks and scanning is linear in the input -- with one known
 exception inherited from the regex bail-out rule: in ``"/[" * n + "\\n"``
 every ``/`` is where a regex may start and each body runs to the line
 terminator before bailing, so that input costs O(n^2).  Token identity with
-the previous lexer forbids changing the rule here; ROADMAP item 4(c) tracks
+the previous lexer forbids changing the rule here; ROADMAP item 7(c) tracks
 it.  ``tests/oracle_lexer.py`` is the character-by-character lexer this
 module replaced, kept as the differential oracle.
 """

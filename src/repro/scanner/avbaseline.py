@@ -28,12 +28,16 @@ from __future__ import annotations
 import datetime
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ekgen.angler import ANGLER_JAVA_MARKER
 from repro.ekgen.nuclear import delimit_word
 from repro.ekgen.evolution import EvolutionTimeline, default_timeline
-from repro.scanner.normalizer import fast_normalize, normalize_for_scan
+from repro.scanner.normalizer import normalize_for_scan
+
+#: ``(literal, count)`` pairs: any text a rule's pattern matches holds each
+#: ``literal`` at least ``count`` times.
+Gates = Tuple[Tuple[str, int], ...]
 
 
 @dataclass
@@ -43,6 +47,8 @@ class ManualSignatureRule:
     ``pattern`` is matched against the raw sample content and against the
     scanner-normalized content (analysts use whichever representation is more
     convenient); ``released`` is the date the rule ships to endpoints.
+    ``gates`` are stated by the rule's author along with the pattern (see
+    :data:`Gates`).
     """
 
     kit: str
@@ -50,11 +56,9 @@ class ManualSignatureRule:
     pattern: str
     released: datetime.date
     heuristic: bool = False
+    gates: Gates = ()
     _compiled: Optional[re.Pattern] = field(default=None, repr=False,
                                             compare=False)
-    _gates: Optional[List[tuple]] = field(default=None, repr=False,
-                                          compare=False)
-    _anchor_known: bool = field(default=False, repr=False, compare=False)
 
     @property
     def compiled(self) -> re.Pattern:
@@ -66,32 +70,10 @@ class ManualSignatureRule:
         return (self.compiled.search(raw_content) is not None
                 or self.compiled.search(normalized_content) is not None)
 
-    @property
-    def literal_gates(self) -> List[tuple]:
-        """``(literal, multiplicity)`` gates the pattern requires.
-
-        Any text the pattern matches must contain each required literal at
-        least as many times as it appears unconditionally in the pattern
-        (the RIG delimiter patterns, ``\\d{2,3}X\\d{2,3}X...``, require the
-        delimiter three times, which is a far more selective gate than one
-        occurrence of a two-character literal).  Only the most selective
-        gates are kept — longest literals first, at most two.
-        """
-        if not self._anchor_known:
-            from collections import Counter
-
-            from repro.signatures.anchors import required_literals
-
-            counts = Counter(required_literals(self.pattern, min_length=2))
-            ranked = sorted(counts.items(),
-                            key=lambda item: len(item[0]), reverse=True)
-            self._gates = ranked[:2]
-            self._anchor_known = True
-        return self._gates
-
     def could_match(self, raw_content: str, normalized_content: str) -> bool:
-        """Cheap necessary condition for :meth:`matches` (either side)."""
-        for literal, needed in self.literal_gates:
+        """Cheap necessary condition for :meth:`matches`: a rule that
+        matched one side left its gates in that side."""
+        for literal, needed in self.gates:
             if raw_content.count(literal) < needed \
                     and normalized_content.count(literal) < needed:
                 return False
@@ -140,19 +122,8 @@ class SimulatedCommercialAV:
             self.rules.append(ManualSignatureRule(
                 kit="angler", name="ANG.heur.telemetry",
                 pattern=r"adZone=13\d{3,}",
-                released=study_start, heuristic=True))
-        self.mode = "exact"
-
-    def use_fast_scan(self) -> None:
-        """Switch to the warm scan path.
-
-        Rules are gated by their required-literal anchor and the normalized
-        side of :meth:`ManualSignatureRule.matches` uses
-        :func:`~repro.scanner.normalizer.fast_normalize` instead of the
-        lexer.  Verdict-equivalent on the synthetic stream (asserted in
-        tests); :attr:`mode` can be reset to ``"exact"`` at any time.
-        """
-        self.mode = "fast"
+                released=study_start, heuristic=True,
+                gates=(("adZone=13", 1),)))
 
     # ------------------------------------------------------------------
     # rule construction
@@ -161,9 +132,10 @@ class SimulatedCommercialAV:
         for kit in self.timeline.known_kits():
             periods = self._packer_periods(kit)
             for index, (start, params) in enumerate(periods):
-                pattern = self._feature_pattern(kit, params)
-                if pattern is None:
+                feature = self._feature_pattern(kit, params)
+                if feature is None:
                     continue
+                pattern, gates = feature
                 if start <= self.study_start:
                     released = self.study_start
                 else:
@@ -171,7 +143,7 @@ class SimulatedCommercialAV:
                         days=self.lag_days.get(kit, 4))
                 self.rules.append(ManualSignatureRule(
                     kit=kit, name=f"{kit.upper()}.sig{index + 1}",
-                    pattern=pattern, released=released))
+                    pattern=pattern, released=released, gates=gates))
 
     def _packer_periods(self, kit: str):
         """(start_date, packer_params) for each packer configuration period."""
@@ -188,8 +160,10 @@ class SimulatedCommercialAV:
         return periods
 
     @staticmethod
-    def _feature_pattern(kit: str, params: Dict[str, object]) -> Optional[str]:
-        """The concrete packer feature an analyst would key a signature on."""
+    def _feature_pattern(kit: str, params: Dict[str, object]
+                         ) -> Optional[Tuple[str, Gates]]:
+        """The concrete packer feature an analyst would key a signature on:
+        the pattern and its gates (see :class:`ManualSignatureRule`)."""
         if kit == "nuclear":
             # Analysts key Nuclear signatures on the delimiter-spelled method
             # names (the paper's Figure 12 shows NEK signature releases
@@ -198,27 +172,31 @@ class SimulatedCommercialAV:
             delimiter = str(params.get("delimiter", ""))
             if not delimiter:
                 return None
-            return re.escape(delimit_word("document", delimiter))
+            word = delimit_word("document", delimiter)
+            return re.escape(word), ((word, 1),)
         if kit == "rig":
             delimiter = str(params.get("delimiter", ""))
             if not delimiter:
                 return None
             escaped = re.escape(delimiter)
-            return rf"\d{{2,3}}{escaped}\d{{2,3}}{escaped}\d{{2,3}}{escaped}"
+            return (rf"\d{{2,3}}{escaped}\d{{2,3}}{escaped}\d{{2,3}}{escaped}",
+                    ((delimiter, 3),))
         if kit == "angler":
             if bool(params.get("exploit_string_in_html", True)):
-                return re.escape(ANGLER_JAVA_MARKER)
+                marker = ANGLER_JAVA_MARKER
+                return re.escape(marker), ((marker, 1),)
             # After the August 13 change the analyst keys the replacement
             # signature on the packer's decode-and-eval trigger, which is
             # stable across the later marker rotations (so AV recovers for
             # the rest of the month, as in Figure 6).
             return (r"fromCharCode\(parseInt\([A-Za-z_$][\w$]*,16\)\)"
-                    r".{0,80}window\[ev\+al\]\(")
+                    r".{0,80}window\[ev\+al\]\(",
+                    (("fromCharCode(parseInt(", 1), ("window[ev+al](", 1)))
         if kit == "sweetorange":
             junk = str(params.get("junk_token", ""))
             if not junk:
                 return None
-            return re.escape(junk)
+            return re.escape(junk), ((junk, 1),)
         return None
 
     # ------------------------------------------------------------------
@@ -231,35 +209,16 @@ class SimulatedCommercialAV:
              normalized: Optional[str] = None) -> AVScanVerdict:
         """Scan one sample with the rules deployed on ``as_of``.
 
-        ``normalized`` is the content's normal form in :attr:`mode` when the
-        caller already holds it (the month experiment derives it once for
-        both engines); it is derived here otherwise.
+        ``normalized`` is the content's normal form when the caller already
+        holds it (the month experiment derives it once for both engines);
+        the exact one is derived here otherwise.  Each rule's gates are
+        checked before its regex runs.
         """
-        fast = self.mode == "fast"
         if normalized is None:
-            normalized = fast_normalize(content) if fast \
-                else normalize_for_scan(content)
-        if fast:
-            return self._scan_fast(sample_id, content, normalized, as_of)
+            normalized = normalize_for_scan(content)
         matched = [rule for rule in self.rules_deployed(as_of)
-                   if rule.matches(content, normalized)]
-        return AVScanVerdict(sample_id=sample_id, matched_rules=matched)
-
-    def _scan_fast(self, sample_id: str, content: str, normalized: str,
-                   as_of: datetime.date) -> AVScanVerdict:
-        """Warm scan: anchor-gated rules over the fast normal form.
-
-        A rule's anchor is a required substring of any match; a rule that
-        matched the raw side leaves its anchor in the raw content, one that
-        matched the normalized side leaves it in the fast normal form, so an
-        anchor missing from both proves the rule cannot match.
-        """
-        matched = []
-        for rule in self.rules_deployed(as_of):
-            if not rule.could_match(content, normalized):
-                continue
-            if rule.matches(content, normalized):
-                matched.append(rule)
+                   if rule.could_match(content, normalized)
+                   and rule.matches(content, normalized)]
         return AVScanVerdict(sample_id=sample_id, matched_rules=matched)
 
     def signature_release_dates(self, kit: Optional[str] = None

@@ -6,20 +6,24 @@ which signatures (and therefore which kit families) match.
 
 Both scale to paper-size streams:
 
-* the database keeps per-kit, creation-date-sorted indexes, so
+* the database keeps per-kit, creation-date-sorted indexes, so a kit's
   ``signatures_for``/``latest_for`` are a bisect plus a slice instead of a
   full rescan on every call (behaviour-identical, including tie-breaking),
   and ``added_since(generation)`` names what deployed after a scan was
   taken, so a caller holding that scan's verdict probes only the rest;
-* the engine can run in ``fast`` mode, where samples are normalized with
-  :func:`~repro.scanner.normalizer.fast_normalize` (one C-level
-  ``re.split`` pass, no Python lexer and no Python code per string literal)
-  and each signature is gated by its required-literal anchor
-  (:mod:`repro.signatures.anchors`) before the full regex runs.  The anchor
-  gate never changes verdicts; the fast normal form is verdict-equivalent on
-  the synthetic stream (asserted by tests) and the exact mode remains the
-  default.  The per-kit newest-first probe lists are built once per
+* a scan probes each kit's deployed signatures newest first and stops at
+  the kit's first hit, and gates every signature by the literal anchor its
+  compiler recorded (:attr:`Signature.literal_anchor`, a substring every
+  match contains) before the full regex runs.  The gate never changes
+  verdicts; the per-kit probe lists are built once per
   ``(as_of, database.generation)``, not per document.
+
+The mode chooses only the normal form: ``exact`` (the default) runs the
+JavaScript lexer, as the paper's scanner does; ``fast`` runs
+:func:`~repro.scanner.normalizer.fast_normalize` (one C-level ``re.split``
+pass, no Python lexer and no Python code per string literal), which is
+verdict-equivalent on the synthetic stream but not on commented pages
+(ROADMAP item 1).
 
 The engine holds no per-content state: every ``scan`` normalizes its
 content.  The pipeline's day record (``Kizzle.kits_matching``) is what
@@ -39,7 +43,8 @@ from repro.signatures.signature import Signature
 
 @dataclass
 class ScanResult:
-    """Outcome of scanning one sample."""
+    """Outcome of scanning one sample: the first signature that matched
+    for each kit that matched, kits in sorted order."""
 
     sample_id: str
     matched_signatures: List[Signature] = field(default_factory=list)
@@ -103,8 +108,9 @@ class SignatureDatabase:
     and to plot signature lengths over time (Figure 12).
 
     Internally the signatures are indexed per kit and sorted by creation
-    date, so date- and kit-filtered queries cost a bisect instead of a scan
-    over the whole (and, over a month, ever-growing) signature list.
+    date, so a kit's date-filtered queries (the scan engine's probe plan,
+    ``latest_for``) cost a bisect instead of a scan over the whole (and,
+    over a month, ever-growing) signature list.
     ``generation`` increments on every addition, so it is also the number
     of signatures added so far (see :meth:`added_since`).
     """
@@ -112,7 +118,6 @@ class SignatureDatabase:
     def __init__(self, signatures: Optional[Iterable[Signature]] = None) -> None:
         self._signatures: List[Signature] = []
         self._by_kit: Dict[str, _DatedIndex] = {}
-        self._dated = _DatedIndex()
         self.generation = 0
         for signature in signatures or ():
             self.add(signature)
@@ -120,7 +125,6 @@ class SignatureDatabase:
     def add(self, signature: Signature) -> None:
         sequence = len(self._signatures)
         self._signatures.append(signature)
-        self._dated.add(signature, sequence)
         index = self._by_kit.get(signature.kit)
         if index is None:
             index = self._by_kit[signature.kit] = _DatedIndex()
@@ -152,7 +156,8 @@ class SignatureDatabase:
             return list(index.up_to(as_of))
         if as_of is None:
             return list(self._signatures)
-        return list(self._dated.up_to(as_of))
+        return sorted((s for s in self._signatures if s.created <= as_of),
+                      key=lambda signature: signature.created)
 
     def added_since(self, generation: int) -> List[Signature]:
         """Signatures added after the database was at ``generation``, in
@@ -179,11 +184,10 @@ class ScanEngine:
     database:
         The deployed signatures.
     mode:
-        ``"exact"`` (default) normalizes through the JavaScript lexer, as
-        the paper's scanner does.  ``"fast"`` normalizes with
-        :func:`~repro.scanner.normalizer.fast_normalize` and applies each
-        signature's literal-anchor prefilter before its regex — the warm
-        path of the incremental pipeline.
+        The normal form scanned: ``"exact"`` (default) normalizes through
+        the JavaScript lexer, as the paper's scanner does; ``"fast"`` uses
+        :func:`~repro.scanner.normalizer.fast_normalize`, the warm path of
+        the incremental pipeline.  Both modes probe alike.
     """
 
     def __init__(self, database: SignatureDatabase,
@@ -193,10 +197,10 @@ class ScanEngine:
         self.database = database
         self.mode = mode
         #: Telemetry: samples scanned.  ``memo_hits`` is always 0, a read
-        #: path for ``bench/trace.py`` until ROADMAP item 4(b).
+        #: path for ``bench/trace.py`` until ROADMAP item 2(d).
         self.counters = {"scans": 0, "memo_hits": 0}
-        #: Fast mode's probe plan and the ``(as_of, database.generation)``
-        #: it was built for (see :meth:`_probe_plan`).
+        #: The probe plan and the ``(as_of, database.generation)`` it was
+        #: built for (see :meth:`_probe_plan`).
         self._plan: List[List[Signature]] = []
         self._plan_key: Optional[tuple] = None
 
@@ -207,34 +211,16 @@ class ScanEngine:
             return fast_normalize(content)
         return normalize_for_scan(content)
 
-    def matching_signatures(self, normalized: str,
-                            signatures: Iterable[Signature]) -> List[Signature]:
-        """Signatures matching an already-normalized text.
-
-        In fast mode each signature's anchor gates its regex; the gate is a
-        necessary condition, so the returned set is identical to running
-        every regex.
-        """
-        if self.mode == "fast":
-            return [signature for signature in signatures
-                    if signature.could_match(normalized)
-                    and signature.matches(normalized)]
-        return [signature for signature in signatures
-                if signature.matches(normalized)]
-
     def first_match(self, normalized: str,
                     signatures: Iterable[Signature]) -> Optional[Signature]:
         """The first signature in iteration order that matches, or ``None``.
 
-        Used by the shedding stage, which only needs *whether* a deployed
-        signature covers a sample (and which kit it attributes): probing
-        newest-first and stopping at the first hit avoids running every
-        superseded signature's regex against every covered sample.
+        Each signature's anchor gates its regex; the gate is a necessary
+        condition for a match, so it never changes the answer.
         """
         for signature in signatures:
-            if self.mode == "fast" and not signature.could_match(normalized):
-                continue
-            if signature.matches(normalized):
+            if signature.could_match(normalized) \
+                    and signature.matches(normalized):
                 return signature
         return None
 
@@ -260,29 +246,17 @@ class ScanEngine:
              as_of: Optional[datetime.date] = None) -> ScanResult:
         """Scan one sample with the signatures deployed as of ``as_of``.
 
-        In fast mode the deployed set is probed per kit, newest signature
-        first (:meth:`_probe_plan`), stopping at the first hit for each kit:
-        the verdict-relevant outputs (``detected`` and ``kits``) are
-        identical to matching every signature, but a sample covered by
-        several generations of a kit's signatures pays for one regex instead
-        of all of them.  The exact mode keeps the original exhaustive
-        matching.
+        The deployed set is probed per kit, newest signature first
+        (:meth:`_probe_plan`), stopping at the first hit for each kit:
+        ``detected`` and ``kits`` are those of matching every signature, but
+        a sample covered by several generations of a kit's signatures pays
+        for one regex instead of all of them.
         """
         self.counters["scans"] += 1
         normalized = self.normal_form(content)
-        if self.mode != "fast":
-            matches = self.matching_signatures(
-                normalized, self.database.signatures_for(as_of=as_of))
-            return ScanResult(sample_id=sample_id, matched_signatures=matches)
         matches: List[Signature] = []
         for signatures in self._probe_plan(as_of):
             hit = self.first_match(normalized, signatures)
             if hit is not None:
                 matches.append(hit)
         return ScanResult(sample_id=sample_id, matched_signatures=matches)
-
-    def scan_many(self, samples: Dict[str, str],
-                  as_of: Optional[datetime.date] = None) -> List[ScanResult]:
-        """Scan a batch given as a mapping of sample id to content."""
-        return [self.scan(sample_id, content, as_of=as_of)
-                for sample_id, content in samples.items()]

@@ -98,17 +98,18 @@ def fast_normalize(content: str) -> str:
     would keep comment text; both only ever *add* characters relative to the
     exact normal form, so a signature match can in principle appear or
     disappear only where those extra characters break the adjacency of
-    neighbouring tokens.  The generated telemetry stream has no such content
-    and the incremental scan path checks its equivalence in tests before
-    relying on it.
+    neighbouring tokens.  The generated telemetry stream has no such
+    content; one comment per statement blinds every fast-mode verdict
+    (``tests/test_incremental.py::TestCommentedPages``, an ``xfail`` until
+    ROADMAP item 1 decides the fast normal form).
 
     Cost is linear except on one hostile shape: a quote character that does
     not open a terminated literal is retried as an opener wherever it
     occurs, and each failed attempt scans to the end of the line (``"`` /
     ``'``) or of the input (backtick).  Escaped quotes *outside* a literal
     are exactly that, so ``'\\"' * n`` on one line and ``'\\`' * n`` are
-    O(n^2) (about 1.4 s each at n = 8,000, 1.1 s before the split form;
-    ROADMAP item 4(c)).
+    O(n^2) (2.56 s and 4.8 s at n = 8,000 on a 2-core host; ROADMAP item
+    7(c)).
     ``tests/test_fast_normalize_differential.py`` pins the output on every
     input to the pre-split loop kept in ``tests/oracle_fast_normalize.py``.
     """

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.signatures.alignment import align_cluster
-from repro.signatures.regexgen import build_pattern
+from repro.signatures.regexgen import build_pattern, literal_anchor
 from repro.signatures.signature import Signature
 from repro.signatures.subsequence import MAX_WINDOW_TOKENS
 
@@ -72,4 +72,5 @@ class SignatureCompiler:
                                 length_slack=self.config.length_slack)
         self.compiled_count += 1
         return Signature(kit=kit, pattern=pattern, created=created,
-                         token_length=len(columns), source="kizzle")
+                         token_length=len(columns), source="kizzle",
+                         literal_anchor=literal_anchor(columns))

@@ -121,7 +121,13 @@ def _covarying_groups(columns: Sequence[TokenColumn]) -> Dict[int, int]:
 def build_pattern(columns: Sequence[TokenColumn],
                   use_backreferences: bool = True,
                   length_slack: float = 0.0) -> str:
-    """Assemble the full signature pattern from the aligned columns."""
+    """Assemble the full signature pattern from the aligned columns.
+
+    A constant column's value is emitted ``re.escape``-d and unquantified
+    (see :func:`generalize_column`), outside any group, so every match of
+    the pattern contains each run of consecutive constant values
+    contiguously: :func:`literal_anchor` relies on this.
+    """
     backreferences = _covarying_groups(columns) if use_backreferences else {}
     # Group targets are non-constant columns by construction.
     targets = set(backreferences.values())
@@ -145,3 +151,23 @@ def build_pattern(columns: Sequence[TokenColumn],
             fragment = f"(?P<{name}>{fragment})"
         fragments.append(fragment)
     return "".join(fragments)
+
+
+def literal_anchor(columns: Sequence[TokenColumn],
+                   min_length: int = 8) -> Optional[str]:
+    """The longest run of consecutive constant column values, or ``None``.
+
+    :func:`build_pattern` emits those values literally and back to back, so
+    any text the pattern matches contains the run: a scanner can reject a
+    text that lacks it with one C-level ``in`` before running the regex.
+    Ties go to the first longest run; a run shorter than ``min_length``
+    characters is no anchor.
+    """
+    runs = [""]
+    for column in columns:
+        if column.is_constant:
+            runs[-1] += column.values[0]
+        elif runs[-1]:
+            runs.append("")
+    best = max(runs, key=len)
+    return best if len(best) >= min_length else None

@@ -27,6 +27,11 @@ class Signature:
     source:
         ``"kizzle"`` for generated signatures, ``"manual"`` for the simulated
         hand-written AV baseline.
+    literal_anchor:
+        A substring every text the pattern matches contains, filled in by
+        the compiler (:func:`repro.signatures.regexgen.literal_anchor`).  A
+        scanner rejects a sample that lacks it with one C-level ``in``
+        before paying for the regex; ``None`` means the regex always runs.
     """
 
     kit: str
@@ -35,10 +40,10 @@ class Signature:
     token_length: int = 0
     source: str = "kizzle"
     signature_id: str = ""
+    literal_anchor: Optional[str] = field(default=None, repr=False,
+                                          compare=False)
     _compiled: Optional[re.Pattern] = field(default=None, repr=False,
                                             compare=False)
-    _anchor: Optional[str] = field(default=None, repr=False, compare=False)
-    _anchor_known: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.signature_id:
@@ -53,31 +58,14 @@ class Signature:
             self._compiled = re.compile(self.pattern, re.DOTALL)
         return self._compiled
 
-    @property
-    def literal_anchor(self) -> Optional[str]:
-        """The longest required literal of the pattern, or ``None``.
-
-        Any text this signature matches must contain the anchor as a
-        contiguous substring (see :mod:`repro.signatures.anchors`), so a
-        scanner can reject a sample with one C-level ``in`` check before
-        paying for the full regex.  ``None`` means no usable anchor exists
-        and the signature must always be evaluated in full.
-        """
-        if not self._anchor_known:
-            from repro.signatures.anchors import best_anchor
-
-            self._anchor = best_anchor(self.pattern)
-            self._anchor_known = True
-        return self._anchor
-
     def could_match(self, normalized_text: str) -> bool:
         """Cheap necessary condition for :meth:`matches`.
 
         ``False`` proves the signature cannot match; ``True`` means the full
         regex must decide.
         """
-        anchor = self.literal_anchor
-        return anchor is None or anchor in normalized_text
+        return self.literal_anchor is None \
+            or self.literal_anchor in normalized_text
 
     @property
     def length(self) -> int:

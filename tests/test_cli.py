@@ -7,6 +7,8 @@ import io
 import pytest
 
 from repro.cli import build_parser, main
+from repro.exec.cluster import parse_address
+from repro.exec.worker import main as worker_main
 
 
 def run_cli(arguments):
@@ -38,6 +40,25 @@ class TestParser:
     def test_invalid_date_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["process-day", "--date", "yesterday"])
+
+    @pytest.mark.parametrize("address", ["127.0.0.1:99999", "127.0.0.1:-1",
+                                         "127.0.0.1:x"])
+    def test_bad_address_is_a_usage_error(self, address, capsys):
+        """The coordinator's --listen and the worker's --connect reject a
+        port outside 0-65535 before anything binds or connects."""
+        with pytest.raises(SystemExit) as cli_exit:
+            main(["--backend", "cluster", "--listen", address,
+                  "--spawn-workers", "0", "process-day"])
+        assert cli_exit.value.code == 2
+        assert address in capsys.readouterr().err
+        with pytest.raises(SystemExit) as worker_exit:
+            worker_main(["--connect", address])
+        assert worker_exit.value.code == 2
+        assert address in capsys.readouterr().err
+
+    def test_port_range_edges_accepted(self):
+        assert parse_address("127.0.0.1:0") == ("127.0.0.1", 0)
+        assert parse_address("0.0.0.0:65535") == ("0.0.0.0", 65535)
 
 
 class TestCommands:

@@ -52,18 +52,20 @@ PATTERNS = tuple(re.escape(fast_normalize(fragment))
 @contextlib.contextmanager
 def normal_form_spy():
     """Record the content of every scanner normalisation, through the scan
-    engine's and the AV's bindings; yields the list of contents."""
+    engine's and the AV's bindings (the AV derives only the exact form);
+    yields the list of contents."""
     seen = []
     patches = []
-    for module in (scan_engine, avbaseline):
-        for name in ("fast_normalize", "normalize_for_scan"):
-            original = getattr(module, name)
+    for module, name in ((scan_engine, "fast_normalize"),
+                         (scan_engine, "normalize_for_scan"),
+                         (avbaseline, "normalize_for_scan")):
+        original = getattr(module, name)
 
-            def spy(content, _original=original):
-                seen.append(content)
-                return _original(content)
+        def spy(content, _original=original):
+            seen.append(content)
+            return _original(content)
 
-            patches.append(mock.patch.object(module, name, spy))
+        patches.append(mock.patch.object(module, name, spy))
     with contextlib.ExitStack() as stack:
         for patch in patches:
             stack.enter_context(patch)

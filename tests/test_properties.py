@@ -2,12 +2,14 @@
 invariants: the lexer never crashes and re-tokenizes consistently, the edit
 distance is a metric, banded search agrees with the full dynamic program,
 winnowing honours its density/containment guarantees, the packers round-trip
-through their unpackers for arbitrary cores, and generated regex fragments
-always accept the values they were generalized from.
+through their unpackers for arbitrary cores, generated regex fragments
+always accept the values they were generalized from, and a built pattern's
+literal anchor is in every text the pattern matches.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 import string
@@ -27,8 +29,8 @@ from repro.ekgen.identifiers import random_crypt_key
 from repro.jstoken import tokenize
 from repro.scanner.normalizer import normalize_for_scan
 from repro.signatures.alignment import TokenColumn
-from repro.signatures.anchors import best_anchor, required_literals
-from repro.signatures.regexgen import build_pattern, generalize_column
+from repro.signatures.regexgen import build_pattern, generalize_column, \
+    literal_anchor
 from repro.winnowing.fingerprint import Fingerprint, kgram_hashes, winnow
 
 DEFAULT_SETTINGS = settings(max_examples=60, deadline=None,
@@ -203,60 +205,56 @@ class TestRegexGeneralizationProperties:
             assert re.fullmatch(fragment, value, re.DOTALL), (fragment, value)
 
 
-class TestAnchorSoundnessProperties:
-    """An anchor is a *required* substring: whatever the pattern matches
-    contains it, also when the constant text is full of characters that mean
-    something to ``re`` (JS ``||`` is why: it arrives as ``\\|\\|``)."""
+class TestLiteralAnchorProperties:
+    """The compiler's anchor is a substring of every text its pattern
+    matches, also when the constant text is full of characters that mean
+    something to ``re`` (JS ``||`` arrives as ``\\|\\|``): this guards
+    ``regexgen``'s escaping, which emits constant columns literally."""
 
     SETTINGS = settings(max_examples=300, deadline=None,
                         suppress_health_check=[HealthCheck.too_slow])
-    HOSTILE = "|([\\)]{}*+?.^$-,01ab "
+    HOSTILE = "|([\\)]{}*+?.^$-,01ab \n"
     regex_hostile = st.text(alphabet=HOSTILE, min_size=1, max_size=12)
-
-    @staticmethod
-    def assert_anchors_required(pattern, text):
-        assert re.compile(pattern, re.DOTALL).search(text), (pattern, text)
-        for literal in required_literals(pattern):
-            assert literal in text, (pattern, literal, text)
-        for floor in (1, 8):
-            anchor = best_anchor(pattern, min_length=floor)
-            assert anchor is None or anchor in text, (pattern, anchor, text)
+    # Three samples per column; a constant row is drawn as often as a
+    # varying one, so runs of constant columns (the anchors) are common.
+    rows = st.one_of(regex_hostile.map(lambda value: [value] * 3),
+                     st.lists(regex_hostile, min_size=3, max_size=3))
 
     @SETTINGS
-    @given(st.text(alphabet=HOSTILE + "\n", min_size=1, max_size=12))
-    def test_escaped_text(self, text):
-        self.assert_anchors_required(re.escape(text), text)
-        # Not vacuous: all of it is required, bars included (an escaped
-        # newline is the one escape the walk does not read as a literal).
-        assert "".join(required_literals(re.escape(text))) \
-            == text.replace("\n", "")
-
-    @SETTINGS
-    @given(st.lists(st.lists(regex_hostile, min_size=3, max_size=3),
-                    min_size=1, max_size=6),
-           st.booleans())
+    @given(st.lists(rows, min_size=1, max_size=6), st.booleans())
+    @example([["a||b", "a||b", "a||b"], ["0", "01", "1"],
+              ["(x)$", "(x)$", "(x)$"], ["{1,2}?", "{1,2}?", "{1,2}?"]],
+             True)
     def test_built_patterns(self, rows, use_backreferences):
-        # Three samples; a row whose values agree is a constant column,
-        # equal varying rows become a named group and its backreference.
+        # Equal varying rows become a named group and its backreference.
         columns = [TokenColumn(offset=offset, token_class="String",
                                values=values)
                    for offset, values in enumerate(rows)]
-        pattern = build_pattern(columns,
-                                use_backreferences=use_backreferences)
+        pattern = re.compile(build_pattern(
+            columns, use_backreferences=use_backreferences), re.DOTALL)
+        anchor = literal_anchor(columns)
         for sample in range(3):
-            self.assert_anchors_required(
-                pattern, "".join(values[sample] for values in rows))
+            text = "".join(values[sample] for values in rows)
+            assert pattern.fullmatch(text), (pattern.pattern, text)
+            assert anchor is None or anchor in text, (anchor, text)
+        # Not vacuous: the anchor is the first longest constant run.
+        runs = ["".join(values[0] for values in run)
+                for constant, run in itertools.groupby(
+                    rows, key=lambda values: len(set(values)) == 1)
+                if constant]
+        longest = max(runs, key=len, default="")
+        assert anchor == (longest if len(longest) >= 8 else None)
 
     @SETTINGS
-    @given(st.text(alphabet="abAB01|.", min_size=1, max_size=12))
-    def test_conditionals_and_global_flags(self, text):
-        escaped = re.escape(text)
-        self.assert_anchors_required("(?i)" + escaped, text.swapcase())
-        self.assert_anchors_required(
-            "(?x)" + " ".join(re.escape(character) for character in text),
-            text)
-        for matched in ("zz", "q" + text + "zz"):
-            self.assert_anchors_required(f"(q)?(?(1){escaped})zz", matched)
-        # A flag that leaves literal text alone keeps the whole anchor.
-        self.assert_anchors_required("(?s)" + escaped, text)
-        assert "".join(required_literals("(?s)" + escaped)) == text
+    @given(st.lists(rows, min_size=1, max_size=6), st.booleans(), st.data())
+    def test_anchor_is_in_every_match(self, rows, use_backreferences, data):
+        """Not only the samples': any text the pattern matches, drawn from
+        the pattern itself, holds the anchor."""
+        columns = [TokenColumn(offset=offset, token_class="String",
+                               values=values)
+                   for offset, values in enumerate(rows)]
+        pattern = re.compile(build_pattern(
+            columns, use_backreferences=use_backreferences), re.DOTALL)
+        anchor = literal_anchor(columns)
+        text = data.draw(st.from_regex(pattern, fullmatch=True))
+        assert anchor is None or anchor in text, (pattern.pattern, text)

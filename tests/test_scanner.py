@@ -6,6 +6,8 @@ import datetime
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.scanner import (
     ManualSignatureRule,
@@ -15,6 +17,7 @@ from repro.scanner import (
     default_av_baseline,
     normalize_for_scan,
 )
+from repro.scanner.normalizer import fast_normalize
 from repro.signatures import Signature
 
 D = datetime.date
@@ -100,29 +103,25 @@ class TestScanEngine:
         assert not engine.scan("s1", "var a = 42;", as_of=D(2014, 8, 5)).detected
         assert engine.scan("s1", "var a = 42;", as_of=D(2014, 8, 15)).detected
 
-    def test_scan_many(self):
-        database = SignatureDatabase([
-            Signature(kit="rig", pattern="varmal=1;", created=D(2014, 8, 1))])
-        engine = ScanEngine(database)
-        results = engine.scan_many({"bad": "var mal = 1;", "good": "var ok = 2;"})
-        assert results[0].detected and not results[1].detected
-
-    def test_fast_probe_plan_follows_deploys_and_dates(self):
-        """The fast mode's cached per-kit probe lists are rebuilt on every
-        deployment and for every ``as_of``: each scan agrees with matching
-        the signatures deployed at that moment, reduced per kit."""
+    @pytest.mark.parametrize("mode", ["exact", "fast"])
+    def test_probe_plan_follows_deploys_and_dates(self, mode):
+        """The cached per-kit probe lists are rebuilt on every deployment
+        and for every ``as_of``: each scan agrees with matching every
+        signature deployed at that moment, ungated, reduced per kit."""
         documents = {"rig": "var a = 42;", "angler": "var b = 'x y';",
                      "both": "var a = 42; var b = 'x y';", "none": "var c;"}
         database = SignatureDatabase([
-            Signature(kit="rig", pattern="vara=4", created=D(2014, 8, 1)),
+            Signature(kit="rig", pattern="vara=4", created=D(2014, 8, 1),
+                      literal_anchor="vara=4"),
             Signature(kit="rig", pattern="vara=42;", created=D(2014, 8, 10))])
-        engine = ScanEngine(database, mode="fast")
+        engine = ScanEngine(database, mode=mode)
 
         def assert_scans_match_deployed(as_of):
             deployed = database.signatures_for(as_of=as_of)
             for sample_id, content in documents.items():
-                expected = engine.matching_signatures(
-                    engine.normal_form(content), deployed)
+                normalized = engine.normal_form(content)
+                expected = [signature for signature in deployed
+                            if signature.matches(normalized)]
                 result = engine.scan(sample_id, content, as_of=as_of)
                 assert result.kits == {s.kit for s in expected}
                 assert result.detected == bool(expected)
@@ -203,6 +202,36 @@ class TestAVBaseline:
                        as_of=august_day).detected:
                 flagged += 1
         assert flagged <= 2
+
+    def test_gates_are_necessary(self, small_generator):
+        """A rule that matches a page finds its stated gates in it, under
+        either normal form, on the days around Angler's August 13 change:
+        the gate never changes a verdict."""
+        av = SimulatedCommercialAV(timeline=small_generator.timeline)
+        fired = set()
+        for day in range(11, 15):
+            batch = small_generator.generate_day(D(2014, 8, day))
+            for sample in batch.samples:
+                raw = sample.content
+                for normalized in (normalize_for_scan(raw),
+                                   fast_normalize(raw)):
+                    for rule in av.rules:
+                        if rule.matches(raw, normalized):
+                            fired.add(rule.name)
+                            assert rule.could_match(raw, normalized), \
+                                rule.name
+        # Every kit's rules, before and after Angler's change, took part.
+        assert {"ANGLER.sig1", "ANGLER.sig3", "NUCLEAR.sig1", "RIG.sig4",
+                "SWEETORANGE.sig2"} <= fired, fired
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_gates_hold_on_every_match(self, data):
+        """Any text a rule's pattern matches, drawn from the pattern itself,
+        passes the rule's gates on either side."""
+        rule = data.draw(st.sampled_from(default_av_baseline().rules))
+        text = data.draw(st.from_regex(rule.compiled, fullmatch=True))
+        assert rule.could_match(text, "") and rule.could_match("", text)
 
     def test_release_dates_reported(self):
         av = default_av_baseline()

@@ -118,11 +118,11 @@ class TestNamedShapes:
         assert window.window == tuple("abcd") and window.positions == [0, 1]
 
     @pytest.mark.xfail(strict=True, reason=(
-        "known wrong answer (ROADMAP item 5): the bisection moves down when "
-        "a probe is infeasible, but here the failing condition is uniqueness, "
-        "which gets easier as the window grows -- 200 is feasible, 100 is "
-        "not, and the 8..1 fallback finds nothing, so the kit gets no "
-        "signature.  The oracle gives the same None."))
+        "known wrong answer (ROADMAP item 9(d)): the bisection moves down "
+        "when a probe is infeasible, but here the failing condition is "
+        "uniqueness, which gets easier as the window grows -- 200 is "
+        "feasible, 100 is not, and the 8..1 fallback finds nothing, so the "
+        "kit gets no signature.  The oracle gives the same None."))
     def test_body_served_three_times_over_gets_a_window(self):
         window = common_token_window([BODY * 3] * 4)
         assert window is not None and window.length == 200
