@@ -70,6 +70,13 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _august_days(text: str) -> int:
+    value = _nonnegative_int(text)
+    if not 1 <= value <= 31:
+        raise argparse.ArgumentTypeError(f"must be 1-31: {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kizzle-repro",
@@ -141,18 +148,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="disable the token-bag distance prefilter")
     parser.add_argument("--incremental", action="store_true",
                         help="enable the day-over-day warm path: shed "
-                             "known samples, carry clusters forward, scan "
-                             "with the fast normal form")
+                             "known samples, carry clusters forward")
     parser.add_argument("--no-shed", action="store_true",
                         help="with --incremental: disable known-sample "
                              "shedding")
     parser.add_argument("--no-carry-forward", action="store_true",
                         help="with --incremental: disable cluster label "
                              "carry-forward")
-    parser.add_argument("--scan-mode", choices=("fast", "exact"),
-                        default="fast",
-                        help="with --incremental: normal form used for "
-                             "scanning (default fast)")
     parser.add_argument("--scale", type=float, default=1.0,
                         help="multiply all stream volumes (e.g. 360 for a "
                              "paper-scale ~20k-sample day)")
@@ -173,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     evaluate = commands.add_parser(
         "evaluate", help="run the month-long Kizzle-vs-AV evaluation")
-    evaluate.add_argument("--days", type=int, default=7,
+    evaluate.add_argument("--days", type=_august_days, default=7,
                           help="number of August 2014 days to simulate")
     return parser
 
@@ -193,8 +195,7 @@ def _incremental_config(args: argparse.Namespace) -> IncrementalConfig:
     return IncrementalConfig(
         enabled=args.incremental,
         shed_known=not args.no_shed,
-        carry_forward=not args.no_carry_forward,
-        scan_mode=args.scan_mode)
+        carry_forward=not args.no_carry_forward)
 
 
 def _engine_config(args: argparse.Namespace) -> DistanceEngineConfig:
@@ -299,7 +300,7 @@ def command_scan(args: argparse.Namespace, out) -> int:
 
 def command_evaluate(args: argparse.Namespace, out) -> int:
     start = datetime.date(2014, 8, 1)
-    end = start + datetime.timedelta(days=max(1, args.days) - 1)
+    end = start + datetime.timedelta(days=args.days - 1)
     config = ExperimentConfig(start=start, end=end, seed_days=3,
                               stream=_stream_config(args),
                               kizzle=_kizzle_config(args))

@@ -34,15 +34,6 @@ class IncrementalConfig:
         samples within ``epsilon`` of an anchor are absorbed into the
         anchor's cluster (inheriting its label without re-unpacking or
         re-winnowing) and only the residual novel material enters DBSCAN.
-    scan_mode:
-        ``"exact"`` scans with the lexer-based normal form; ``"fast"``
-        (the warm default when enabled) scans with
-        :func:`~repro.scanner.normalizer.fast_normalize` (one C-level
-        ``re.split`` pass, 57-70 MB/s where the lexer manages 6.3-14.9).
-        Both probe alike, gated by each signature's literal anchor.  Fast
-        mode is verdict-equivalent on the synthetic stream (asserted by
-        tests); exact mode is the fallback for content the fast normalizer
-        was not designed for.
     anchor_ttl_days:
         Days a carry-forward anchor survives without absorbing anything
         before it is dropped (stale prototypes stop paying rent).
@@ -54,13 +45,10 @@ class IncrementalConfig:
     enabled: bool = False
     shed_known: bool = True
     carry_forward: bool = True
-    scan_mode: str = "fast"
     anchor_ttl_days: int = 7
     max_anchors: int = 256
 
     def __post_init__(self) -> None:
-        if self.scan_mode not in ("exact", "fast"):
-            raise ValueError("scan_mode must be 'exact' or 'fast'")
         if self.anchor_ttl_days < 1:
             raise ValueError("anchor_ttl_days must be at least 1")
         if self.max_anchors < 1:
@@ -102,8 +90,8 @@ class KizzleConfig:
         cluster's samples — this is what makes the Figure 12 "steps" appear
         only when the kit actually changes.
     incremental:
-        Day-over-day warm-path settings (shedding, carry-forward, fast
-        scanning); disabled by default.  See :class:`IncrementalConfig`.
+        Day-over-day warm-path settings (shedding, carry-forward);
+        disabled by default.  See :class:`IncrementalConfig`.
     backend:
         Execution-backend selection (``serial`` / ``process`` /
         ``cluster``) and its transport knobs.  Unset fields inherit the

@@ -67,6 +67,7 @@ from repro.exec.backend import create_backend
 from repro.labeling.corpus import KnownKitCorpus
 from repro.labeling.labeler import ClusterLabel, ClusterLabeler
 from repro.scanner.engine import ScanEngine, SignatureDatabase
+from repro.scanner.normalizer import normalize_for_scan
 from repro.signatures.compiler import SignatureCompiler
 from repro.signatures.signature import Signature
 from repro.unpack.registry import UnpackerRegistry, default_registry
@@ -397,13 +398,8 @@ class Kizzle:
                    for content in contents)
 
     def scan_engine(self) -> ScanEngine:
-        """A scan engine over the signatures generated so far, in the
-        pipeline's scan mode: exact on a cold day, ``scan_mode`` on the
-        warm path."""
-        incremental = self.config.incremental
-        if not incremental.enabled:
-            return ScanEngine(self.database)
-        return ScanEngine(self.database, mode=incremental.scan_mode)
+        """A scan engine over the signatures generated so far."""
+        return ScanEngine(self.database)
 
     def kits_matching(self, content: str,
                       as_of: Optional[datetime.date] = None,
@@ -416,9 +412,8 @@ class Kizzle:
         and is probed only against signatures deployed since, newest first,
         the first hit per kit; content not in the record, or another
         ``as_of``, starts from nothing, which is a full scan.
-        ``normalized`` is the content's normal form in the scan mode when
-        the caller holds it; otherwise it is derived only if a signature
-        needs probing.
+        ``normalized`` is the content's normal form when the caller holds
+        it; otherwise it is derived only if a signature needs probing.
         """
         record_date, generation = self._record_at
         matched = self._record.get(content) if as_of == record_date else None
@@ -436,7 +431,7 @@ class Kizzle:
         if probes:
             engine = self.scan_engine()
             if normalized is None:
-                normalized = engine.normal_form(content)
+                normalized = normalize_for_scan(content)
             found.update(name for name, signatures in probes.items()
                          if engine.first_match(normalized, signatures)
                          is not None)

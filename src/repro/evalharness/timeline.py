@@ -17,16 +17,15 @@
 
 When the Kizzle configuration enables the incremental warm path
 (``kizzle.incremental.enabled``), the experiment runs warm end to end: the
-pipeline sheds known samples and carries clusters forward day over day, and
-both scan engines scan the pipeline's normal form (fast by default).  The scan
-stage derives each sample's normal form once and hands that string to both
-engines; Kizzle's side reads the pipeline's day record
+pipeline sheds known samples and carries clusters forward day over day.
+Either way the scan stage derives each sample's normal form once and hands
+that string to both engines; Kizzle's side reads the pipeline's day record
 (:meth:`~repro.core.pipeline.Kizzle.kits_matching`), so content its shed
 already scanned is probed only against the signatures deployed since.  A
 warm day therefore normalizes each content at most twice: once in shed and
 once here.  The recorded FP/FN metrics are identical to a cold run on the
-synthetic stream — that equivalence (and the >=5x day-over-day speedup) is
-asserted by the benchmark suite.
+synthetic stream, which ``tests/paper/test_perf_incremental_month.py``
+asserts.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from repro.ekgen.telemetry import StreamConfig, TelemetryGenerator
 from repro.evalharness.groundtruth import GroundTruth
 from repro.evalharness.metrics import DayMetrics, KitCounts, score_day
 from repro.scanner.avbaseline import SimulatedCommercialAV
+from repro.scanner.normalizer import normalize_for_scan
 
 
 @dataclass
@@ -261,11 +261,10 @@ class MonthExperiment:
     def _stage_scan(self, context) -> None:
         """Scan the day with both engines, one normal form per sample."""
         date = context["date"]
-        engine = self.kizzle.scan_engine()
         kizzle_detections: Dict[str, Set[str]] = {}
         av_detections: Dict[str, Set[str]] = {}
         for sample in context["batch"].samples:
-            normalized = engine.normal_form(sample.content)
+            normalized = normalize_for_scan(sample.content)
             kizzle_detections[sample.sample_id] = self.kizzle.kits_matching(
                 sample.content, date, normalized=normalized)
             av_detections[sample.sample_id] = self.av.scan(

@@ -27,8 +27,8 @@ def strip_html(document: str) -> str:
     returned unchanged and treated as raw JavaScript.  External scripts
     (``<script src=...>``) contribute no body and are skipped.
     """
-    if "<script" not in document.lower():
-        return document
+    if "<script" not in document and "<script" not in document.lower():
+        return document     # (the first test spares most pages the copy)
     bodies: List[str] = []
     position = 0
     while True:
@@ -87,12 +87,8 @@ def abstract_classes(tokens: Sequence[Token],
 
 def abstract_tokens_of(tokens: Sequence[Token],
                        collapse: bool = True) -> Tuple[str, ...]:
-    """The abstract token string of an already-tokenized sample.
-
-    Factored out of :func:`abstract_token_string` so callers holding a token
-    list (e.g. the incremental pipeline's per-content cache) can derive the
-    abstract string without re-lexing.
-    """
+    """The abstract token string of an already-tokenized sample, for
+    callers holding a token list (the compiler's window check)."""
     if collapse:
         return tuple(value if cls.concrete else cls.collapsed
                      for cls, value, _, _ in tokens)

@@ -18,16 +18,12 @@ Both scale to paper-size streams:
   verdicts; the per-kit probe lists are built once per
   ``(as_of, database.generation)``, not per document.
 
-The mode chooses only the normal form: ``exact`` (the default) runs the
-JavaScript lexer, as the paper's scanner does; ``fast`` runs
-:func:`~repro.scanner.normalizer.fast_normalize` (one C-level ``re.split``
-pass, no Python lexer and no Python code per string literal), which is
-verdict-equivalent on the synthetic stream but not on commented pages
-(ROADMAP item 1).
-
-The engine holds no per-content state: every ``scan`` normalizes its
-content.  The pipeline's day record (``Kizzle.kits_matching``) is what
-spares a re-scan of content its shed stage already scanned.
+Every scan reads the one normal form,
+:func:`~repro.scanner.normalizer.normalize_for_scan`, which runs the
+JavaScript lexer only where its C-level paths cannot decide.  The engine
+holds no per-content state: every ``scan`` normalizes its content.  The
+pipeline's day record (``Kizzle.kits_matching``) is what spares a re-scan of
+content its shed stage already scanned.
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ import datetime
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set
 
-from repro.scanner.normalizer import fast_normalize, normalize_for_scan
+from repro.scanner.normalizer import normalize_for_scan
 from repro.signatures.signature import Signature
 
 
@@ -183,19 +179,13 @@ class ScanEngine:
     ----------
     database:
         The deployed signatures.
-    mode:
-        The normal form scanned: ``"exact"`` (default) normalizes through
-        the JavaScript lexer, as the paper's scanner does; ``"fast"`` uses
-        :func:`~repro.scanner.normalizer.fast_normalize`, the warm path of
-        the incremental pipeline.  Both modes probe alike.
     """
 
     def __init__(self, database: SignatureDatabase,
                  mode: str = "exact") -> None:
-        if mode not in ("exact", "fast"):
-            raise ValueError(f"unknown scan mode: {mode!r}")
+        # ``mode`` ("exact" or "fast") selects nothing: there is one normal
+        # form.  Read by bench/ until ROADMAP item 2(d).
         self.database = database
-        self.mode = mode
         #: Telemetry: samples scanned.  ``memo_hits`` is always 0, a read
         #: path for ``bench/trace.py`` until ROADMAP item 2(d).
         self.counters = {"scans": 0, "memo_hits": 0}
@@ -205,12 +195,6 @@ class ScanEngine:
         self._plan_key: Optional[tuple] = None
 
     # ------------------------------------------------------------------
-    def normal_form(self, content: str) -> str:
-        """The normal form scanned in the engine's mode."""
-        if self.mode == "fast":
-            return fast_normalize(content)
-        return normalize_for_scan(content)
-
     def first_match(self, normalized: str,
                     signatures: Iterable[Signature]) -> Optional[Signature]:
         """The first signature in iteration order that matches, or ``None``.
@@ -253,7 +237,7 @@ class ScanEngine:
         for one regex instead of all of them.
         """
         self.counters["scans"] += 1
-        normalized = self.normal_form(content)
+        normalized = normalize_for_scan(content)
         matches: List[Signature] = []
         for signatures in self._probe_plan(as_of):
             hit = self.first_match(normalized, signatures)

@@ -4,44 +4,41 @@ Anti-virus engines normalize scanned content before signature matching: the
 paper notes that quotation marks are removed automatically, and the example
 signatures of Figure 10 clearly match against whitespace-free text
 (``varaa=xx\\.join`` / ``returnaa``).  Kizzle signatures are generated against
-the same normal form, so both sides of the comparison use this module:
+the same normal form, so both sides of the comparison use this module.  There
+is one normal form, the lexer's:
 
 * inline-script extraction from HTML,
 * comment removal,
 * whitespace removal between tokens,
 * string-literal quote removal.
 
-The implementation reuses the JavaScript lexer so that normalization is
-consistent with tokenization by construction.
-
-For the incremental warm path (PR 2) there is also :func:`fast_normalize`, a
-regex-based approximation of the same normal form that is cheaper because it
-never tokenizes: one C-level ``re.split`` pass over the whole sample, with no
-Python code per string literal (48-55 MB/s traced on the ``bench/``
-workloads; the ``finditer`` loop it replaced, one match object and four
-Python operations per literal, ran at 16-18 MB/s) where the lexer spends one
-regex match per token (4.5-13 MB/s).  It differs from
-:func:`normalize_for_scan` only on content it was not designed for (comments
-outside string literals, markup interleaved mid-expression); on the synthetic
-telemetry stream the two produce verdict-identical signature matches, which
-``tests/test_incremental.py`` asserts across drift days.
+:func:`normalize_for_scan` derives it without the lexer wherever a C-level
+``re.split`` pass provably gives the lexer's output (:func:`fast_normalize`,
+then :func:`_splice_regexes` on scripts with a ``/`` outside their
+literals), and runs the lexer only where neither can decide: comments,
+unterminated quotes, a quote whose body holds a line terminator other than
+``\\n``, and the blanks U+00A0 / U+FEFF / U+2028 / U+2029.
+``tests/test_scan_normal_form.py`` holds the two paths equal on every input.
 """
 
 from __future__ import annotations
 
 import re
+from typing import List, Optional
 
-from repro.jstoken.normalizer import tokenize_sample
-from repro.jstoken.tokens import TokenClass
+from repro.jstoken.lexer import (
+    _DIVISION_PRECEDING_PUNCTUATORS,
+    _REGEX_BODY,
+    _REGEX_PRECEDING_KEYWORDS,
+    tokenize,
+)
+from repro.jstoken.normalizer import strip_html, tokenize_sample
+from repro.jstoken.tokens import KEYWORDS, TokenClass
 
 
 def normalize_tokens(tokens) -> str:
-    """The scanner normal form of an already-tokenized sample.
-
-    Factored out of :func:`normalize_for_scan` so callers holding a token
-    list (e.g. the incremental pipeline's per-content cache) can derive the
-    normal form without re-lexing.
-    """
+    """The scanner normal form of an already-tokenized sample: the concrete
+    token texts concatenated, string and template quotes removed."""
     string, template = TokenClass.STRING, TokenClass.TEMPLATE
     parts = []
     for cls, value, _, _ in tokens:
@@ -61,56 +58,193 @@ def normalize_for_scan(content: str) -> str:
 
     The sample's inline scripts are tokenized (dropping comments) and the
     concrete token texts are concatenated without separators, with the quotes
-    of string/template literals removed.
+    of string/template literals removed.  The lexer runs only where the
+    C-level paths cannot decide (see the module docstring).
     """
-    return normalize_tokens(tokenize_sample(content))
+    scripts = strip_html(content)
+    normal_form = fast_normalize(scripts)
+    if normal_form is None:
+        normal_form = _splice_regexes(scripts)
+        if normal_form is None:
+            return normalize_tokens(tokenize_sample(content))
+    return normal_form
 
 
-#: One alternative per literal kind (single-line for quotes, multi-line for
-#: backticks), each capturing the literal's interior, plus an uncaptured run
-#: of the whitespace deleted between tokens.  Backslash escapes are honoured
-#: so an escaped quote does not terminate the literal early.  Each literal is
-#: *unrolled* -- ``[^"\\\n]*(?:\\.[^"\\\n]*)*`` instead of
-#: ``(?:[^"\\\n]|\\.)*`` -- so an interior is consumed in a few C-level
-#: character-class runs rather than one alternation step per character.  No
-#: alternative can match the empty string, and no possessive quantifier or
-#: atomic group is used (Python 3.9 / 3.10 reject them; CI checks).
-_SPLIT_RE = re.compile(
-    r"\"([^\"\\\n]*(?:\\.[^\"\\\n]*)*)\""
-    r"|'([^'\\\n]*(?:\\.[^'\\\n]*)*)'"
-    r"|`([^`\\]*(?:\\.[^`\\]*)*)`"
-    r"|[ \t\n\r\f\v]+", re.DOTALL)
+#: Literal bodies as the lexer reads them: a quote's body stops at a line
+#: terminator (U+2028 and U+2029 are refused before the split, which keeps
+#: every class here Latin-1 and so a bitmap), a backtick's does not, and a
+#: backslash takes the next character whatever it is.  Each body is
+#: *unrolled* -- ``[^"\\\n\r]*(?:\\.[^"\\\n\r]*)*`` instead of
+#: ``(?:[^"\\\n\r]|\\.)*`` -- so it is consumed in a few C-level runs.
+_BODIES = {quote: f"[^{quote}\\\\{stop}]*(?:\\\\.[^{quote}\\\\{stop}]*)*"
+           for quote, stop in (('"', "\\n\\r"), ("'", "\\n\\r"), ("`", ""))}
+_BLANKS = " \t\n\r\f\v"
+#: Characters outside literals that the split cannot decide on: the start of
+#: a comment or regex literal, a kept blank, and (after its terminated
+#: alternative failed) an unterminated quote.
+_SPECIALS = ("/", "\\xa0", '"', "'", "`")
+
+#: Every alternative starts with one literal character, so ``sre`` skips
+#: to the next candidate position through a character-set prefix.  A
+#: terminated literal leaves its interior as the group of its kind; a
+#: whitespace run leaves nothing; a special swallows the rest of the input,
+#: uncaptured, so the sentinel :func:`fast_normalize` appends is gone exactly
+#: when one occurred -- and an unterminated quote is paid for once.
+_SPLIT_RE = re.compile("|".join(
+    [f"{quote}({body}){quote}" for quote, body in _BODIES.items()]
+    + [f"{re.escape(blank)}[{re.escape(_BLANKS)}]*" for blank in _BLANKS]
+    + [f"{special}.*" for special in _SPECIALS]), re.DOTALL)
+#: Starts no alternative and closes no literal, so only a special's ``.*``
+#: can consume it.
+_SENTINEL = ";"
 
 
-def fast_normalize(content: str) -> str:
-    """Cheap approximation of :func:`normalize_for_scan`.
+def _refused(scripts: str) -> bool:
+    """Whether ``scripts`` holds U+2028, U+2029 or U+FEFF, which the split
+    does not model (free for Latin-1 text: ``in`` compares string kinds
+    first)."""
+    return "\u2028" in scripts or "\u2029" in scripts or "\ufeff" in scripts
 
-    One C-level ``re.split`` pass: the content is split on string/template
-    literals and on whitespace runs *outside* literals.  A literal leaves
-    its interior behind as the capture group of its kind -- verbatim,
-    including any whitespace (the lexer keeps string bodies intact too,
-    which is why plain whole-text whitespace stripping is *not*
-    verdict-equivalent) -- and a whitespace run leaves nothing; ``filter``
-    drops the ``None`` / empty groups and ``join`` concatenates the rest, so
-    no Python-level code runs per literal.
 
-    Unlike the exact normalizer this keeps markup outside inline scripts and
-    would keep comment text; both only ever *add* characters relative to the
-    exact normal form, so a signature match can in principle appear or
-    disappear only where those extra characters break the adjacency of
-    neighbouring tokens.  The generated telemetry stream has no such
-    content; one comment per statement blinds every fast-mode verdict
-    (``tests/test_incremental.py::TestCommentedPages``, an ``xfail`` until
-    ROADMAP item 1 decides the fast normal form).
+def fast_normalize(scripts: str) -> Optional[str]:
+    """The normal form of ``scripts`` (inline-script text, as
+    :func:`~repro.jstoken.normalizer.strip_html` returns it) in one C-level
+    ``re.split`` pass, or ``None`` where the split alone cannot decide.
 
-    Cost is linear except on one hostile shape: a quote character that does
-    not open a terminated literal is retried as an opener wherever it
-    occurs, and each failed attempt scans to the end of the line (``"`` /
-    ``'``) or of the input (backtick).  Escaped quotes *outside* a literal
-    are exactly that, so ``'\\"' * n`` on one line and ``'\\`' * n`` are
-    O(n^2) (2.56 s and 4.8 s at n = 8,000 on a 2-core host; ROADMAP item
-    7(c)).
-    ``tests/test_fast_normalize_differential.py`` pins the output on every
-    input to the pre-split loop kept in ``tests/oracle_fast_normalize.py``.
+    The text is split on string/template literals and on whitespace runs
+    *outside* literals.  A literal leaves its interior behind verbatim --
+    the lexer keeps string bodies intact too -- and a whitespace run leaves
+    nothing; ``filter`` drops the ``None`` / empty groups and ``join``
+    concatenates the rest, so no Python-level code runs per literal.  That is
+    the lexer's normal form whenever no token other than a literal holds a
+    quote, a blank or a ``/``, which the split checks on the way: a ``/``
+    outside literals (a comment, a regex literal, or division), an
+    unterminated quote, U+00A0 outside literals or U+FEFF / U+2028 / U+2029
+    anywhere returns ``None``.
+
+    Cost is linear.  Each literal body's classes exclude its escape
+    character, so a terminated attempt that fails has scanned its line (or,
+    for a backtick, the input) once; the special that then takes the quote
+    swallows the rest, so no second attempt follows.  (The pre-split loop
+    kept in ``tests/oracle_fast_normalize.py`` retried every later quote and
+    was quadratic on ``'\\\\"' * n``.)  Where this returns a string it equals
+    that loop's output.
     """
-    return "".join(filter(None, _SPLIT_RE.split(content)))
+    if _refused(scripts):
+        return None
+    pieces = _SPLIT_RE.split(scripts + _SENTINEL)
+    tail = pieces[-1]
+    if not tail:
+        return None
+    pieces[-1] = tail[:-1]
+    return "".join(filter(None, pieces))
+
+
+#: The run of text up to the next special outside literals.
+_TO_SPECIAL = re.compile("(?:[^/\\xa0\"'`]+|{})*".format("|".join(
+    f"{quote}{body}{quote}" for quote, body in _BODIES.items())),
+    re.DOTALL).match
+_IDENTIFIER = re.compile("[A-Za-z0-9_$\\u0080-\\U0010ffff]").match
+#: The keywords after which a ``/`` starts a regex (``of`` lexes as an
+#: identifier), longest first.
+_KEYWORDS = sorted(_REGEX_PRECEDING_KEYWORDS & KEYWORDS, key=len,
+                   reverse=True)
+_EXPRESSION_ENDS = {punctuator[-1]
+                    for punctuator in _DIVISION_PRECEDING_PUNCTUATORS}
+
+
+def _regex_allowed_before(scripts: str, end: int, regex_end: int
+                          ) -> Optional[bool]:
+    """Whether a ``/`` whose previous significant token ends at ``end``
+    starts a regex literal (the lexer's ``_regex_allowed``), read off the
+    raw text; ``None`` where the text alone leaves the token ambiguous.
+
+    ``regex_end`` is where the last spliced regex literal ended.  The
+    caller has ruled out comments, so the token is a literal, a word, a
+    number or a punctuator.
+    """
+    if end == 0:
+        return True
+    if end == regex_end:
+        return False
+    last = scripts[end - 1]
+    if last in "\"'`":
+        return False
+    if last in _EXPRESSION_ENDS:
+        if last in "+-":
+            # A run of ``+`` lexes as ``++`` pairs plus, when odd, one ``+``.
+            start = end - 1
+            while start and scripts[start - 1] == last:
+                start -= 1
+            return (end - start) % 2 == 1
+        return False
+    if last == ".":
+        # ``1.`` is a number, ``a.`` a punctuator.
+        return None if end > 1 and scripts[end - 2] in "0123456789" \
+            else True
+    if _IDENTIFIER(last):
+        for keyword in _KEYWORDS:
+            if scripts.endswith(keyword, 0, end):
+                start = end - len(keyword)
+                if start and _IDENTIFIER(scripts[start - 1]):
+                    return None          # ``xreturn``, or ``1return``
+                return True
+        return False
+    return True
+
+
+def _splice_regexes(scripts: str) -> Optional[str]:
+    """The normal form of scripts with a ``/`` outside their literals, or
+    ``None`` where it needs the lexer.
+
+    Walks the specials outside literals in order: comments, unterminated
+    quotes and kept blanks return ``None``; a ``/`` where the lexer's rule
+    allows a regex is copied with its body verbatim (found by the lexer's
+    own ``_REGEX_BODY``), any other ``/`` is a punctuator.  The text between
+    specials is normalized by the split, as in :func:`fast_normalize`.
+    """
+    if _refused(scripts):
+        return None
+    parts: List[str] = []
+    length = len(scripts)
+    position = 0
+    regex_end = -1
+    while True:
+        special = _TO_SPECIAL(scripts, position).end()
+        parts.extend(filter(None, _SPLIT_RE.split(
+            scripts[position:special])))
+        if special == length:
+            return "".join(parts)
+        if scripts[special] != "/" \
+                or scripts[special + 1:special + 2] in ("/", "*"):
+            return None
+        end = special
+        while end and scripts[end - 1] in _BLANKS:
+            end -= 1
+        allowed = _regex_allowed_before(scripts, end, regex_end)
+        if allowed is None:
+            return None
+        position = special + 1
+        if allowed:
+            body = _REGEX_BODY(scripts, position)
+            if body.lastindex is not None or body.end() == length:
+                position = regex_end = body.end()
+        parts.append(scripts[special:position])
+
+
+def blank_comments(scripts: str) -> str:
+    """``scripts`` with each comment the lexer finds replaced by one space,
+    everything else verbatim.  Scripts that the split or the splice decides
+    hold no comment and come back as they are; only the rest are lexed."""
+    if fast_normalize(scripts) is not None \
+            or _splice_regexes(scripts) is not None:
+        return scripts
+    parts = []
+    position = 0
+    for cls, value, start, _ in tokenize(scripts, keep_comments=True):
+        if cls is TokenClass.COMMENT:
+            parts.append(scripts[position:start])
+            parts.append(" ")
+            position = start + len(value)
+    parts.append(scripts[position:])
+    return "".join(parts)

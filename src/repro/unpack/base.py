@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+import functools
 from typing import Optional
 
 from repro.jstoken.normalizer import strip_html
@@ -46,5 +47,19 @@ class Unpacker(abc.ABC):
 
     @staticmethod
     def script_of(content: str) -> str:
-        """The inline-script portion of a sample (HTML is tolerated)."""
-        return strip_html(content)
+        """The inline-script portion of a sample (HTML is tolerated), with
+        its comments blanked: like the lexer's tokens, what a packer's
+        patterns see does not change when comments are added."""
+        return _script_of(content)
+
+
+@functools.lru_cache(maxsize=1)
+def _script_of(content: str) -> str:
+    # One entry: the registry asks every unpacker about the same layer.
+    script = strip_html(content)
+    if "//" not in script and "/*" not in script:
+        return script
+    # Imported here: the scanner package imports this one.
+    from repro.scanner.normalizer import blank_comments
+
+    return blank_comments(script)

@@ -56,6 +56,18 @@ class TestParser:
         assert worker_exit.value.code == 2
         assert address in capsys.readouterr().err
 
+    @pytest.mark.parametrize("days", ["0", "-2", "32", "x"])
+    def test_days_outside_august_are_a_usage_error(self, days, capsys):
+        with pytest.raises(SystemExit) as cli_exit:
+            main(["evaluate", "--days", days])
+        assert cli_exit.value.code == 2
+        assert "--days" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("days", [1, 31])
+    def test_august_edges_accepted(self, days):
+        args = build_parser().parse_args(["evaluate", "--days", str(days)])
+        assert args.days == days
+
     def test_port_range_edges_accepted(self):
         assert parse_address("127.0.0.1:0") == ("127.0.0.1", 0)
         assert parse_address("0.0.0.0:65535") == ("0.0.0.0", 65535)
@@ -91,10 +103,8 @@ class TestCommands:
 
     def test_incremental_flags_parsed(self):
         args = build_parser().parse_args(
-            ["--incremental", "--no-shed", "--scan-mode", "exact",
-             "--scale", "2.0", "process-day"])
+            ["--incremental", "--no-shed", "--scale", "2.0", "process-day"])
         assert args.incremental and args.no_shed
-        assert args.scan_mode == "exact"
         assert args.scale == 2.0
 
     def test_backend_flag_parsed(self):

@@ -5,10 +5,10 @@ record (``Kizzle._record``).  :meth:`Kizzle.kits_matching` extends a
 recorded verdict with the signatures deployed since, and scans in full
 whatever the record does not hold.  The property here is that the two
 together answer exactly what a fresh, cache-less :class:`ScanEngine` does —
-same ``kits``, same ``detected`` — in both scan modes, across random deploy
-sequences.  The spy tests pin what the record buys: a coverage check after
-shed normalises nothing unless its kit deployed since, and a warm month day
-normalises each content at most twice (shed, then evaluation).
+same ``kits``, same ``detected`` — across random deploy sequences.  The spy
+tests pin what the record buys: a coverage check after shed normalises
+nothing unless its kit deployed since, and a warm month day normalises each
+content at most twice (shed, then evaluation).
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from unittest import mock
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.core.pipeline as pipeline
+import repro.evalharness.timeline as timeline
 import repro.scanner.avbaseline as avbaseline
 import repro.scanner.engine as scan_engine
 from repro.core.config import IncrementalConfig, KizzleConfig
@@ -40,45 +42,42 @@ ONE_DAY = datetime.timedelta(days=1)
 SHED_DATE = D(2014, 8, 5)
 KITS = ("angler", "nuclear", "rig")
 
-#: Script fragments whose fast and exact normal forms agree, so one pattern
-#: list serves both scan modes.
+#: Script fragments the split decides on its own.
 FRAGMENTS = ("alpha(1);", "alpha(42);", "beta(22);", "var g=3;", "eval(x);",
              "k='s p';", "gamma(x,y);")
-PATTERNS = tuple(re.escape(fast_normalize(fragment))
+PATTERNS = tuple(re.escape(normalize_for_scan(fragment))
                  for fragment in FRAGMENTS) + (
     r"alpha\(\d+\);", r"beta\(\d+\);eval", r"g=\d;", r"eval\(x\);.*k=s p;")
 
 
 @contextlib.contextmanager
 def normal_form_spy():
-    """Record the content of every scanner normalisation, through the scan
-    engine's and the AV's bindings (the AV derives only the exact form);
-    yields the list of contents."""
+    """Record the content of every scanner normalisation, through every
+    ``normalize_for_scan`` binding that scans; yields the list of
+    contents."""
     seen = []
     patches = []
-    for module, name in ((scan_engine, "fast_normalize"),
-                         (scan_engine, "normalize_for_scan"),
-                         (avbaseline, "normalize_for_scan")):
-        original = getattr(module, name)
+    for module in (scan_engine, pipeline, timeline, avbaseline):
+        original = module.normalize_for_scan
 
         def spy(content, _original=original):
             seen.append(content)
             return _original(content)
 
-        patches.append(mock.patch.object(module, name, spy))
+        patches.append(mock.patch.object(module, "normalize_for_scan", spy))
     with contextlib.ExitStack() as stack:
         for patch in patches:
             stack.enter_context(patch)
         yield seen
 
 
-def _kizzle(mode: str) -> Kizzle:
+def _kizzle() -> Kizzle:
     """A warm pipeline with an empty corpus: every cluster is benign, so a
     day compiles nothing and only the test deploys."""
     return Kizzle(KizzleConfig(
         machines=2, min_points=3,
         distance=DistanceEngineConfig(workers=1),
-        incremental=IncrementalConfig(enabled=True, scan_mode=mode),
+        incremental=IncrementalConfig(enabled=True),
         backend=BackendConfig(kind="serial")))
 
 
@@ -102,21 +101,20 @@ def test_fragments_normalise_alike():
 class TestRecordProperty:
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(mode=st.sampled_from(["fast", "exact"]),
-           before=st.lists(signatures, max_size=5),
+    @given(before=st.lists(signatures, max_size=5),
            after=st.lists(signatures, max_size=4),
            pool=st.lists(contents, min_size=1, max_size=6, unique=True),
            picks=st.lists(st.tuples(st.sampled_from("abc"),
                                     st.integers(0, 5)),
                           min_size=1, max_size=12),
            stranger=contents)
-    def test_record_plus_extension_is_a_fresh_scan(self, mode, before, after,
-                                                   pool, picks, stranger):
+    def test_record_plus_extension_is_a_fresh_scan(self, before, after, pool,
+                                                   picks, stranger):
         # Ids repeat across pages and pages repeat across ids.
         samples = [(sample_id, pool[index % len(pool)])
                    for sample_id, index in picks]
         distinct = {content for _sample_id, content in samples}
-        kizzle = _kizzle(mode)
+        kizzle = _kizzle()
         for signature in before:
             kizzle.database.add(signature)
         with normal_form_spy() as normalised:
@@ -133,7 +131,7 @@ class TestRecordProperty:
 
         for signature in after:
             kizzle.database.add(signature)
-        fresh = ScanEngine(kizzle.database, mode=mode)
+        fresh = ScanEngine(kizzle.database)
         as_ofs = (SHED_DATE, SHED_DATE + ONE_DAY, SHED_DATE - 2 * ONE_DAY,
                   None)
         for content in sorted(distinct | {stranger}):
@@ -143,7 +141,7 @@ class TestRecordProperty:
                 assert kizzle.detects(content, as_of) == expected.detected
                 assert kizzle.kits_matching(
                     content, as_of,
-                    normalized=fresh.normal_form(content)) == expected.kits
+                    normalized=normalize_for_scan(content)) == expected.kits
                 for kit in KITS:
                     assert (kit in kizzle.kits_matching(
                         content, as_of, kit=kit)) == (kit in expected.kits)

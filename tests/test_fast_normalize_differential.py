@@ -2,9 +2,11 @@
 
 ``tests/oracle_fast_normalize.py`` is the ``finditer`` loop that was
 ``repro.scanner.normalizer.fast_normalize`` until the ``re.split`` form took
-its place; it is the reference here, and the two must agree character for
-character on every input -- the scanner's verdicts, the verdict memo and every
-``output_digest`` of ``bench/`` hang on the normal form.
+its place; it is the reference here.  ``fast_normalize`` now declines
+(returns ``None``) wherever the split alone cannot give the lexer's normal
+form; wherever it returns a string, the two must agree character for
+character.  ``tests/test_scan_normal_form.py`` holds the whole scan normal
+form, declines included, to the lexer's.
 """
 
 from __future__ import annotations
@@ -20,15 +22,22 @@ import oracle_fast_normalize
 import test_failure_injection as failure_injection
 from test_jstoken_lexer import TestNoHang as LexerNoHang
 from test_lexer_differential import WEEK_SEED, week_of_pages  # noqa: F401
-from repro.scanner.normalizer import fast_normalize
+from repro.jstoken.normalizer import strip_html
+from repro.scanner.normalizer import fast_normalize, normalize_for_scan
 
 SETTINGS = settings(max_examples=1000, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
 
 def assert_same_normal_form(content):
-    assert fast_normalize(content) == \
-        oracle_fast_normalize.fast_normalize(content), repr(content[:120])
+    """Where the split decides ``content``'s scripts, it is the oracle's
+    form of them; returns whether it decided."""
+    scripts = strip_html(content)
+    normal_form = fast_normalize(scripts)
+    if normal_form is not None:
+        assert normal_form == oracle_fast_normalize.fast_normalize(scripts), \
+            repr(content[:120])
+    return normal_form is not None
 
 
 # ----------------------------------------------------------------------
@@ -66,7 +75,7 @@ RULES = [
     '""', "''", "``", '"" \'\' ``', '"a"\'b\'`c`"d"', '"a" "b"', "'' ''",
     # a quote of another kind is plain text inside a literal
     '"it\'s `x`" y', "'say \"hi\"' y", "`a \"b\" 'c'` d",
-    # unterminated openers: the quote stays, the search resumes after it
+    # unterminated openers: the split declines
     '"abc', "'abc def", "`abc def", '"abc \'d e\' f', "'abc \"d e\" f",
     '"a b\n"c d"', "'a b\n'c d'", '"a `b c` d', "x ` \"a b\" ", '" \' ` a b',
     # single-line quotes, multi-line backticks; only \n ends a quote's line
@@ -75,9 +84,7 @@ RULES = [
     # whitespace: six characters outside literals, nothing inside
     " \t\n\r\f\v", "a \u00a0 b", "a\ufeff b", "\x00 \x00", ' " \t\n" ',
     " ' \t\r\f\v ' ", "a  b   c", "\n\n\"\n\n\"\n\n", "",
-    # the quadratic shape (see the fast_normalize docstring), at sizes that
-    # cost nothing: escaped quotes outside a literal, each retried as an
-    # opener
+    # escaped quotes outside a literal, each once a failed opener
     '\\"' * 61, "\\'" * 60, "\\`" * 61, "\\`\n" * 60, "'" + "\\'" * 60,
     "`" + "\\`${" * 40,
 ]
@@ -110,11 +117,7 @@ class TestFailureInjectionInputs:
 # ----------------------------------------------------------------------
 # hostile content: a hang tripwire, as the lexer's TestNoHang
 # ----------------------------------------------------------------------
-#: Lexer families that are quadratic here -- at the parent commit as well as
-#: now -- and therefore pinned at a small size in ``RULES`` instead.
-QUADRATIC = ("escaped quotes", "templates")
-FAMILIES = {name: family for name, family in LexerNoHang.FAMILIES.items()
-            if name not in QUADRATIC}
+FAMILIES = dict(LexerNoHang.FAMILIES)
 FAMILIES.update({
     "lone quotes per line": lambda n: "'\n" * (n // 2),
     "backslash runs": lambda n: "\\" * n,
@@ -123,13 +126,9 @@ FAMILIES.update({
 
 
 class TestNoHang:
-    """The lexer's fourteen hostile families, minus the two quadratic ones,
-    plus three of the normalizer's own, at the lexer's size.  Each takes
-    milliseconds, so the ceiling only ever fires on super-linear behaviour."""
-
-    def test_the_excluded_families_exist(self):
-        # A renamed lexer family must not slip in at this size unnoticed.
-        assert set(QUADRATIC) < set(LexerNoHang.FAMILIES)
+    """The lexer's fourteen hostile families plus three of the
+    normalizer's own, at the lexer's size.  Each takes milliseconds, so the
+    ceiling only ever fires on super-linear behaviour."""
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_normalizes_under_the_ceiling(self, family):
@@ -137,7 +136,17 @@ class TestNoHang:
         started = time.perf_counter()
         normal_form = fast_normalize(content)
         assert time.perf_counter() - started < LexerNoHang.CEILING_SECONDS
-        assert normal_form == oracle_fast_normalize.fast_normalize(content)
+        if normal_form is not None:
+            assert normal_form == oracle_fast_normalize.fast_normalize(content)
+
+    @pytest.mark.parametrize("content", ['\\"' * 8000, "\\`\n" * 8000],
+                             ids=["escaped quotes", "escaped backticks"])
+    def test_scan_normal_form_under_the_ceiling(self, content):
+        # Quadratic in the split before its failed openers were paid once
+        # (2.0 and 4.0 s); the lexer it now falls back to is linear here.
+        started = time.perf_counter()
+        normalize_for_scan(content)
+        assert time.perf_counter() - started < LexerNoHang.CEILING_SECONDS
 
 
 # ----------------------------------------------------------------------
@@ -147,8 +156,10 @@ class TestNoHang:
 class TestGeneratedWeek:
     def test_every_page(self, week_of_pages):  # noqa: F811 - the fixture
         assert len(week_of_pages) > 500
-        for document in week_of_pages:
-            assert_same_normal_form(document)
+        decided = sum(assert_same_normal_form(document)
+                      for document in week_of_pages)
+        # Only scripts with a ``/`` outside their literals are declined.
+        assert decided > 0.8 * len(week_of_pages)
 
     def test_five_random_truncations_per_page(self,
                                               week_of_pages):  # noqa: F811

@@ -1,7 +1,7 @@
 """Tests for the incremental day-over-day pipeline (PR 2).
 
-Covers the warm path end to end: the fast normal form and its verdict
-equivalence with the lexer-based normalizer, the soundness of the compiled
+Covers the warm path end to end: the split's normal form, detection on
+commented pages, the soundness of the compiled
 signatures' literal anchors, the indexed signature database,
 sentinel-weighted clustering, known-sample shedding (which must never drop
 an unmatched sample), carry-forward label inheritance, and the
@@ -12,6 +12,7 @@ metrics across a window containing a packer change.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import datetime
 import random
 import re
@@ -19,6 +20,7 @@ from unittest import mock
 
 import pytest
 
+from test_scan_normal_form import commented
 import repro.jstoken.normalizer as jstoken_normalizer
 import repro.scanner.normalizer as scanner_normalizer
 from repro.clustering.carryforward import CarryForwardIndex, ClusterAnchor
@@ -30,7 +32,6 @@ from repro.ekgen import StreamConfig, TelemetryGenerator
 from repro.evalharness import ExperimentConfig, MonthExperiment
 from repro.exec.backend import BackendConfig
 from repro.labeling.corpus import CorpusEntry
-from repro.scanner.avbaseline import SimulatedCommercialAV
 from repro.scanner.engine import ScanEngine, SignatureDatabase
 from repro.scanner.normalizer import fast_normalize, normalize_for_scan
 from repro.signatures.signature import Signature
@@ -68,7 +69,7 @@ def lexer_spy():
 
 
 # ----------------------------------------------------------------------
-# fast normal form
+# the split's normal form
 # ----------------------------------------------------------------------
 class TestFastNormalize:
     def test_strips_whitespace_outside_strings(self):
@@ -81,49 +82,11 @@ class TestFastNormalize:
     def test_handles_escaped_quotes(self):
         assert fast_normalize(r'a = "x\"y z";') == r'a=x\"y z;'
 
-    def test_verdict_equivalent_on_stream(self, small_generator):
-        """Signature and AV-rule verdicts agree between the exact and fast
-        normal forms across several days (including newly compiled
-        signatures)."""
-        kizzle = _seeded_kizzle(small_generator)
-        av = SimulatedCommercialAV(timeline=small_generator.timeline,
-                                   study_start=D(2014, 8, 1))
-        for offset in range(3):
-            day = D(2014, 8, 1) + datetime.timedelta(days=offset)
-            batch = small_generator.generate_day(day)
-            kizzle.process_day(
-                [(s.sample_id, s.content) for s in batch.samples], day)
-            signatures = kizzle.database.signatures_for(as_of=day)
-            rules = av.rules_deployed(day)
-            for sample in batch.samples:
-                exact = normalize_for_scan(sample.content)
-                fast = fast_normalize(sample.content)
-                for signature in signatures:
-                    assert signature.matches(exact) == \
-                        signature.matches(fast), signature.signature_id
-                for rule in rules:
-                    exact_verdict = rule.matches(sample.content, exact)
-                    fast_verdict = (rule.compiled.search(sample.content)
-                                    is not None) \
-                        or (rule.compiled.search(fast) is not None)
-                    assert exact_verdict == fast_verdict, rule.name
-
-
-def _comment_every_statement(page):
-    """``/*x*/`` after every ``;\\n`` inside the page's inline scripts: the
-    lexer's tokens, and so clustering and the exact normal form, are
-    unchanged."""
-    return re.sub(r"(<script[^>]*>)(.*?)(</script>)",
-                  lambda script: script.group(1)
-                  + script.group(2).replace(";\n", ";\n/*x*/")
-                  + script.group(3),
-                  page, flags=re.DOTALL)
-
 
 class TestCommentedPages:
     """A warm serial month over Aug 1-3 deploys five signatures; Aug 4's
-    kit pages are detected alike by both normal forms until every
-    statement carries a comment, which the fast form keeps."""
+    kit pages are detected alike with and without a comment on every
+    statement, which the lexer drops and the split hands over to it."""
 
     DAY = D(2014, 8, 4)
 
@@ -137,30 +100,66 @@ class TestCommentedPages:
         with MonthExperiment(config) as experiment:
             experiment.run()
             batch = experiment.generator.generate_day(self.DAY)
-        database = experiment.kizzle.database
-        assert len(database) == 5
+        kizzle = experiment.kizzle
+        assert len(kizzle.database) == 5
         pages = [sample.content for sample in batch.samples if sample.kit]
         assert len(pages) == 46
-        return database, pages
+        return kizzle, pages
 
-    def detected(self, database, mode, pages):
-        engine = ScanEngine(database, mode=mode)
+    def detected(self, database, pages):
+        engine = ScanEngine(database)
         return sum(engine.scan("page", page, as_of=self.DAY).detected
                    for page in pages)
 
     def test_plain_pages(self, setup):
-        database, pages = setup
-        assert self.detected(database, "exact", pages) == 42
-        assert self.detected(database, "fast", pages) == 42
-        commented = [_comment_every_statement(page) for page in pages]
-        assert commented != pages
-        assert self.detected(database, "exact", commented) == 42
+        kizzle, pages = setup
+        assert self.detected(kizzle.database, pages) == 42
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
     def test_commented_pages(self, setup):
-        database, pages = setup
-        commented = [_comment_every_statement(page) for page in pages]
-        assert self.detected(database, "fast", commented) == 42
+        kizzle, pages = setup
+        with_comments = [commented(page) for page in pages]
+        assert with_comments != pages
+        assert self.detected(kizzle.database, with_comments) == 42
+        assert sum(bool(kizzle.kits_matching(page, self.DAY))
+                   for page in with_comments) == 42
+
+
+class _CommentedGenerator(TelemetryGenerator):
+    """The same stream with every page passed through :func:`commented`."""
+
+    def generate_day(self, date):
+        batch = super().generate_day(date)
+        batch.samples = [dataclasses.replace(sample,
+                                             content=commented(sample.content))
+                         for sample in batch.samples]
+        return batch
+
+
+class TestCommentedStream:
+    def test_warm_month_is_blind_to_comments(self):
+        """A warm serial month over Aug 1-4 compiles the same signatures,
+        sheds the same samples and scores the same Kizzle FP/FN on the
+        commented stream as on the plain one."""
+        stream = StreamConfig(seed=20140801)
+
+        def run(generator):
+            config = ExperimentConfig(
+                start=D(2014, 8, 1), end=D(2014, 8, 4), stream=stream,
+                kizzle=KizzleConfig(machines=10, incremental=_warm_config(),
+                                    backend=BackendConfig(kind="serial")))
+            with MonthExperiment(config, generator=generator) as experiment:
+                report = experiment.run()
+            signatures = [(signature.kit, signature.created, signature.pattern)
+                          for signature in experiment.kizzle.database]
+            days = [(day.date, day.shed_count,
+                     day.kizzle.confusion.false_positives,
+                     day.kizzle.confusion.false_negatives)
+                    for day in report.days]
+            return signatures, days
+
+        plain = run(TelemetryGenerator(stream))
+        assert plain[0] and sum(shed for _, shed, _, _ in plain[1])
+        assert run(_CommentedGenerator(stream)) == plain
 
 
 # ----------------------------------------------------------------------
@@ -383,7 +382,7 @@ class TestWarmPipeline:
         assert novel_id not in shed_ids
         # Every shed sample really is known: matched by a deployed
         # signature.
-        engine = ScanEngine(warm.database, mode="fast")
+        engine = ScanEngine(warm.database)
         content_by_id = dict(samples)
         for record in result.shed:
             if record.reason == "signature":
@@ -574,8 +573,6 @@ class TestWarmPipeline:
 # ----------------------------------------------------------------------
 class TestConfigAndCache:
     def test_invalid_incremental_config(self):
-        with pytest.raises(ValueError):
-            IncrementalConfig(scan_mode="wrong")
         with pytest.raises(ValueError):
             IncrementalConfig(anchor_ttl_days=0)
         with pytest.raises(ValueError):

@@ -255,7 +255,8 @@ class TestNamedRules:
     def test_patterns_need_nothing_newer_than_python_39(self):
         for pattern in (lexer._MASTER.__self__.pattern,
                         lexer._REGEX_BODY.__self__.pattern,
-                        normalizer._SPLIT_RE.pattern):
+                        normalizer._SPLIT_RE.pattern,
+                        normalizer._TO_SPECIAL.__self__.pattern):
             for newer in ("*+", "++", "?+", "}+", "(?>"):
                 assert newer not in pattern
 

@@ -17,7 +17,6 @@ from repro.scanner import (
     default_av_baseline,
     normalize_for_scan,
 )
-from repro.scanner.normalizer import fast_normalize
 from repro.signatures import Signature
 
 D = datetime.date
@@ -107,7 +106,8 @@ class TestScanEngine:
     def test_probe_plan_follows_deploys_and_dates(self, mode):
         """The cached per-kit probe lists are rebuilt on every deployment
         and for every ``as_of``: each scan agrees with matching every
-        signature deployed at that moment, ungated, reduced per kit."""
+        signature deployed at that moment, ungated, reduced per kit.  The
+        engine still accepts either ``mode``, which selects nothing."""
         documents = {"rig": "var a = 42;", "angler": "var b = 'x y';",
                      "both": "var a = 42; var b = 'x y';", "none": "var c;"}
         database = SignatureDatabase([
@@ -119,7 +119,7 @@ class TestScanEngine:
         def assert_scans_match_deployed(as_of):
             deployed = database.signatures_for(as_of=as_of)
             for sample_id, content in documents.items():
-                normalized = engine.normal_form(content)
+                normalized = normalize_for_scan(content)
                 expected = [signature for signature in deployed
                             if signature.matches(normalized)]
                 result = engine.scan(sample_id, content, as_of=as_of)
@@ -204,22 +204,20 @@ class TestAVBaseline:
         assert flagged <= 2
 
     def test_gates_are_necessary(self, small_generator):
-        """A rule that matches a page finds its stated gates in it, under
-        either normal form, on the days around Angler's August 13 change:
-        the gate never changes a verdict."""
+        """A rule that matches a page finds its stated gates in it on the
+        days around Angler's August 13 change: the gate never changes a
+        verdict."""
         av = SimulatedCommercialAV(timeline=small_generator.timeline)
         fired = set()
         for day in range(11, 15):
             batch = small_generator.generate_day(D(2014, 8, day))
             for sample in batch.samples:
                 raw = sample.content
-                for normalized in (normalize_for_scan(raw),
-                                   fast_normalize(raw)):
-                    for rule in av.rules:
-                        if rule.matches(raw, normalized):
-                            fired.add(rule.name)
-                            assert rule.could_match(raw, normalized), \
-                                rule.name
+                normalized = normalize_for_scan(raw)
+                for rule in av.rules:
+                    if rule.matches(raw, normalized):
+                        fired.add(rule.name)
+                        assert rule.could_match(raw, normalized), rule.name
         # Every kit's rules, before and after Angler's change, took part.
         assert {"ANGLER.sig1", "ANGLER.sig3", "NUCLEAR.sig1", "RIG.sig4",
                 "SWEETORANGE.sig2"} <= fired, fired
