@@ -37,8 +37,14 @@ def java_exploit_html(marker: str = ANGLER_JAVA_MARKER) -> str:
 
 
 def hex_encode(text: str) -> str:
-    """Hex-encode text the way the Angler packer embeds its payload."""
-    return "".join(f"{ord(char) % 256:02x}" for char in text)
+    """Hex-encode text the way the Angler packer embeds its payload.
+
+    Two hex digits per character, of its code point modulo 256: the low
+    byte of each UTF-32-LE code unit (``surrogatepass`` keeps lone
+    surrogates), so the loop runs in C.  ``tests/oracle_ekgen.py`` keeps the
+    per-character form this equals.
+    """
+    return text.encode("utf-32-le", "surrogatepass")[::4].hex()
 
 
 def hex_decode(encoded: str) -> str:

@@ -24,6 +24,10 @@ from repro.ekgen.identifiers import pick_variable_map, random_crypt_key
 _DELIMITED_WORDS = ["concat", "substr", "document", "Color", "length",
                     "replace"]
 
+#: The three-digit spelling of every byte value; ``key_shift`` is 1..200,
+#: so the encoder rotates this table by slicing it at the shift.
+_TRIPLES = tuple(f"{value:03d}" for value in range(256))
+
 
 def encrypt_payload(core: str, key: str) -> str:
     """Encrypt the core into Nuclear's digit-string payload.
@@ -33,9 +37,16 @@ def encrypt_payload(core: str, key: str) -> str:
     the reproduction is that the digits (and the key) differ in every
     response, making pattern-matching on the payload itself useless, exactly
     as the paper observes.
+
+    The shift is taken modulo 256, so only each code point's low byte
+    matters: those bytes (every fourth of the UTF-32-LE encoding) index a
+    rotated table of the 256 digit triples, and the loop runs in C.
+    ``tests/oracle_ekgen.py`` keeps the per-character form this equals.
     """
     shift = key_shift(key)
-    return "".join(f"{(ord(char) + shift) % 256:03d}" for char in core)
+    table = _TRIPLES[shift:] + _TRIPLES[:shift]
+    low_bytes = core.encode("utf-32-le", "surrogatepass")[::4]
+    return "".join(map(table.__getitem__, low_bytes))
 
 
 def decrypt_payload(payload: str, key: str) -> str:

@@ -26,6 +26,13 @@ from repro.ekgen.identifiers import pick_variable_map, random_junk_string, \
     random_url
 
 
+def encode_char_codes(core: str, delimiter: str) -> str:
+    """RIG's buffer: the decimal code of every character, each followed by
+    the delimiter.  ``tests/oracle_ekgen.py`` keeps the per-character form
+    this equals."""
+    return delimiter.join(map(str, map(ord, core))) + delimiter
+
+
 class RigKit(ExploitKit):
     """Simulated RIG exploit kit."""
 
@@ -93,7 +100,7 @@ class RigKit(ExploitKit):
             rng, ["buffer", "delim", "collect", "text", "pieces", "screlem",
                   "index"])
 
-        encoded = delimiter.join(str(ord(char)) for char in core) + delimiter
+        encoded = encode_char_codes(core, delimiter)
         chunks = [encoded[i:i + chunk_size * 4]
                   for i in range(0, len(encoded), chunk_size * 4)]
         collect_calls = "\n".join(

@@ -41,8 +41,8 @@ class RigUnpacker(Unpacker):
         pieces = [piece for piece in buffer.split(delimiter) if piece != ""]
         try:
             return "".join(chr(int(piece)) for piece in pieces)
-        except ValueError as exc:
-            raise UnpackError(f"non-numeric char code in buffer: {exc}") from exc
+        except (ValueError, OverflowError) as exc:  # OverflowError: past C int
+            raise UnpackError(f"invalid char code in buffer: {exc}") from exc
 
     # ------------------------------------------------------------------
     @staticmethod

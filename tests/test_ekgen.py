@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime
+import hashlib
 import random
 
 import pytest
@@ -370,3 +371,33 @@ class TestTelemetryGenerator:
         batch = generator.generate_day(D(2014, 8, 17))
         with_new = sum(1 for s in batch.samples if "esa1asv" in s.content)
         assert 0 < with_new < len(batch.samples)
+
+
+#: sha256 of the default stream's first week (``StreamConfig(seed=20140801)``,
+#: Aug 1-7; see :func:`stream_digest`).  Every page the generator writes
+#: feeds every golden figure and ``output_digest``, so a change to the byte
+#: stream must be deliberate.
+WEEK_DIGEST = "4245c16b660e1d2b22d2e8c1be91e316facbbf5a62eee2e76309d224c8addd4d"
+
+
+def stream_digest(batches) -> str:
+    """sha256 over each sample's id and content, in stream order."""
+    digest = hashlib.sha256()
+    for batch in batches:
+        for sample in batch.samples:
+            digest.update(sample.sample_id.encode() + b"\0")
+            digest.update(sample.content.encode("utf-8", "surrogatepass")
+                          + b"\0")
+    return digest.hexdigest()
+
+
+class TestByteStream:
+    def test_default_stream_week_is_pinned(self):
+        generator = TelemetryGenerator(StreamConfig(seed=20140801))
+        week = [generator.generate_day(D(2014, 8, day)) for day in range(1, 8)]
+        digest = stream_digest(week)
+        assert digest == WEEK_DIGEST, (
+            f"the generated byte stream changed: week digest {digest}, "
+            f"pinned {WEEK_DIGEST}.  If the change is intended, every golden "
+            f"figure and bench output_digest moves with it; re-pin by setting "
+            f"WEEK_DIGEST in tests/test_ekgen.py to the new value.")

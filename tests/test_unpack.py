@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -96,6 +97,42 @@ class TestUnpackErrors:
         if unpacker.recognizes(corrupted):
             with pytest.raises(UnpackError):
                 unpacker.unpack(corrupted)
+
+    @pytest.mark.parametrize("code", ["1114112", "99999999999999999999"])
+    def test_rig_char_code_out_of_range(self, kits, august_day, code):
+        """A code past U+10FFFF (``chr`` raises ``ValueError``) or past the
+        C ``int`` range (``OverflowError``) fails the unpack instead of
+        escaping ``try_unpack`` and the registry."""
+        content = kits["rig"].generate(august_day, random.Random(3)).content
+        collect = re.search(r"function (\w+)\(", content).group(1)
+        page, edits = re.subn(rf'\b{collect}\("\d+', f'{collect}("{code}',
+                              content, count=1)
+        assert edits == 1
+        unpacker = RigUnpacker()
+        assert unpacker.recognizes(page)
+        with pytest.raises(UnpackError):
+            unpacker.unpack(page)
+        assert unpacker.try_unpack(page) is None
+        assert default_registry().unpack(page) == (page, [])
+
+    def test_nuclear_payload_ending_in_newline(self, kits, august_day):
+        """``$`` in the payload regex matches before a final newline, so a
+        digit literal ending in ``\\n`` is still taken as the payload.  Its
+        last triple reads through ``int``, which skips the blank: ``"ab\\n"``
+        decodes as ``"0ab"`` does.  With the newline added to a whole
+        payload the length is no multiple of 3 and the unpack fails."""
+        content = kits["nuclear"].generate(august_day, random.Random(5)).content
+        payload = max(re.findall(r'"(\d{30,})"', content), key=len)
+
+        def with_payload(new):
+            return content.replace(f'"{payload}"', f'"{new}"', 1)
+
+        unpacker = NuclearUnpacker()
+        blank_last = with_payload(payload[:-1] + "\n")
+        zero_first = with_payload(payload[:-3] + "0" + payload[-3:-1])
+        assert unpacker.recognizes(blank_last)
+        assert unpacker.unpack(blank_last) == unpacker.unpack(zero_first)
+        assert unpacker.try_unpack(with_payload(payload + "\n")) is None
 
 
 class TestRegistry:
