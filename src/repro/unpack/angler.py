@@ -7,8 +7,11 @@ import re
 from repro.ekgen.angler import hex_decode
 from repro.unpack.base import Unpacker, UnpackError
 
+#: One way only to read each separator: ``\s*`` takes every blank (line
+#: breaks included) before the optional ``+``, so a broken chunk list fails
+#: after one pass over the chunks instead of backtracking exponentially.
 _HEX_CONCAT_RE = re.compile(
-    r'var\s+[A-Za-z_$][\w$]*\s*=\s*((?:"[0-9a-fA-F]+"\s*\+?\s*\n?\s*)+);')
+    r'var\s+[A-Za-z_$][\w$]*\s*=\s*((?:"[0-9a-fA-F]+"\s*(?:\+\s*)?)+);')
 _HEX_LITERAL_RE = re.compile(r'"([0-9a-fA-F]+)"')
 _EVAL_TRIGGER_RE = re.compile(r'window\[\s*"ev"\s*\+\s*"al"\s*\]')
 

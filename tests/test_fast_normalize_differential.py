@@ -7,12 +7,20 @@ its place; it is the reference here.  ``fast_normalize`` now declines
 form; wherever it returns a string, the two must agree character for
 character.  ``tests/test_scan_normal_form.py`` holds the whole scan normal
 form, declines included, to the lexer's.
+
+``fast_normalize`` has two forms: the bulk ``str.split('"')`` form for
+scripts whose literals are all double-quoted, single-line and escape-free,
+and the ``re.split`` for the rest.  Both are held to the oracle here, and
+:func:`takes_bulk_path` shows which one decided, so neither passes
+vacuously.
 """
 
 from __future__ import annotations
 
+import datetime
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,8 +29,10 @@ from hypothesis import strategies as st
 import oracle_fast_normalize
 import test_failure_injection as failure_injection
 from test_jstoken_lexer import TestNoHang as LexerNoHang
-from test_lexer_differential import WEEK_SEED, week_of_pages  # noqa: F401
+from test_lexer_differential import WEEK_SEED, WEEK_START
+from repro.ekgen import StreamConfig, TelemetryGenerator
 from repro.jstoken.normalizer import strip_html
+from repro.scanner import normalizer
 from repro.scanner.normalizer import fast_normalize, normalize_for_scan
 
 SETTINGS = settings(max_examples=1000, deadline=None,
@@ -38,6 +48,15 @@ def assert_same_normal_form(content):
         assert normal_form == oracle_fast_normalize.fast_normalize(scripts), \
             repr(content[:120])
     return normal_form is not None
+
+
+def takes_bulk_path(scripts):
+    """Whether ``fast_normalize`` decides ``scripts`` by its bulk
+    ``str.split`` form, without running ``_SPLIT_RE``."""
+    with mock.patch.object(normalizer, "_SPLIT_RE",
+                           wraps=normalizer._SPLIT_RE) as split_re:
+        normal_form = fast_normalize(scripts)
+    return normal_form is not None and not split_re.split.called
 
 
 # ----------------------------------------------------------------------
@@ -65,6 +84,46 @@ class TestGeneratedStrings:
 
 
 # ----------------------------------------------------------------------
+# hypothesis: scripts whose only quote is ``"``, the bulk form's traffic
+# ----------------------------------------------------------------------
+LETTERS = ["a", "Z", "0", ";", "=", "(", ")", "+", "\u00e9"]
+BLANKS = [" ", "\t", "\n", "\r", "\v", "\f"]
+#: Outside a literal, U+00A0 and ``\\`` make the bulk form decline, and a
+#: lone ``"`` shifts every later literal or leaves one unterminated.
+OUTSIDE = LETTERS + BLANKS + ["\u00a0", "\\", '"']
+#: Inside, only a line terminator or ``\\`` does.
+INSIDE = LETTERS + BLANKS + ["\u00a0", "\\", "'", "`", "/"]
+#: What the bulk form always takes: no line terminator or ``\\`` inside,
+#: no U+00A0 or ``\\`` outside.
+CLEAN_OUTSIDE = LETTERS + BLANKS
+CLEAN_INSIDE = LETTERS + [" ", "\t", "\v", "\f", "\u00a0", "'", "`", "/"]
+
+
+def quoted_scripts(outside, inside):
+    """Text from ``outside`` with literals of ``inside`` text between
+    pairs of ``"``."""
+    text = st.lists(st.sampled_from(outside), max_size=6).map("".join)
+    body = st.lists(st.sampled_from(inside), max_size=6).map("".join)
+    return st.tuples(text, st.lists(st.tuples(body, text), max_size=6)).map(
+        lambda pieces: pieces[0] + "".join(f'"{literal}"{after}'
+                                           for literal, after in pieces[1]))
+
+
+class TestDoubleQuotedScripts:
+    @SETTINGS
+    @given(quoted_scripts(OUTSIDE, INSIDE))
+    def test_double_quoted_scripts(self, scripts):
+        assert_same_normal_form(scripts)
+
+    @SETTINGS
+    @given(quoted_scripts(CLEAN_OUTSIDE, CLEAN_INSIDE))
+    def test_clean_scripts_take_the_bulk_path(self, scripts):
+        assert takes_bulk_path(scripts)
+        assert fast_normalize(scripts) \
+            == oracle_fast_normalize.fast_normalize(scripts)
+
+
+# ----------------------------------------------------------------------
 # every rule the split had to reproduce, one input each
 # ----------------------------------------------------------------------
 RULES = [
@@ -89,11 +148,33 @@ RULES = [
     "`" + "\\`${" * 40,
 ]
 
+#: The bulk form's declines, one per condition, and the inputs it takes.
+BULK_DECLINES = [
+    '"a" "b', '"a" b"c" "d',                   # an odd quote count
+    '"a\\b" c', 'a\\ "b"',                     # a backslash anywhere
+    '"a\nb" c', '"a\rb" c',                   # a line terminator inside
+    "'a' \"b\"", '`a` "b"', '"a" / "b"',      # a special outside
+    '"a"\u00a0"b"',
+]
+BULK_ACCEPTS = [
+    '"it\'s" x', '"a `b` c" x', '"" x', 'x = ""', '"a/b" c',
+    '"a\u00a0b" c', ' " \t " \n\r\v\f "" ',
+]
+RULES += BULK_DECLINES + BULK_ACCEPTS
+
 
 class TestNamedRules:
     @pytest.mark.parametrize("content", RULES)
     def test_rule(self, content):
         assert_same_normal_form(content)
+
+    @pytest.mark.parametrize("content", BULK_DECLINES)
+    def test_bulk_path_declines(self, content):
+        assert not takes_bulk_path(content)
+
+    @pytest.mark.parametrize("content", BULK_ACCEPTS)
+    def test_bulk_path_accepts(self, content):
+        assert takes_bulk_path(content)
 
 
 # ----------------------------------------------------------------------
@@ -122,11 +203,15 @@ FAMILIES.update({
     "lone quotes per line": lambda n: "'\n" * (n // 2),
     "backslash runs": lambda n: "\\" * n,
     "whitespace runs": lambda n: " \t\n\r\f\v" * (n // 6),
+    # The bulk form's traffic: the lexer's "quotes" family is ``'"' * n``.
+    "odd quote runs": lambda n: '"' * (n + 1),
+    "blank literals": lambda n: '" "' * (n // 3),
+    "literals per line": lambda n: '"a"\n' * (n // 4),
 })
 
 
 class TestNoHang:
-    """The lexer's fourteen hostile families plus three of the
+    """The lexer's fourteen hostile families plus six of the
     normalizer's own, at the lexer's size.  Each takes milliseconds, so the
     ceiling only ever fires on super-linear behaviour."""
 
@@ -152,19 +237,35 @@ class TestNoHang:
 # ----------------------------------------------------------------------
 # one seeded week of generated telemetry
 # ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def week_of_samples():
+    generator = TelemetryGenerator(StreamConfig(seed=WEEK_SEED))
+    return [sample
+            for offset in range(7)
+            for sample in generator.generate_day(
+                WEEK_START + datetime.timedelta(days=offset)).samples]
+
+
 @pytest.mark.slow
 class TestGeneratedWeek:
-    def test_every_page(self, week_of_pages):  # noqa: F811 - the fixture
-        assert len(week_of_pages) > 500
-        decided = sum(assert_same_normal_form(document)
-                      for document in week_of_pages)
+    def test_every_page(self, week_of_samples):
+        assert len(week_of_samples) > 500
+        decided = sum(assert_same_normal_form(sample.content)
+                      for sample in week_of_samples)
         # Only scripts with a ``/`` outside their literals are declined.
-        assert decided > 0.8 * len(week_of_pages)
+        assert decided > 0.8 * len(week_of_samples)
 
-    def test_five_random_truncations_per_page(self,
-                                              week_of_pages):  # noqa: F811
+    def test_every_angler_and_rig_page_takes_the_bulk_path(
+            self, week_of_samples):
+        pages = [sample.content for sample in week_of_samples
+                 if sample.kit in ("angler", "rig")]
+        assert len(pages) > 100
+        for page in pages:
+            assert takes_bulk_path(strip_html(page))
+
+    def test_five_random_truncations_per_page(self, week_of_samples):
         rng = random.Random(WEEK_SEED)
-        for document in week_of_pages:
+        for document in (sample.content for sample in week_of_samples):
             for _ in range(5):
                 assert_same_normal_form(
                     document[:rng.randrange(len(document) + 1)])

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import datetime
 import random
 import re
+import time
 
 import pytest
 
+from repro.ekgen import StreamConfig, TelemetryGenerator
 from repro.unpack import (
     AnglerUnpacker,
     NuclearUnpacker,
@@ -182,3 +185,34 @@ class TestRegistry:
         sample = kits["rig"].generate(august_day, random.Random(2))
         _payload, applied = registry.unpack(sample.content)
         assert applied == ["rig"]
+
+
+class TestBrokenAnglerChunks:
+    """One non-hex character in a chunk of Angler's hex concatenation once
+    sent the concatenation pattern into exponential backtracking: its
+    separator split ``" +\\n  "`` several ways per chunk, so breaking the
+    9th / 10th / 11th of this page's 707 chunks took 0.2 / 0.9 / 4.8 s, and
+    a later chunk hung the label stage."""
+
+    CEILING_SECONDS = 1.0
+
+    @pytest.fixture(scope="class")
+    def page(self):
+        generator = TelemetryGenerator(StreamConfig(seed=5))
+        return next(sample.content for sample in generator.generate_day(
+            datetime.date(2014, 8, 6)).samples if sample.kit == "angler")
+
+    @pytest.mark.parametrize("chunk", [11, -1], ids=["12th", "last"])
+    def test_broken_chunk_is_declined_under_the_ceiling(self, page, chunk):
+        unpacker = AnglerUnpacker()
+        assert unpacker.recognizes(page)
+        chunks = [match.start() for match in
+                  re.finditer(r'"[0-9a-fA-F]+"(?=\s*[+;])', page)]
+        assert len(chunks) > 100
+        at = chunks[chunk] + 1
+        broken = page[:at] + ")" + page[at + 1:]
+        for operation in (unpacker.recognizes, unpacker.try_unpack):
+            started = time.perf_counter()
+            result = operation(broken)
+            assert time.perf_counter() - started < self.CEILING_SECONDS
+            assert not result
