@@ -35,7 +35,7 @@ class ShedRecord:
 
     sample_id: str
     #: Always ``"signature"``: a read path for ``bench/`` until ROADMAP
-    #: item 2(d).
+    #: item 3(d).
     reason: str = "signature"
     #: The kit of the deployed signature that matched the sample.
     kit: Optional[str] = None
@@ -65,7 +65,7 @@ class DailyResult:
     #: Which execution backend processed the day.
     backend: str = ""
     #: Always empty: a read path for ``bench/workloads.py`` until ROADMAP
-    #: item 2(d).
+    #: item 3(d).
     prepared_stats: Dict[str, int] = field(default_factory=dict)
 
     @property

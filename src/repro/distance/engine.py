@@ -64,7 +64,7 @@ class DistanceEngineConfig:
     length_filter: bool = True
     bag_filter: bool = True
     workers: int = 0
-    shared_cache: bool = True  # read by bench/ until ROADMAP item 2(d)
+    shared_cache: bool = True  # read by bench/ until ROADMAP item 3(d)
 
     def __post_init__(self) -> None:
         if self.workers < 0:
@@ -78,9 +78,9 @@ class EngineStats:
     pairs: int = 0
     identical: int = 0
     length_pruned: int = 0
-    cache_hits: int = 0  # read by bench/ until ROADMAP item 2(d)
+    cache_hits: int = 0  # read by bench/ until ROADMAP item 3(d)
     bag_pruned: int = 0
-    qgram_pruned: int = 0  # read by bench/ until ROADMAP item 2(d)
+    qgram_pruned: int = 0  # read by bench/ until ROADMAP item 3(d)
     kernel_calls: int = 0
 
     def add(self, other: "EngineStats") -> None:

@@ -628,10 +628,12 @@ class ClusterCoordinator:
                               reason=f"worker {worker.worker_id} left "
                                      f"mid-lease")
             self._state.notify_all()
-        logger.info("worker %s left gracefully; fleet=%d",
-                    worker.worker_id, self.worker_count)
+            # Logged before the lock is released (it is re-entrant), so
+            # whoever sees the smaller fleet also sees the notes about it.
+            logger.info("worker %s left gracefully; fleet=%d",
+                        worker.worker_id, self.worker_count)
+            self._warn_if_degraded()
         worker.kill_connection()
-        self._warn_if_degraded()
 
     def _requeue(self, task: _TaskState, worker_id: str,
                  reason: str) -> None:
@@ -660,11 +662,11 @@ class ClusterCoordinator:
                                      f"timed out")
                 reclaimed += 1
             self._state.notify_all()
-        if not self._closed:
-            logger.warning("worker %s died or timed out; %d lease(s) "
-                           "re-queued; fleet=%d", worker.worker_id,
-                           reclaimed, self.worker_count)
-            self._warn_if_degraded()
+            if not self._closed:        # logged under the lock, as above
+                logger.warning("worker %s died or timed out; %d lease(s) "
+                               "re-queued; fleet=%d", worker.worker_id,
+                               reclaimed, self.worker_count)
+                self._warn_if_degraded()
 
     def _warn_if_degraded(self) -> None:
         """Loud note when the live fleet is below the assembly size.  The

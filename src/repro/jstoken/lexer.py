@@ -35,7 +35,7 @@ so nothing backtracks and scanning is linear in the input -- with one known
 exception inherited from the regex bail-out rule: in ``"/[" * n + "\\n"``
 every ``/`` is where a regex may start and each body runs to the line
 terminator before bailing, so that input costs O(n^2).  Token identity with
-the previous lexer forbids changing the rule here; ROADMAP item 7(c) tracks
+the previous lexer forbids changing the rule here; ROADMAP item 5(c) tracks
 it.  ``tests/oracle_lexer.py`` is the character-by-character lexer this
 module replaced, kept as the differential oracle.
 """
@@ -43,7 +43,7 @@ module replaced, kept as the differential oracle.
 from __future__ import annotations
 
 import re
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from repro.jstoken.tokens import KEYWORDS, PUNCTUATORS, Token, TokenClass
 
@@ -211,16 +211,3 @@ def tokenize(source: str, keep_comments: bool = False,
         last = new(Token, (cls, value, start, line))
         emit(last)
 
-
-class Lexer:
-    """Iterator facade over :func:`tokenize` (same parameters)."""
-
-    def __init__(self, source: str, keep_comments: bool = False,
-                 strict: bool = False) -> None:
-        self.source = source
-        self.keep_comments = keep_comments
-        self.strict = strict
-
-    def tokens(self) -> Iterator[Token]:
-        """Yield tokens until the end of input."""
-        yield from tokenize(self.source, self.keep_comments, self.strict)

@@ -31,7 +31,6 @@ class TokenClass(enum.Enum):
     REGEX = "Regex"
     COMMENT = "Comment"
     TEMPLATE = "Template"
-    EOF = "EOF"
 
     def __init__(self, label: str) -> None:
         self.concrete = label in ("Keyword", "Punctuation")
@@ -62,15 +61,6 @@ class Token(NamedTuple):
     value: str
     position: int = 0
     line: int = 1
-
-    @property
-    def abstract(self) -> str:
-        """Return the abstract class name used in token strings."""
-        return self.cls.value
-
-    def is_significant(self) -> bool:
-        """Whether the token participates in clustering (comments do not)."""
-        return self.cls not in (TokenClass.COMMENT, TokenClass.EOF)
 
     def __str__(self) -> str:  # pragma: no cover - debugging helper
         return f"{self.cls.value}({self.value!r})"

@@ -184,10 +184,10 @@ class ScanEngine:
     def __init__(self, database: SignatureDatabase,
                  mode: str = "exact") -> None:
         # ``mode`` ("exact" or "fast") selects nothing: there is one normal
-        # form.  Read by bench/ until ROADMAP item 2(d).
+        # form.  Read by bench/ until ROADMAP item 3(d).
         self.database = database
         #: Telemetry: samples scanned.  ``memo_hits`` is always 0, a read
-        #: path for ``bench/trace.py`` until ROADMAP item 2(d).
+        #: path for ``bench/trace.py`` until ROADMAP item 3(d).
         self.counters = {"scans": 0, "memo_hits": 0}
         #: The probe plan and the ``(as_of, database.generation)`` it was
         #: built for (see :meth:`_probe_plan`).

@@ -3,7 +3,8 @@
 This file was ``repro.jstoken.lexer`` until the one-regex-pass scanner
 replaced it; it is unchanged below and is what
 ``tests/test_lexer_differential.py`` compares that scanner with, token for
-token.  Nothing under ``src/`` imports it.
+token.  One thing moved in: :func:`is_significant` was a ``Token`` method.
+Nothing under ``src/`` imports it.
 
 The original module docstring follows.
 
@@ -58,6 +59,11 @@ _REGEX_PRECEDING_KEYWORDS = frozenset(
         "void", "throw", "case", "do", "else", "yield",
     }
 )
+
+
+def is_significant(token: Token) -> bool:
+    """Whether the token participates in clustering (comments do not)."""
+    return token.cls is not TokenClass.COMMENT
 
 
 class Lexer:
@@ -117,7 +123,7 @@ class Lexer:
     def _make(self, cls: TokenClass, start: int, start_line: int) -> Token:
         token = Token(cls=cls, value=self.source[start:self._pos],
                       position=start, line=start_line)
-        if token.is_significant():
+        if is_significant(token):
             self._last_significant = token
         return token
 

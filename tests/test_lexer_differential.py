@@ -5,9 +5,10 @@ in ``repro.jstoken.lexer`` until the one-regex-pass scanner took its place; it
 is the reference here.  Every comparison is on ``(cls, value, position,
 line)`` in all four ``keep_comments x strict`` modes, raised ``LexerError``
 text included, and the consumer loops that were rewritten with the scanner
-(``abstract_token_string``, ``normalize_for_scan``, ``concrete_values``,
+(``abstract_token_string``, ``normalize_for_scan``, ``tokenize_sample``,
 ``strip_html``) are compared with values derived the old way from the oracle's
-tokens.
+tokens.  ``tests/test_abstract_fast_path.py`` aims at the edges of
+``abstract_token_string``'s lexer-free fast path.
 
 The bounded lex the signature generator reads concrete values from
 (``tokenize(..., limit=n)`` / ``leading_tokens``) is held to its definition
@@ -32,8 +33,8 @@ import test_failure_injection as failure_injection
 from test_jstoken_lexer import TestNoHang as LexerNoHang
 from repro.ekgen import StreamConfig, TelemetryGenerator
 from repro.jstoken import (LexerError, TokenClass, abstract_token_string,
-                           concrete_values, leading_tokens, lexer, strip_html,
-                           tokenize, tokenize_sample)
+                           leading_tokens, lexer, strip_html, tokenize,
+                           tokenize_sample)
 from repro.jstoken.normalizer import abstract_tokens_of
 from repro.scanner import normalizer
 from repro.scanner.normalizer import normalize_for_scan
@@ -127,11 +128,11 @@ def assert_same_derived_forms(document):
     assert strip_html(document) == oracle_strip_html(document)
     significant = [token for token
                    in oracle_lexer.tokenize(oracle_strip_html(document))
-                   if token.is_significant()]
+                   if oracle_lexer.is_significant(token)]
     assert abstract_token_string(document) == oracle_abstract(significant)
     assert normalize_for_scan(document) == oracle_normal_form(significant)
-    assert concrete_values(document) == tuple(token.value
-                                              for token in significant)
+    assert [token.value for token in tokenize_sample(document)] \
+        == [token.value for token in significant]
 
 
 def assert_prefixes(document, every_cut=False):

@@ -118,7 +118,7 @@ class TestNamedShapes:
         assert window.window == tuple("abcd") and window.positions == [0, 1]
 
     @pytest.mark.xfail(strict=True, reason=(
-        "known wrong answer (ROADMAP item 9(d)): the bisection moves down "
+        "known wrong answer (ROADMAP item 8(d)): the bisection moves down "
         "when a probe is infeasible, but here the failing condition is "
         "uniqueness, which gets easier as the window grows -- 200 is "
         "feasible, 100 is not, and the 8..1 fallback finds nothing, so the "
